@@ -41,20 +41,16 @@ def _build_parser() -> argparse.ArgumentParser:
         description="Exact graph polynomial invariants and KP tau-function checks.")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p, which=True, order=True, fmt=("text", "json"), jobs=False):
+    def add_common(p, which=True, order=True, fmt=("text", "json")):
         if which:
             p.add_argument("--which", choices=("W", "A"), required=True,
                            help="invariant: weighted chromatic (W) or Abel (A)")
         if order:
             p.add_argument("--order", type=int, default=series.DEFAULT_ORDER,
-                           metavar="N", help="truncation order, 1..8 (default 7)")
-            p.add_argument("--allow-order-8", action="store_true",
-                           help="permit order 8 (the weight-8 sweep is slow)")
+                           metavar="N",
+                           help=f"truncation order, 1..{series.MAX_ORDER} (default 7)")
         if fmt:
             p.add_argument("--format", choices=fmt, default=fmt[0])
-        if jobs:
-            p.add_argument("--jobs", type=int, default=1, metavar="K",
-                           help="parallel reduction width for ensemble sums")
 
     p = sub.add_parser("invariant", help="polynomial of one graph")
     add_common(p)
@@ -63,25 +59,23 @@ def _build_parser() -> argparse.ArgumentParser:
     src.add_argument("--input", metavar="FILE", help="line-delimited graph6 file")
 
     p = sub.add_parser("series", help="generating series")
-    add_common(p, jobs=True)
+    add_common(p)
     p.add_argument("--sum", choices=("connected", "all"), default="connected",
                    help="connected-graphs series (log form) or all-graphs series")
     p.add_argument("--rescaled", action="store_true",
                    help="apply the rescaling plan (output in p-variables)")
 
     p = sub.add_parser("constants", help="rescaling constants table")
-    add_common(p, order=False, fmt=("csv", "json"), jobs=True)
+    add_common(p, order=False, fmt=("csv", "json"))
     p.add_argument("--max-n", type=int, default=5, metavar="N")
-    p.add_argument("--allow-order-8", action="store_true",
-                   help="permit --max-n 8 (the weight-8 sweep is slow)")
 
     p = sub.add_parser("rescale", help="rescaled polynomial or series")
-    add_common(p, jobs=True)
+    add_common(p)
     p.add_argument("--graph6", metavar="STR",
                    help="rescale this graph's polynomial instead of the series")
 
     p = sub.add_parser("kp-check", help="KP residuals of a series")
-    add_common(p, which=False, fmt=None, jobs=True)
+    add_common(p, which=False, fmt=None)
     src = p.add_mutually_exclusive_group(required=True)
     src.add_argument("--series", dest="series_name", choices=("W", "A", "S"),
                      help="built-in: rescaled W/A generating function, or the "
@@ -106,12 +100,6 @@ def _check_order(args) -> int:
     order = args.order
     if not 1 <= order <= series.MAX_ORDER:
         raise SizeLimitError(f"--order must be in [1, {series.MAX_ORDER}], got {order}")
-    if order == 8 and not args.allow_order_8:
-        raise SizeLimitError(
-            "order 8 sweeps 2^28 edge subsets; pass --allow-order-8 to opt in")
-    if order == 8:
-        print("note: order 8 sweeps 2^28 edge subsets; use --jobs to parallelize",
-              file=sys.stderr)
     return order
 
 
@@ -122,8 +110,8 @@ def _emit_series(s: TruncSeries, fmt: str) -> None:
         print(s.text())
 
 
-def _plan(which: str, order: int, jobs: int) -> ensemble.RescalePlan:
-    return ensemble.make_plan(ensemble.rescale_constants(which, order, jobs))
+def _plan(which: str, order: int) -> ensemble.RescalePlan:
+    return ensemble.make_plan(ensemble.rescale_constants(which, order))
 
 
 def _cmd_invariant(args) -> int:
@@ -146,21 +134,18 @@ def _cmd_invariant(args) -> int:
 
 def _cmd_series(args) -> int:
     order = _check_order(args)
-    full = ensemble.full_series(args.which, order, args.jobs)
+    full = ensemble.full_series(args.which, order)
     out = ensemble.connected_part(full) if args.sum == "connected" else full
     if args.rescaled:
-        out = series.substitute(out, _plan(args.which, order, args.jobs))
+        out = series.substitute(out, _plan(args.which, order))
     _emit_series(out, args.format)
     return EXIT_OK
 
 
 def _cmd_constants(args) -> int:
-    if not 1 <= args.max_n <= ensemble.MAX_ENSEMBLE_K:
-        raise SizeLimitError(f"--max-n must be in [1, {ensemble.MAX_ENSEMBLE_K}]")
-    if args.max_n == 8 and not args.allow_order_8:
-        raise SizeLimitError(
-            "n = 8 sweeps 2^28 edge subsets; pass --allow-order-8 to opt in")
-    table = ensemble.rescale_constants(args.which, args.max_n, args.jobs)
+    if not 1 <= args.max_n <= series.MAX_ORDER:
+        raise SizeLimitError(f"--max-n must be in [1, {series.MAX_ORDER}]")
+    table = ensemble.rescale_constants(args.which, args.max_n)
     plan = ensemble.make_plan(table)
     if args.format == "json":
         print(json.dumps([{"n": n, "i_n": str(table.value(n)),
@@ -175,12 +160,12 @@ def _cmd_constants(args) -> int:
 
 def _cmd_rescale(args) -> int:
     order = _check_order(args)
-    plan = _plan(args.which, order, args.jobs)
+    plan = _plan(args.which, order)
     if args.graph6 is not None:
         poly = INVARIANTS[args.which](parse_graph6(args.graph6), order)
         _emit_series(series.substitute(poly, plan), args.format)
     else:
-        out = ensemble.connected_series(args.which, order, args.jobs)
+        out = ensemble.connected_series(args.which, order)
         _emit_series(series.substitute(out, plan), args.format)
     return EXIT_OK
 
@@ -189,7 +174,11 @@ def _cmd_kp_check(args) -> int:
     order = _check_order(args)
     if args.input is not None:
         with open(args.input, encoding="ascii") as handle:
-            F = TruncSeries.from_json_obj(json.load(handle))
+            try:
+                obj = json.load(handle)
+            except RecursionError:
+                raise ValueError(f"{args.input}: JSON nested too deeply") from None
+        F = TruncSeries.from_json_obj(obj)
         if F.var != "p":
             raise ValueError("kp-check --input expects a series in p-variables")
         label = args.input
@@ -198,8 +187,8 @@ def _cmd_kp_check(args) -> int:
         label = "log of the one-part Schur reference series"
     else:
         which = args.series_name
-        F = series.substitute(ensemble.connected_series(which, order, args.jobs),
-                              _plan(which, order, args.jobs))
+        F = series.substitute(ensemble.connected_series(which, order),
+                              _plan(which, order))
         label = f"rescaled connected {which} series"
     print(f"checking {label} at order {F.order}")
     status = EXIT_OK

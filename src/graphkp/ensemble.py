@@ -8,239 +8,51 @@ k!/|Aut| times, so
 
     piece_k = (1/k!) * sum over E <= E(K_k) of I_{(K_k)|E}.
 
-Expanding I's own subset/forest sum and swapping the two summations turns
-this into a single pass:
+Expanding I's own subset/forest sum and swapping the two summations gives one
+sum over E' <= E(K_k) (all subsets for the weighted chromatic polynomial,
+forests for Abel) of 2^(C(k,2) - |E'|) times a weight that is a product over
+the connected blocks of E'.  The 2-power factorizes too: the edges of K_k
+that join two different blocks lie outside E' whatever E' does inside the
+blocks, so they contribute only the fixed power 2^(C(k,2) - sum_j C(n_j,2)),
+and each block of size n keeps its own 2^(C(n,2) - |E'_block|).  Summed over
+the connected spanning edge sets of a block, a block's factor is i_n q_n / n!
+up to that outer power, where
 
-* weighted chromatic:  (1/k!) * sum over all E' <= E(K_k) of
-      2^(C(k,2) - |E'|) * (-1)^(|E'| - k + c(E')) * prod q_{component sizes}
-  (the 2-power counts the supergraphs E >= E');
+    i_n = n! * [q_n] piece_n
 
-* Abel:  (1/k!) * sum over forests F <= E(K_k) of
-      2^(C(k,2) - |F|) * prod (size * q_size) over trees of F.
+is the rescaling constant.  Grouping the set partitions of the k vertices by
+their block sizes, k! / (prod_j lambda_j! * prod_m mult_m(lambda)!) of each
+type lambda, leaves a sum over integer partitions (the exponential formula):
 
-The sweep accumulates exact integers per component-size partition; it is an
-associative reduction over the subset index space, so it can be split by the
-inclusion pattern of the first few edges and reduced in any order (--jobs).
+    piece_k = sum over lambda |- k of
+              2^(C(k,2) - sum_j C(lambda_j, 2))
+              * prod_j (i_{lambda_j} / lambda_j!) / prod_m mult_m(lambda)!
+              * q_lambda.
+
+For the weighted chromatic polynomial the i_n satisfy the recursion in
+:func:`c_recursion`; for the Abel polynomial Cayley's formula gives the
+closed form in :func:`abel_constants`.  The graph-level evidence for both
+(the edge-subset sweep and the iso-class sums) lives in the tests.
 
 The per-variable rescaling factor derived from a constants table is
-lambda_n = 2^(n(n-1)/2) * (n-1)! / i_n with i_n = n! * [q_n] piece_n; for the
-weighted chromatic polynomial the i_n satisfy the recursion implemented in
-:func:`c_recursion`, and for the Abel polynomial they have the closed form
-in :func:`abel_constants`.
+lambda_n = 2^(n(n-1)/2) * (n-1)! / i_n.
 """
 
 from __future__ import annotations
 
-from concurrent.futures import ProcessPoolExecutor
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from math import comb, factorial
 
 from graphkp import series
 from graphkp.errors import SizeLimitError
-from graphkp.graphs import SLOT_ENDPOINTS, Graph, aut_order, canonical_form
+from graphkp.graphs import Graph, aut_order, canonical_form
 from graphkp.invariants import INVARIANTS
-from graphkp.series import DEFAULT_ORDER, TruncSeries, mono
-
-MAX_ENSEMBLE_K = 8
-
-
-def _sweep_chunk(args) -> dict[int, int]:
-    """Sweep one prefix-block of edge subsets of K_k.
-
-    ``prefix`` fixes inclusion of the first ``t`` edge slots; the recursion
-    covers the rest.  Keys pack the component-size multiset in 4-bit counts
-    (sizes 1..k); values accumulate sign * 2^(C(k,2) - |E'|) as exact ints.
-    With ``forests_only`` the cycle-closing branch is pruned and every sign
-    is +1.
-    """
-    k, forests_only, t, prefix = args
-    m = k * (k - 1) // 2
-    eu = [SLOT_ENDPOINTS[s][0] for s in range(m)]
-    ev = [SLOT_ENDPOINTS[s][1] for s in range(m)]
-    parent = list(range(k))
-    size = [1] * k
-    acc: dict[int, int] = {}
-
-    sign = 1
-    ecount = 0
-    key = k  # k singleton components: count of size 1 lives in the low nibble
-    for i in range(t):
-        if not prefix >> i & 1:
-            continue
-        u = eu[i]
-        while parent[u] != u:
-            u = parent[u]
-        v = ev[i]
-        while parent[v] != v:
-            v = parent[v]
-        if u == v:
-            if forests_only:
-                return {}
-            sign = -sign
-        else:
-            a, b = size[u], size[v]
-            if a < b:
-                u, v = v, u
-            parent[v] = u
-            size[u] = a + b
-            key += (1 << 4 * (a + b - 1)) - (1 << 4 * (a - 1)) - (1 << 4 * (b - 1))
-        ecount += 1
-
-    def rec(i: int, sign: int, ecount: int, key: int) -> None:
-        if i == m:
-            acc[key] = acc.get(key, 0) + (sign << (m - ecount))
-            return
-        rec(i + 1, sign, ecount, key)
-        u = eu[i]
-        while parent[u] != u:
-            u = parent[u]
-        v = ev[i]
-        while parent[v] != v:
-            v = parent[v]
-        if u == v:
-            if not forests_only:
-                rec(i + 1, -sign, ecount + 1, key)
-            return
-        a, b = size[u], size[v]
-        if a < b:
-            u, v = v, u
-            a, b = b, a
-        parent[v] = u
-        size[u] = a + b
-        rec(i + 1, sign, ecount + 1,
-            key + (1 << 4 * (a + b - 1)) - (1 << 4 * (a - 1)) - (1 << 4 * (b - 1)))
-        parent[v] = v
-        size[u] = a
-
-    rec(t, sign, ecount, key)
-    return acc
-
-
-_SWEEP_CACHE: dict[tuple[int, bool], dict[int, int]] = {}
-
-
-def _sweep(k: int, forests_only: bool, jobs: int = 1) -> dict[int, int]:
-    cache_key = (k, forests_only)
-    cached = _SWEEP_CACHE.get(cache_key)
-    if cached is not None:
-        return cached
-    m = k * (k - 1) // 2
-    if jobs <= 1 or m < 10:
-        acc = _sweep_chunk((k, forests_only, 0, 0))
-    else:
-        t = min(8, m)
-        tasks = [(k, forests_only, t, prefix) for prefix in range(1 << t)]
-        acc = {}
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            for chunk in pool.map(_sweep_chunk, tasks, chunksize=max(1, len(tasks) // (4 * jobs))):
-                for key, val in chunk.items():
-                    acc[key] = acc.get(key, 0) + val
-        acc = {key: val for key, val in acc.items() if val}
-    _SWEEP_CACHE[cache_key] = acc
-    return acc
-
-
-def _key_counts(key: int, k: int) -> dict[int, int]:
-    return {s: key >> 4 * (s - 1) & 0xF for s in range(1, k + 1)
-            if key >> 4 * (s - 1) & 0xF}
-
-
-def _check_k(k: int, order: int) -> None:
-    if not 1 <= k <= MAX_ENSEMBLE_K:
-        raise SizeLimitError(f"ensemble pieces supported for 1 <= k <= {MAX_ENSEMBLE_K}, got {k}")
-    if k > order:
-        raise ValueError(f"weight-{k} piece does not fit truncation order {order}")
-
-
-def ensemble_w(k: int, order: int = DEFAULT_ORDER, jobs: int = 1) -> TruncSeries:
-    """Weight-k part of sum over all k-vertex graphs of W_G / |Aut(G)|."""
-    _check_k(k, order)
-    kfact = factorial(k)
-    terms = {}
-    for key, val in _sweep(k, forests_only=False, jobs=jobs).items():
-        terms[mono(_key_counts(key, k))] = Fraction(val, kfact)
-    return TruncSeries(order, "q", terms)
-
-
-def ensemble_a(k: int, order: int = DEFAULT_ORDER, jobs: int = 1) -> TruncSeries:
-    """Weight-k part of sum over all k-vertex graphs of A_G / |Aut(G)|."""
-    _check_k(k, order)
-    kfact = factorial(k)
-    terms = {}
-    for key, val in _sweep(k, forests_only=True, jobs=jobs).items():
-        counts = _key_counts(key, k)
-        roots = 1
-        for sz, cnt in counts.items():
-            roots *= sz ** cnt
-        terms[mono(counts)] = Fraction(val * roots, kfact)
-    return TruncSeries(order, "q", terms)
-
-
-_PIECES = {"W": ensemble_w, "A": ensemble_a}
-
-
-def full_series(which: str, order: int = DEFAULT_ORDER, jobs: int = 1) -> TruncSeries:
-    """All-graphs generating function through the truncation order: constant
-    term 1 from the empty graph plus one homogeneous piece per weight."""
-    piece = _PIECES[which]
-    total = TruncSeries.one(order, "q")
-    for k in range(1, order + 1):
-        total = total + piece(k, order, jobs)
-    return total
-
-
-def connected_part(full: TruncSeries) -> TruncSeries:
-    """Connected-graphs generating function: the log of the all-graphs one."""
-    return series.log(full)
-
-
-def connected_series(which: str, order: int = DEFAULT_ORDER, jobs: int = 1) -> TruncSeries:
-    return connected_part(full_series(which, order, jobs))
-
+from graphkp.schurkp import partitions_of
+from graphkp.series import DEFAULT_ORDER, MAX_ORDER, TruncSeries, mono
 
 # -- rescaling constants -------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class ConstantsTable:
-    """Rescaling constants i_1..i_N for one invariant (exact rationals)."""
-
-    which: str
-    values: tuple[Fraction, ...]
-
-    def value(self, n: int) -> Fraction:
-        return self.values[n - 1]
-
-
-@dataclass
-class RescalePlan:
-    """Per-variable substitution factors: q_n = factors[n] * p_n."""
-
-    factors: dict[int, Fraction]
-    source: str
-
-
-def rescale_constants(which: str, order: int = DEFAULT_ORDER,
-                      jobs: int = 1) -> ConstantsTable:
-    """i_n = n! * [q_n] piece_n, the automorphism-weighted count of the
-    q_n coefficients over all connected n-vertex graphs."""
-    piece = _PIECES[which]
-    values = []
-    for n in range(1, order + 1):
-        coeff = piece(n, order, jobs).coefficient(mono({n: 1}))
-        values.append(factorial(n) * coeff)
-    return ConstantsTable(which, tuple(values))
-
-
-def make_plan(table: ConstantsTable) -> RescalePlan:
-    """lambda_n = 2^(n(n-1)/2) * (n-1)! / i_n."""
-    factors = {}
-    for n, i_n in enumerate(table.values, start=1):
-        if not i_n:
-            raise ValueError(f"degenerate plan: i_{n} is zero")
-        factors[n] = Fraction(2 ** (n * (n - 1) // 2) * factorial(n - 1)) / i_n
-    return RescalePlan(factors, table.which)
 
 
 def c_recursion(n_max: int) -> list[int]:
@@ -271,14 +83,107 @@ def abel_constants(n_max: int) -> list[int]:
     return [2 ** ((n - 1) * (n - 2) // 2) * n ** (n - 1) for n in range(1, n_max + 1)]
 
 
+#: i_1..i_N for each invariant, i_n = n! * [q_n] piece_n.
+_CONSTANTS = {"W": c_recursion, "A": abel_constants}
+
+
+# -- ensemble pieces -----------------------------------------------------------
+
+
+def _piece(which: str, k: int, order: int) -> TruncSeries:
+    if not 1 <= k <= MAX_ORDER:
+        raise SizeLimitError(f"ensemble pieces supported for 1 <= k <= {MAX_ORDER}, got {k}")
+    if k > order:
+        raise ValueError(f"weight-{k} piece does not fit truncation order {order}")
+    consts = _CONSTANTS[which](k)
+    terms = {}
+    for lam in partitions_of(k):
+        mult = Counter(lam)
+        num = 2 ** (comb(k, 2) - sum(comb(part, 2) for part in lam))
+        den = 1
+        for part in lam:
+            num *= consts[part - 1]
+            den *= factorial(part)
+        for count in mult.values():
+            den *= factorial(count)
+        terms[mono(mult)] = Fraction(num, den)
+    return TruncSeries(order, "q", terms)
+
+
+def ensemble_w(k: int, order: int = DEFAULT_ORDER) -> TruncSeries:
+    """Weight-k part of sum over all k-vertex graphs of W_G / |Aut(G)|."""
+    return _piece("W", k, order)
+
+
+def ensemble_a(k: int, order: int = DEFAULT_ORDER) -> TruncSeries:
+    """Weight-k part of sum over all k-vertex graphs of A_G / |Aut(G)|."""
+    return _piece("A", k, order)
+
+
+def full_series(which: str, order: int = DEFAULT_ORDER) -> TruncSeries:
+    """All-graphs generating function through the truncation order: constant
+    term 1 from the empty graph plus one homogeneous piece per weight."""
+    total = TruncSeries.one(order, "q")
+    for k in range(1, order + 1):
+        total = total + _piece(which, k, order)
+    return total
+
+
+def connected_part(full: TruncSeries) -> TruncSeries:
+    """Connected-graphs generating function: the log of the all-graphs one."""
+    return series.log(full)
+
+
+def connected_series(which: str, order: int = DEFAULT_ORDER) -> TruncSeries:
+    return connected_part(full_series(which, order))
+
+
+# -- rescale plans -------------------------------------------------------------
+
+
+@dataclass(frozen=True)
+class ConstantsTable:
+    """Rescaling constants i_1..i_N for one invariant (exact rationals)."""
+
+    which: str
+    values: tuple[Fraction, ...]
+
+    def value(self, n: int) -> Fraction:
+        return self.values[n - 1]
+
+
+@dataclass
+class RescalePlan:
+    """Per-variable substitution factors: q_n = factors[n] * p_n."""
+
+    factors: dict[int, Fraction]
+    source: str
+
+
+def rescale_constants(which: str, order: int = DEFAULT_ORDER) -> ConstantsTable:
+    """i_n = n! * [q_n] piece_n for n = 1..order, the automorphism-weighted
+    count of the q_n coefficients over all connected n-vertex graphs."""
+    return ConstantsTable(which, tuple(Fraction(i) for i in _CONSTANTS[which](order)))
+
+
+def make_plan(table: ConstantsTable) -> RescalePlan:
+    """lambda_n = 2^(n(n-1)/2) * (n-1)! / i_n."""
+    factors = {}
+    for n, i_n in enumerate(table.values, start=1):
+        if not i_n:
+            raise ValueError(f"degenerate plan: i_{n} is zero")
+        factors[n] = Fraction(2 ** (n * (n - 1) // 2) * factorial(n - 1)) / i_n
+    return RescalePlan(factors, table.which)
+
+
 # -- direct isomorphism-class sums (cross-check path) --------------------------
 
 
 def isoclass_series(which: str, k: int, order: int = DEFAULT_ORDER) -> TruncSeries:
     """Weight-k piece computed the definitional way: enumerate all labeled
     graphs on k vertices, deduplicate by canonical form, and sum
-    I_G / |Aut(G)| over the classes.  Deliberately independent of the swept
-    single-sum formulas; capped at k = 5."""
+    I_G / |Aut(G)| over the classes.  Deliberately independent of the
+    partition formula; capped at k = 5."""
     if not 1 <= k <= 5:
         raise SizeLimitError(f"iso-class sums capped at 5 vertices, got {k}")
     invariant = INVARIANTS[which]

@@ -27,7 +27,7 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Iterable, Mapping
 
-MAX_ORDER = 8
+MAX_ORDER = 12
 DEFAULT_ORDER = 7
 
 Monomial = tuple[tuple[int, int], ...]
@@ -40,6 +40,13 @@ def _fraction(value) -> Fraction:
     if isinstance(value, float):
         raise TypeError("floating-point coefficients are not allowed")
     return value if isinstance(value, Fraction) else Fraction(value)
+
+
+def _json_int(value, what: str) -> int:
+    # bool is an int subclass, but true/false are not JSON integers
+    if type(value) is not int:
+        raise ValueError(f"malformed series object: {what} must be an integer, got {value!r}")
+    return value
 
 
 def mono(exponents: Mapping[int, int] | Iterable[tuple[int, int]]) -> Monomial:
@@ -245,7 +252,8 @@ class TruncSeries:
             return self.terms == ({UNIT: c} if c else {})
         if not isinstance(other, TruncSeries):
             return NotImplemented
-        return self.var == other.var and self.terms == other.terms
+        return (self.order == other.order and self.var == other.var
+                and self.terms == other.terms)
 
     def __bool__(self):
         return bool(self.terms)
@@ -287,13 +295,30 @@ class TruncSeries:
 
     @classmethod
     def from_json_obj(cls, obj: Mapping) -> "TruncSeries":
+        """Inverse of :meth:`to_json_obj`.  Every number must be a JSON
+        integer and every exponent key a decimal integer string; anything
+        else raises ValueError rather than being coerced."""
+        if not isinstance(obj, Mapping):
+            raise ValueError("malformed series object: expected a JSON object")
         try:
-            order = int(obj["order"])
+            order = _json_int(obj["order"], "order")
             var = obj["var"]
+            raw_terms = obj["terms"]
+            if not isinstance(raw_terms, list):
+                raise ValueError("malformed series object: 'terms' must be a list")
             terms = {}
-            for t in obj["terms"]:
-                m = mono({int(k): int(v) for k, v in t["exponents"].items()})
-                c = Fraction(int(t["numerator"]), int(t["denominator"]))
+            for t in raw_terms:
+                exps = t["exponents"]
+                if not isinstance(exps, Mapping):
+                    raise ValueError("malformed series object: 'exponents' must be an object")
+                for key in exps:
+                    if not (isinstance(key, str) and key.isascii() and key.isdigit()):
+                        raise ValueError(f"malformed series object: exponent key {key!r}")
+                m = mono({int(k): _json_int(v, "exponent") for k, v in exps.items()})
+                den = _json_int(t["denominator"], "denominator")
+                if not den:
+                    raise ValueError("malformed series object: zero denominator")
+                c = Fraction(_json_int(t["numerator"], "numerator"), den)
                 terms[m] = terms.get(m, 0) + c
         except (KeyError, TypeError) as err:
             raise ValueError(f"malformed series object: {err}") from err

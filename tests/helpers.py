@@ -1,12 +1,15 @@
 """Shared test utilities: small graph builders, a polynomial text parser for
-frozen expected values, and random series generation."""
+frozen expected values, random series generation, and the edge-subset sweep
+that serves as the graph-level oracle for the ensemble pieces."""
 
 from __future__ import annotations
 
 import random
 from fractions import Fraction
+from functools import cache
+from math import factorial
 
-from graphkp.graphs import Graph
+from graphkp.graphs import SLOT_ENDPOINTS, Graph
 from graphkp.series import TruncSeries, mono
 
 
@@ -98,3 +101,86 @@ def random_rational(rng: random.Random, lo: int = -9, hi: int = 9,
         value = Fraction(rng.randint(lo, hi), rng.randint(1, 9))
         if value or not nonzero:
             return value
+
+
+# -- edge-subset sweep oracle --------------------------------------------------
+
+
+@cache
+def _sweep(k: int, forests_only: bool) -> dict[int, int]:
+    """Sweep all edge subsets of K_k (forests only with ``forests_only``).
+
+    Keys pack the component-size multiset in 4-bit counts (sizes 1..k);
+    values accumulate sign * 2^(C(k,2) - |E'|) as exact ints, where the
+    2-power counts the supergraphs E >= E'.  With ``forests_only`` the
+    cycle-closing branch is pruned and every sign is +1.  Callers must not
+    mutate the cached result.
+    """
+    m = k * (k - 1) // 2
+    eu = [SLOT_ENDPOINTS[s][0] for s in range(m)]
+    ev = [SLOT_ENDPOINTS[s][1] for s in range(m)]
+    parent = list(range(k))
+    size = [1] * k
+    acc: dict[int, int] = {}
+
+    def rec(i: int, sign: int, ecount: int, key: int) -> None:
+        if i == m:
+            acc[key] = acc.get(key, 0) + (sign << (m - ecount))
+            return
+        rec(i + 1, sign, ecount, key)
+        u = eu[i]
+        while parent[u] != u:
+            u = parent[u]
+        v = ev[i]
+        while parent[v] != v:
+            v = parent[v]
+        if u == v:
+            if not forests_only:
+                rec(i + 1, -sign, ecount + 1, key)
+            return
+        a, b = size[u], size[v]
+        if a < b:
+            u, v = v, u
+            a, b = b, a
+        parent[v] = u
+        size[u] = a + b
+        rec(i + 1, sign, ecount + 1,
+            key + (1 << 4 * (a + b - 1)) - (1 << 4 * (a - 1)) - (1 << 4 * (b - 1)))
+        parent[v] = v
+        size[u] = a
+
+    rec(0, 1, 0, k)  # k singleton components: count of size 1 lives in the low nibble
+    return {key: val for key, val in acc.items() if val}
+
+
+def _key_counts(key: int, k: int) -> dict[int, int]:
+    return {s: key >> 4 * (s - 1) & 0xF for s in range(1, k + 1)
+            if key >> 4 * (s - 1) & 0xF}
+
+
+def swept_piece(which: str, k: int, order: int) -> TruncSeries:
+    """Weight-k part of sum over k-vertex graphs of I_G / |Aut(G)|, by
+    summing I over every labeled graph on k vertices:
+
+    * W: (1/k!) * sum over E' <= E(K_k) of
+      2^(C(k,2) - |E'|) * (-1)^(|E'| - k + c(E')) * prod q_{component sizes};
+    * A: (1/k!) * sum over forests F <= E(K_k) of
+      2^(C(k,2) - |F|) * prod (size * q_size) over trees of F.
+
+    Walks 2^C(k,2) subsets for W, so keep k <= 7.
+    """
+    kfact = factorial(k)
+    terms = {}
+    for key, val in _sweep(k, forests_only=which == "A").items():
+        counts = _key_counts(key, k)
+        if which == "A":
+            for sz, cnt in counts.items():
+                val *= sz ** cnt
+        terms[mono(counts)] = Fraction(val, kfact)
+    return TruncSeries(order, "q", terms)
+
+
+def swept_constants(which: str, n_max: int) -> list[Fraction]:
+    """i_n = n! * [q_n] piece_n for n = 1..n_max, read off the sweep."""
+    return [factorial(n) * swept_piece(which, n, n_max).coefficient({n: 1})
+            for n in range(1, n_max + 1)]

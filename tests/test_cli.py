@@ -1,9 +1,13 @@
 """CLI behavior: golden outputs, exit codes, determinism."""
 
+import io
 import json
+from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from graphkp.cli import main
 
@@ -73,13 +77,37 @@ class TestExitCodes:
                      "--graph6", chr(63 + 13)]) == 3
         capsys.readouterr()
 
-    def test_order_8_gate_exits_3(self, capsys):
-        assert main(["series", "--which", "W", "--order", "8"]) == 3
-        capsys.readouterr()
+    def test_order_8_needs_no_flag(self, capsys):
+        assert main(["series", "--which", "W", "--order", "8"]) == 0
+        assert capsys.readouterr().err == ""
+
+    def test_order_13_exits_3(self, capsys):
+        assert main(["kp-check", "--series", "W", "--order", "13"]) == 3
+        assert main(["constants", "--which", "A", "--max-n", "13"]) == 3
+        assert "size cap" in capsys.readouterr().err
 
     def test_order_out_of_range_exits_3(self, capsys):
-        assert main(["series", "--which", "W", "--order", "9"]) == 3
+        assert main(["series", "--which", "W", "--order", "0"]) == 3
         capsys.readouterr()
+
+    @pytest.mark.parametrize("flag", [["--jobs", "2"], ["--allow-order-8"]])
+    def test_removed_knobs_exit_2(self, flag, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["kp-check", "--series", "W", "--order", "5", *flag])
+        assert exc.value.code == 2
+        capsys.readouterr()
+
+    @pytest.mark.parametrize("term", [
+        {"exponents": {"1": 1}, "numerator": 1, "denominator": 0},
+        {"exponents": {"1": 1.5}, "numerator": 1.5, "denominator": 1},
+    ], ids=["zero_denominator", "float_values"])
+    def test_malformed_series_json_exits_2(self, term, tmp_path, capsys):
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps({"var": "p", "order": 7, "terms": [term]}))
+        assert main(["kp-check", "--input", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert "malformed series object" in captured.err
+        assert "NONZERO" not in captured.out
 
     def test_nonzero_kp_residual_exits_1(self, tmp_path, capsys):
         bad = {"var": "p", "order": 7,
@@ -101,6 +129,12 @@ class TestExitCodes:
         assert "kp1: residual zero through weight 2" in out
         assert "kp2: residual zero through weight 1" in out
 
+    def test_deeply_nested_json_exits_2(self, tmp_path, capsys):
+        path = tmp_path / "deep.json"
+        path.write_text("[" * 100_000 + "]" * 100_000)
+        assert main(["kp-check", "--input", str(path)]) == 2
+        assert "nested too deeply" in capsys.readouterr().err
+
     def test_missing_input_file_exits_2(self, capsys):
         assert main(["kp-check", "--input", "/nonexistent.json"]) == 2
         capsys.readouterr()
@@ -111,3 +145,49 @@ def test_kp_check_builtins_pass(capsys):
     assert main(["kp-check", "--series", "W", "--order", "5"]) == 0
     assert main(["kp-check", "--series", "A", "--order", "5"]) == 0
     capsys.readouterr()
+
+
+_JSON = st.recursive(
+    st.none() | st.booleans() | st.integers(-3, 3)
+    | st.floats(allow_nan=False, allow_infinity=False) | st.text(max_size=3),
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.text(max_size=3), inner, max_size=3),
+    max_leaves=8)
+_SMALL_INT = st.integers(-2, 14)
+_TERM = st.fixed_dictionaries({
+    "exponents": st.dictionaries(st.sampled_from(["1", "2", "3", "5", "01", "0", "x", "1.0"]),
+                                 _SMALL_INT | _JSON, max_size=3) | _JSON,
+    "numerator": _SMALL_INT | _JSON,
+    "denominator": _SMALL_INT | _JSON,
+})
+_SERIES_LIKE = st.fixed_dictionaries({
+    "var": st.sampled_from(["p", "q"]) | _JSON,
+    "order": _SMALL_INT | _JSON,
+    "terms": st.lists(_TERM | _JSON, max_size=4) | _JSON,
+})
+# well-formed p-series, so that exits 0 and 1 are reached as well as 2
+_VALID = st.fixed_dictionaries({
+    "var": st.just("p"),
+    "order": st.integers(0, 9),
+    "terms": st.lists(st.fixed_dictionaries({
+        "exponents": st.dictionaries(st.sampled_from(["1", "2", "3", "4", "5"]),
+                                     st.integers(0, 3), max_size=3),
+        "numerator": st.integers(-3, 3),
+        "denominator": st.integers(1, 3),
+    }), max_size=4),
+})
+
+
+@settings(max_examples=150, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(obj=_VALID | _SERIES_LIKE | _JSON)
+def test_kp_check_input_exit_contract(obj, tmp_path):
+    """Any JSON document exits 0, 1 or 2 without a traceback, and exit 1
+    comes only with a NONZERO residual line."""
+    path = tmp_path / "series.json"
+    path.write_text(json.dumps(obj))
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        rc = main(["kp-check", "--input", str(path)])
+    assert rc in (0, 1, 2)
+    assert (rc == 1) == ("NONZERO" in out.getvalue())

@@ -1,5 +1,6 @@
-"""Generating-function assembly: swept sums vs. definitions, constants,
-rescale plans, and the universality of the rescaled series."""
+"""Generating-function assembly: partition-formula pieces vs. the edge-subset
+sweep and iso-class sums, constants, rescale plans, and the universality of
+the rescaled series."""
 
 from fractions import Fraction
 
@@ -11,8 +12,9 @@ from graphkp.ensemble import (ConstantsTable, abel_constants, c_recursion,
                               ensemble_w, full_series, isoclass_series,
                               make_plan, rescale_constants)
 from graphkp.errors import SizeLimitError
-from graphkp.series import TruncSeries, mono
-from helpers import parse_poly
+from graphkp.schurkp import kp1_residual, kp2_residual, target_series
+from graphkp.series import MAX_ORDER, TruncSeries, mono
+from helpers import parse_poly, swept_constants, swept_piece
 
 
 class TestPieces:
@@ -42,7 +44,7 @@ class TestPieces:
 
     def test_k_out_of_range(self):
         with pytest.raises(SizeLimitError):
-            ensemble_w(9, 8)
+            ensemble_w(MAX_ORDER + 1, MAX_ORDER)
         with pytest.raises(SizeLimitError):
             ensemble_w(0, 4)
         with pytest.raises(ValueError):
@@ -75,8 +77,7 @@ class TestConstants:
         assert abel_constants(5) == [1, 2, 18, 512, 40000]
 
     def test_recursion_matches_swept_constants(self):
-        table = rescale_constants("W", 5)
-        assert [int(v) for v in table.values] == c_recursion(5)
+        assert swept_constants("W", 6) == c_recursion(6)
 
     def test_recursion_prefix(self):
         assert c_recursion(5) == [1, 1, 5, 79, 3377]
@@ -127,17 +128,20 @@ class TestUniversality:
                               make_plan(rescale_constants("A", order)))
         assert w == a
 
-    def test_jobs_do_not_change_results(self):
-        from graphkp import ensemble
-        ensemble._SWEEP_CACHE.clear()
-        seq_w = ensemble_w(5, 5, jobs=1)
-        seq_a = ensemble_a(5, 5, jobs=1)
-        ensemble._SWEEP_CACHE.clear()
-        par_w = ensemble_w(5, 5, jobs=2)
-        par_a = ensemble_a(5, 5, jobs=2)
-        ensemble._SWEEP_CACHE.clear()
-        assert seq_w == par_w
-        assert seq_a == par_a
+    @pytest.mark.parametrize("which", ["W", "A"])
+    def test_pieces_equal_sweep(self, which):
+        fn = ensemble_w if which == "W" else ensemble_a
+        for k in range(1, 8):
+            assert fn(k, 7) == swept_piece(which, k, 7), (which, k)
+
+    def test_order_12_rescaled_series_equal_log_target(self):
+        order = MAX_ORDER
+        expected = series.log(target_series(order))
+        for which in ("W", "A"):
+            f = series.substitute(connected_series(which, order),
+                                  make_plan(rescale_constants(which, order)))
+            assert f == expected, which
+            assert not kp1_residual(f) and not kp2_residual(f), which
 
 
 def _fact(n: int) -> int:

@@ -4,8 +4,8 @@ from fractions import Fraction
 
 import pytest
 
-from graphkp.series import (TruncSeries, evaluate, exp, log, mono, partial,
-                            substitute)
+from graphkp.series import (MAX_ORDER, TruncSeries, evaluate, exp, log, mono,
+                            partial, substitute)
 from helpers import parse_poly, random_series
 
 
@@ -20,13 +20,18 @@ class TestConstruction:
 
     def test_orders_out_of_range_rejected(self):
         with pytest.raises(ValueError):
-            TruncSeries(9)
+            TruncSeries(MAX_ORDER + 1)
         with pytest.raises(ValueError):
             TruncSeries(-1)
 
     def test_floats_rejected(self):
         with pytest.raises(TypeError):
             TruncSeries(4, "q", {mono({1: 1}): 0.5})
+
+    def test_equality_compares_order(self):
+        assert TruncSeries.one(3, "q") != TruncSeries.one(7, "q")
+        assert TruncSeries.one(7, "q") == TruncSeries.one(7, "q")
+        assert TruncSeries.one(3, "q") == 1
 
     def test_overweight_terms_dropped_at_construction(self):
         s = TruncSeries(2, "q", {mono({3: 1}): 1, mono({1: 1}): 1})
@@ -226,6 +231,22 @@ class TestRendering:
     def test_json_round_trip(self):
         s = parse_poly("q1^2 + 1/2 q2 - 7/3 q1 q3", 4)
         assert TruncSeries.from_json_obj(s.to_json_obj()) == s
+
+    @pytest.mark.parametrize("field,value", [
+        ("order", 4.0), ("order", "4"), ("order", True),
+        ("exponents", {"1": 1.5}), ("exponents", {"1": "2"}), ("exponents", {"1": False}),
+        ("exponents", {"1.0": 1}), ("exponents", {" 1": 1}), ("exponents", {"-1": 1}),
+        ("numerator", 1.5), ("numerator", "1"), ("numerator", True),
+        ("denominator", 2.0), ("denominator", "2"), ("denominator", 0),
+    ])
+    def test_json_rejects_non_integers(self, field, value):
+        obj = parse_poly("q1^2", 4).to_json_obj()
+        if field == "order":
+            obj["order"] = value
+        else:
+            obj["terms"][0][field] = value
+        with pytest.raises(ValueError):
+            TruncSeries.from_json_obj(obj)
 
     def test_evaluate_exact(self):
         s = parse_poly("q1^2 + q2", 4)
