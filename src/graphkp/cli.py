@@ -190,6 +190,8 @@ def _cmd_kp_check(args) -> int:
         F = series.substitute(ensemble.connected_series(which, order),
                               _plan(which, order))
         label = f"rescaled connected {which} series"
+    if F.order < 4:
+        raise ValueError(f"kp-check needs order >= 4 to certify any residual, got {F.order}")
     print(f"checking {label} at order {F.order}")
     status = EXIT_OK
     for name, fn, need in (("kp1", schurkp.kp1_residual, 4),

@@ -41,13 +41,13 @@ lambda_n = 2^(n(n-1)/2) * (n-1)! / i_n.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
 from fractions import Fraction
 from math import comb, factorial
+from typing import NamedTuple
 
 from graphkp import series
 from graphkp.errors import SizeLimitError
-from graphkp.graphs import Graph, aut_order, canonical_form
+from graphkp.graphs import all_graphs, aut_order
 from graphkp.invariants import INVARIANTS
 from graphkp.schurkp import partitions_of
 from graphkp.series import DEFAULT_ORDER, MAX_ORDER, TruncSeries, mono
@@ -141,8 +141,7 @@ def connected_series(which: str, order: int = DEFAULT_ORDER) -> TruncSeries:
 # -- rescale plans -------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class ConstantsTable:
+class ConstantsTable(NamedTuple):
     """Rescaling constants i_1..i_N for one invariant (exact rationals)."""
 
     which: str
@@ -152,8 +151,7 @@ class ConstantsTable:
         return self.values[n - 1]
 
 
-@dataclass
-class RescalePlan:
+class RescalePlan(NamedTuple):
     """Per-variable substitution factors: q_n = factors[n] * p_n."""
 
     factors: dict[int, Fraction]
@@ -180,17 +178,13 @@ def make_plan(table: ConstantsTable) -> RescalePlan:
 
 
 def isoclass_series(which: str, k: int, order: int = DEFAULT_ORDER) -> TruncSeries:
-    """Weight-k piece computed the definitional way: enumerate all labeled
-    graphs on k vertices, deduplicate by canonical form, and sum
-    I_G / |Aut(G)| over the classes.  Deliberately independent of the
-    partition formula; capped at k = 5."""
+    """Weight-k piece computed the definitional way: sum I_G / |Aut(G)| over
+    the isomorphism classes of k-vertex graphs from :func:`all_graphs`.
+    Deliberately independent of the partition formula; capped at k = 5."""
     if not 1 <= k <= 5:
         raise SizeLimitError(f"iso-class sums capped at 5 vertices, got {k}")
     invariant = INVARIANTS[which]
-    classes: set[Graph] = set()
-    for bits in range(1 << (k * (k - 1) // 2)):
-        classes.add(canonical_form(Graph(k, bits)))
     total = TruncSeries.zero(order, "q")
-    for g in sorted(classes, key=lambda h: (h.num_edges, h.edges)):
+    for g in all_graphs(k):
         total = total + invariant(g, order) * Fraction(1, aut_order(g))
     return total

@@ -15,7 +15,7 @@ bitsets move between all of them without translation.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from collections import namedtuple
 from functools import lru_cache
 from typing import Iterator, Sequence
 
@@ -37,20 +37,20 @@ def edge_slot(u: int, v: int) -> int:
     return v * (v - 1) // 2 + u
 
 
-@dataclass(frozen=True, order=True)
-class Graph:
+class Graph(namedtuple("Graph", "n edges")):
     """Simple graph on vertices {0..n-1}; ``edges`` is a bitset over slots.
 
-    Ordering compares (n, edges), giving a deterministic total order."""
+    A tuple (n, edges): equality, hashing and ordering compare (n, edges),
+    giving a deterministic total order."""
 
-    n: int
-    edges: int = 0
+    __slots__ = ()
 
-    def __post_init__(self):
-        if not 0 <= self.n <= MAX_VERTICES:
-            raise SizeLimitError(f"vertex count must be in [0, {MAX_VERTICES}], got {self.n}")
-        if not 0 <= self.edges < 1 << (self.n * (self.n - 1) // 2):
+    def __new__(cls, n: int, edges: int = 0):
+        if not 0 <= n <= MAX_VERTICES:
+            raise SizeLimitError(f"vertex count must be in [0, {MAX_VERTICES}], got {n}")
+        if not 0 <= edges < 1 << (n * (n - 1) // 2):
             raise ValueError("edge bitset out of range for vertex count")
+        return tuple.__new__(cls, (n, edges))
 
     @classmethod
     def from_edges(cls, n: int, pairs: Sequence[tuple[int, int]]) -> "Graph":
@@ -107,18 +107,17 @@ class Graph:
         return emit_graph6(self)
 
 
-@dataclass(frozen=True)
-class WeightedGraph:
+class WeightedGraph(namedtuple("WeightedGraph", "graph weights")):
     """Graph with positive integer vertex weights; total weight is the grading."""
 
-    graph: Graph
-    weights: tuple[int, ...]
+    __slots__ = ()
 
-    def __post_init__(self):
-        if len(self.weights) != self.graph.n:
+    def __new__(cls, graph: Graph, weights: tuple[int, ...]):
+        if len(weights) != graph.n:
             raise ValueError("one weight per vertex required")
-        if any(w < 1 for w in self.weights):
+        if any(w < 1 for w in weights):
             raise ValueError("vertex weights must be positive integers")
+        return tuple.__new__(cls, (graph, weights))
 
     @classmethod
     def from_graph(cls, g: Graph) -> "WeightedGraph":

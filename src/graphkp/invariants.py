@@ -1,98 +1,160 @@
 """Graph polynomial invariants with exact rational coefficients.
 
-Three computations of the same flavor live here, each homogeneous of weight
-|V(G)| with the weight of q_i taken to be i:
+The invariants here are *umbral*: each is fixed by one primitive coefficient
+b per connected graph, zero on disconnected ones, and combined over the set
+partitions pi of the vertex set,
 
-* weighted chromatic polynomial, by the edge-subset expansion
+      U_G(q) = sum over pi of product over blocks B of pi of b(G[B]) q_|B|,
 
-      W_G(q) = sum over E' <= E(G) of (-1)^(|E'| - |V| + k(E'))
-               * q_{v_1} ... q_{v_k},
+homogeneous of weight |V(G)| when q_i has weight i.  :func:`_assemble`
+evaluates this sum by a dynamic program over vertex subsets
+(Bjorklund-Husfeldt-Koivisto, "Set partitioning via inclusion-exclusion")
+from a table of b indexed by vertex bitmask S:
 
-  where k(E') counts connected components of the spanning subgraph (V, E')
-  and v_1..v_k are their vertex counts;
+* weighted chromatic polynomial W (the edge-subset expansion
+  sum over E' of (-1)^(|E'| - |V| + k(E')) q_{v_1} ... q_{v_k}):
+  b(S) = (-1)^(|S|-1) c(S), c(S) the sum of (-1)^|E'| over the connected
+  spanning subgraphs of G[S].  Summed over all spanning subgraphs that sign
+  is [G[S] edgeless], so splitting off the block that holds min S gives
 
-* the same polynomial by deletion-contraction on weighted graphs,
-  W(G) = W(G - e) + W(G / e), with an edgeless weighted graph mapping to the
-  product of q_{weight(v)};
+      c(S) = [G[S] edgeless] - sum over min S in T, T a proper subset of S,
+             of c(T) * [G[S \\ T] edgeless];
 
-* the Abel polynomial, summing over spanning forests the product of
-  (size * q_size) over the trees of the forest (each isolated vertex is a
-  one-vertex tree contributing q_1).
+* Abel polynomial A (the sum over spanning forests of the product of
+  size * q_size over their trees): b(S) = |S| * tau(G[S]), tau the number
+  of spanning trees by the matrix-tree theorem;
 
-``chromatic_oracle`` counts proper colorings by brute force; it shares no
-code with the polynomials and serves as an independent cross-check through
-the specialization (-1)^n W_G(q_j = -k) = #colorings with k colors.
+* :func:`umbral_from_b`: b(S) looked up from a table for canonical graphs.
 
-``umbral_from_b`` reconstructs any umbral invariant from its primitive
-coefficients b_G over connected graphs:
-
-      U_G(q) = sum over set partitions of V(G) of
-               product over blocks of b_{G(block)} * q_{|block|},
-
-with b zero on disconnected induced subgraphs.
+``weighted_chromatic_dc`` (deletion-contraction, W(G) = W(G - e) + W(G / e)
+on vertex-weighted graphs) and ``chromatic_oracle`` (brute-force colorings,
+(-1)^n W_G(q_j = -k) = #colorings with k colors) share no code with the
+assembly and serve as independent checks.
 """
 
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from collections import Counter
 from fractions import Fraction
+from typing import NamedTuple
 
 from graphkp.errors import SizeLimitError
 from graphkp.graphs import (Graph, SLOT_ENDPOINTS, WeightedGraph,
                             canonical_form, connected_graphs, contract_edge,
-                            is_connected, set_partitions, spanning_forests)
+                            is_connected)
 from graphkp.series import DEFAULT_ORDER, TruncSeries, mono
 
 
-def _counts_to_mono(counts: dict[int, int]):
-    return mono(counts)
-
-
-def weighted_chromatic_subset(g: Graph, order: int = DEFAULT_ORDER) -> TruncSeries:
-    """Weighted chromatic polynomial via the edge-subset expansion."""
-    if g.n > 10:
-        raise SizeLimitError(f"subset expansion capped at 10 vertices, got {g.n}")
+def _check_weight(g: Graph, order: int) -> None:
     if g.n > order:
-        raise SizeLimitError(
-            f"graph weight {g.n} exceeds truncation order {order}")
-    edges = g.edge_list()
-    m = len(edges)
+        raise SizeLimitError(f"graph weight {g.n} exceeds truncation order {order}")
+
+
+def _assemble(g: Graph, b, order: int) -> TruncSeries:
+    """sum over set partitions of V(g) of prod over blocks B of b[B] q_|B|.
+
+    F(S) = sum over T <= S with top(S) in T of b[T] q_|T| F(S \\ T), top(S)
+    being the highest vertex of S.  From V the recursion reaches only V and
+    the subsets of V minus its top vertex, i.e. the bitmasks below 2^(n-1),
+    so only those are stored.  Each F(S) maps sorted block-size tuples to
+    coefficients; every tuple is built once and shared by all subsets.
+    """
     n = g.n
-    acc: dict[tuple[int, ...], int] = {}
-    for sub in range(1 << m):
-        parent = list(range(n))
-        ncomp = n
-        nedges = 0
-        s = sub
-        while s:
-            low = s & -s
-            s ^= low
-            u, v = edges[low.bit_length() - 1]
-            while parent[u] != u:
-                u = parent[u]
-            while parent[v] != v:
-                v = parent[v]
-            if u != v:
-                parent[v] = u
-                ncomp -= 1
-            nedges += 1
-        sizes = [0] * n
-        for v in range(n):
-            r = v
-            while parent[r] != r:
-                r = parent[r]
-            sizes[r] += 1
-        key = tuple(sorted(sz for sz in sizes if sz))
-        acc[key] = acc.get(key, 0) + (-1) ** (nedges - n + ncomp)
-    terms = {}
-    for sizes, val in acc.items():
-        if val:
-            counts: dict[int, int] = {}
-            for sz in sizes:
-                counts[sz] = counts.get(sz, 0) + 1
-            terms[_counts_to_mono(counts)] = Fraction(val)
-    return TruncSeries(order, "q", terms)
+    if n == 0:
+        return TruncSeries.one(order, "q")
+    keys: dict[tuple[int, ...], tuple[int, ...]] = {}
+    grown: dict[tuple[tuple[int, ...], int], tuple[int, ...]] = {}
+
+    def part(s: int) -> dict:
+        top = 1 << (s.bit_length() - 1)
+        rest = s ^ top
+        acc: dict = {}
+        sub = rest
+        while True:
+            bt = b[sub | top]
+            if bt:
+                size = sub.bit_count() + 1
+                for key, val in table[rest ^ sub].items():
+                    new = grown.get((key, size))
+                    if new is None:
+                        new = tuple(sorted(key + (size,)))
+                        new = grown[key, size] = keys.setdefault(new, new)
+                    acc[new] = acc.get(new, 0) + bt * val
+            if not sub:
+                break
+            sub = (sub - 1) & rest
+        return {key: val for key, val in acc.items() if val}
+
+    table = [{(): 1}]
+    for s in range(1, 1 << (n - 1)):
+        table.append(part(s))
+    return TruncSeries(order, "q", {mono(Counter(key)): val
+                                    for key, val in part((1 << n) - 1).items()})
+
+
+def _b_chromatic(g: Graph) -> list[int]:
+    """b[S] = (-1)^(|S|-1) c(S) for every vertex bitmask S (see module doc)."""
+    masks = g.adjacency_masks()
+    edgeless = [True] * (1 << g.n)
+    c = [0] * (1 << g.n)
+    for s in range(1, 1 << g.n):
+        low = s & -s
+        rest = s ^ low
+        edgeless[s] = edgeless[rest] and not masks[low.bit_length() - 1] & rest
+        total = int(edgeless[s])
+        r = rest
+        while r:
+            if edgeless[r]:
+                total -= c[s ^ r]
+            r = (r - 1) & rest
+        c[s] = total
+    return [ci if s.bit_count() & 1 else -ci for s, ci in enumerate(c)]
+
+
+def _det_psd(m: list[list[int]]) -> int:
+    """Determinant of a positive semidefinite integer matrix by fraction-free
+    (Bareiss) elimination, in place.  A zero leading minor of such a matrix
+    makes the whole determinant zero, so no pivoting is needed."""
+    prev = 1
+    for i, top in enumerate(m):
+        pivot = top[i]
+        if not pivot:
+            return 0
+        for row in m[i + 1:]:
+            lead = row[i]
+            for j in range(i + 1, len(m)):
+                row[j] = (pivot * row[j] - lead * top[j]) // prev
+        prev = pivot
+    return prev
+
+
+def _b_abel(g: Graph) -> list[int]:
+    """b[S] = |S| * tau(G[S]) for every vertex bitmask S, tau by the
+    matrix-tree theorem: the determinant of the Laplacian of G[S] with the
+    row and column of its last vertex removed."""
+    masks = g.adjacency_masks()
+    b = [0] * (1 << g.n)
+    for s in range(1, 1 << g.n):
+        vs = [v for v in range(g.n) if s >> v & 1]
+        kept = vs[:-1]
+        lap = [[(masks[u] & s).bit_count() if u == v else -(masks[u] >> v & 1)
+                for v in kept] for u in kept]
+        b[s] = len(vs) * _det_psd(lap)
+    return b
+
+
+def weighted_chromatic(g: Graph, order: int = DEFAULT_ORDER) -> TruncSeries:
+    """Weighted chromatic polynomial, assembled from b = (-1)^(|S|-1) c(S)."""
+    _check_weight(g, order)
+    return _assemble(g, _b_chromatic(g), order)
+
+
+def abel(g: Graph, order: int = DEFAULT_ORDER) -> TruncSeries:
+    """Abel polynomial: sum over spanning forests of prod (size * q_size),
+    assembled from b = |S| * tau(G[S])."""
+    _check_weight(g, order)
+    return _assemble(g, _b_abel(g), order)
 
 
 def weighted_chromatic_dc(wg: WeightedGraph | Graph,
@@ -101,7 +163,7 @@ def weighted_chromatic_dc(wg: WeightedGraph | Graph,
 
     Always splits on the lowest-numbered present edge slot; an edgeless
     weighted graph with vertex weights w_1..w_k maps to q_{w_1} ... q_{w_k}.
-    On simple graphs (all weights 1) this agrees with the subset expansion.
+    On simple graphs (all weights 1) this agrees with the umbral assembly.
     """
     if isinstance(wg, Graph):
         wg = WeightedGraph.from_graph(wg)
@@ -123,53 +185,8 @@ def weighted_chromatic_dc(wg: WeightedGraph | Graph,
         stack.append(WeightedGraph(Graph(cur.graph.n, bits ^ (1 << slot)),
                                    cur.weights))
         stack.append(contract_edge(cur, SLOT_ENDPOINTS[slot]))
-    terms = {}
-    for weights, val in acc.items():
-        counts: dict[int, int] = {}
-        for w in weights:
-            counts[w] = counts.get(w, 0) + 1
-        terms[_counts_to_mono(counts)] = Fraction(val)
-    return TruncSeries(order, "q", terms)
-
-
-def abel(g: Graph, order: int = DEFAULT_ORDER) -> TruncSeries:
-    """Abel polynomial: sum over spanning forests of prod (size * q_size)."""
-    if g.n > 10:
-        raise SizeLimitError(f"forest expansion capped at 10 vertices, got {g.n}")
-    if g.n > order:
-        raise SizeLimitError(
-            f"graph weight {g.n} exceeds truncation order {order}")
-    n = g.n
-    acc: dict[tuple[int, ...], int] = {}
-    for forest in spanning_forests(g):
-        parent = list(range(n))
-        f = forest
-        while f:
-            low = f & -f
-            f ^= low
-            u, v = SLOT_ENDPOINTS[low.bit_length() - 1]
-            while parent[u] != u:
-                u = parent[u]
-            while parent[v] != v:
-                v = parent[v]
-            parent[v] = u
-        sizes = [0] * n
-        for v in range(n):
-            r = v
-            while parent[r] != r:
-                r = parent[r]
-            sizes[r] += 1
-        key = tuple(sorted(sz for sz in sizes if sz))
-        acc[key] = acc.get(key, 0) + 1
-    terms = {}
-    for sizes, count in acc.items():
-        coeff = count
-        counts: dict[int, int] = {}
-        for sz in sizes:
-            coeff *= sz
-            counts[sz] = counts.get(sz, 0) + 1
-        terms[_counts_to_mono(counts)] = Fraction(coeff)
-    return TruncSeries(order, "q", terms)
+    return TruncSeries(order, "q", {mono(Counter(weights)): val
+                                    for weights, val in acc.items()})
 
 
 def chromatic_oracle(g: Graph, colors: int) -> int:
@@ -195,27 +212,29 @@ def chromatic_oracle(g: Graph, colors: int) -> int:
 
 
 INVARIANTS = {
-    "W": weighted_chromatic_subset,
+    "W": weighted_chromatic,
     "A": abel,
+}
+
+_B_TABLES = {
+    "W": _b_chromatic,
+    "A": _b_abel,
 }
 
 
 def extract_b(which: str, g: Graph) -> Fraction:
     """Primitive coefficient of a connected graph: the coefficient of q_n in
-    the invariant, which is what the invariant assigns to the projection of
-    the graph onto the primitive subspace."""
-    if which not in INVARIANTS:
-        raise ValueError(f"unknown invariant {which!r}, expected one of {sorted(INVARIANTS)}")
+    the invariant, which is b of the full vertex set."""
+    if which not in _B_TABLES:
+        raise ValueError(f"unknown invariant {which!r}, expected one of {sorted(_B_TABLES)}")
     if g.n > 7:
         raise SizeLimitError(f"primitive coefficients capped at 7 vertices, got {g.n}")
     if not is_connected(g):
         raise ValueError("primitive coefficients are defined for connected graphs only")
-    poly = INVARIANTS[which](g, order=max(g.n, 1))
-    return poly.coefficient(mono({g.n: 1}))
+    return Fraction(_B_TABLES[which](g)[-1])
 
 
-@dataclass(frozen=True)
-class UmbralCoefficients:
+class UmbralCoefficients(NamedTuple):
     """Primitive coefficients b_G for connected canonical graphs up to a vertex
     bound; by convention b is zero on disconnected graphs."""
 
@@ -245,28 +264,10 @@ class UmbralCoefficients:
 def umbral_from_b(g: Graph, coeffs: UmbralCoefficients,
                   order: int = DEFAULT_ORDER) -> TruncSeries:
     """Reconstruct an umbral invariant from primitive coefficients by the set
-    partition expansion; partitions with a disconnected block contribute 0."""
+    partition assembly; partitions with a disconnected block contribute 0."""
     if g.n > 7:
         raise SizeLimitError(f"umbral reconstruction capped at 7 vertices, got {g.n}")
-    if g.n > order:
-        raise SizeLimitError(f"graph weight {g.n} exceeds truncation order {order}")
-    terms: dict = {}
-    for blocks in set_partitions(g.n):
-        coeff = Fraction(1)
-        counts: dict[int, int] = {}
-        for block in blocks:
-            b = coeffs.lookup(canonical_form(g.induced(block)))
-            if not b:
-                coeff = Fraction(0)
-                break
-            coeff *= b
-            counts[len(block)] = counts.get(len(block), 0) + 1
-        if not coeff:
-            continue
-        key = _counts_to_mono(counts)
-        s = terms.get(key, 0) + coeff
-        if s:
-            terms[key] = s
-        elif key in terms:
-            del terms[key]
-    return TruncSeries(order, "q", terms)
+    _check_weight(g, order)
+    b = [coeffs.lookup(canonical_form(g.induced([v for v in range(g.n) if s >> v & 1])))
+         for s in range(1 << g.n)]
+    return _assemble(g, b, order)

@@ -1,15 +1,21 @@
 """Shared test utilities: small graph builders, a polynomial text parser for
-frozen expected values, random series generation, and the edge-subset sweep
-that serves as the graph-level oracle for the ensemble pieces."""
+frozen expected values, random series generation, the definitional per-graph
+expansions of W and A that serve as oracles for the umbral assembly, and the
+edge-subset sweep that serves as the graph-level oracle for the ensemble
+pieces."""
 
 from __future__ import annotations
 
 import random
+from collections import Counter
 from fractions import Fraction
 from functools import cache
-from math import factorial
+from math import factorial, prod
 
-from graphkp.graphs import SLOT_ENDPOINTS, Graph
+from hypothesis import strategies as st
+
+from graphkp.graphs import (MAX_VERTICES, SLOT_ENDPOINTS, Graph, components,
+                            emit_graph6, spanning_forests)
 from graphkp.series import TruncSeries, mono
 
 
@@ -101,6 +107,64 @@ def random_rational(rng: random.Random, lo: int = -9, hi: int = 9,
         value = Fraction(rng.randint(lo, hi), rng.randint(1, 9))
         if value or not nonzero:
             return value
+
+
+# -- per-graph oracles ----------------------------------------------------------
+
+
+def _submasks(bits: int):
+    sub = bits
+    while True:
+        yield sub
+        if not sub:
+            return
+        sub = (sub - 1) & bits
+
+
+@cache
+def subset_w(g: Graph, order: int) -> TruncSeries:
+    """W by the edge-subset expansion: sum over E' <= E(g) of
+    (-1)^(|E'| - |V| + k(E')) * prod q_{component sizes of (V, E')}.
+    Walks 2^|E| subsets, so keep |E| small."""
+    acc: Counter = Counter()
+    for sub in _submasks(g.edges):
+        comps = components(Graph(g.n, sub))
+        sign = (-1) ** (sub.bit_count() - g.n + len(comps))
+        acc[mono(Counter(len(c) for c in comps))] += sign
+    return TruncSeries(order, "q", acc)
+
+
+@cache
+def forest_a(g: Graph, order: int) -> TruncSeries:
+    """A by the spanning-forest sum: sum over forests F of g of
+    prod (size * q_size) over the trees of F."""
+    acc: Counter = Counter()
+    for forest in spanning_forests(g):
+        sizes = [len(c) for c in components(Graph(g.n, forest))]
+        acc[mono(Counter(sizes))] += prod(sizes)
+    return TruncSeries(order, "q", acc)
+
+
+def random_graph(rng: random.Random, n: int, p: float) -> Graph:
+    """Each of the C(n,2) edges present independently with probability p."""
+    m = n * (n - 1) // 2
+    return Graph(n, sum(1 << s for s in range(m) if rng.random() < p))
+
+
+# -- graph6 strategies -----------------------------------------------------------
+
+#: any graph the package accepts, up to the vertex cap
+GRAPHS = st.integers(0, MAX_VERTICES).flatmap(lambda n: st.builds(
+    Graph, st.just(n), st.integers(0, (1 << n * (n - 1) // 2) - 1)))
+
+#: text aimed at every branch of parse_graph6: arbitrary text, text over the
+#: graph6 byte range and a little beyond, and valid values with an optional
+#: header and a short random tail
+GRAPH6_TEXT = (
+    st.text(max_size=16)
+    | st.text(alphabet=st.characters(min_codepoint=60, max_codepoint=128), max_size=16)
+    | st.tuples(st.sampled_from(["", ">>graph6<<"]), GRAPHS.map(emit_graph6),
+                st.text(max_size=2)).map("".join))
 
 
 # -- edge-subset sweep oracle --------------------------------------------------

@@ -21,13 +21,13 @@ from graphkp.hopf import (GraphSum, UNIT_GRAPH, coproduct_sum,
                           primitive_projection, tensor)
 from graphkp.invariants import (INVARIANTS, UmbralCoefficients, abel,
                                 chromatic_oracle, umbral_from_b,
-                                weighted_chromatic_dc,
-                                weighted_chromatic_subset)
+                                weighted_chromatic, weighted_chromatic_dc)
 from graphkp.schurkp import (kp1_residual, kp2_residual, schur_combination,
                              target_series)
 from graphkp.series import TruncSeries, evaluate, partial
-from helpers import (cycle_graph, parse_poly, path_graph, random_rational,
-                     star_graph, swept_constants, swept_piece)
+from helpers import (cycle_graph, forest_a, parse_poly, path_graph,
+                     random_rational, star_graph, subset_w, swept_constants,
+                     swept_piece)
 
 ORDER = 7
 
@@ -96,7 +96,8 @@ def test_criterion_01_weighted_chromatic_tables():
         enumerated = set(connected_graphs(4))
         seen = set()
         for g, w_text, _, aut in FOUR_VERTEX_ROWS:
-            assert weighted_chromatic_subset(g, 4) == parse_poly(w_text, 4)
+            assert weighted_chromatic(g, 4) == parse_poly(w_text, 4)
+            assert subset_w(g, 4) == parse_poly(w_text, 4)
             assert aut_order(g) == aut
             seen.add(canonical_form(g))
         assert seen == enumerated
@@ -151,7 +152,7 @@ def test_criterion_06_universality_of_connected_series(order7):
         w_coeffs = []
         a_coeffs = []
         for g, _, _, aut in FOUR_VERTEX_ROWS:
-            wr = series.substitute(weighted_chromatic_subset(g, 4), order7["plan_w"])
+            wr = series.substitute(weighted_chromatic(g, 4), order7["plan_w"])
             ar = series.substitute(abel(g, 4), order7["plan_a"])
             w_coeffs.append((wr.coefficient({4: 1}), aut))
             a_coeffs.append((ar.coefficient({4: 1}), aut))
@@ -182,10 +183,14 @@ def test_criterion_07_kp_residuals_of_log_target(order7):
 
 
 def test_criterion_08_invariant_property_suite(rng):
-    with criterion(8, "deletion-contraction vs. subset formula, binomial property, multiplicativity"):
+    with criterion(8, "umbral assembly vs. deletion-contraction, subset and forest "
+                      "expansions, binomial property, multiplicativity"):
         for n in range(0, 7):
             for g in all_graphs(n):
-                assert weighted_chromatic_subset(g, 6) == weighted_chromatic_dc(g, 6), g
+                w = weighted_chromatic(g, 6)
+                assert w == weighted_chromatic_dc(g, 6), g
+                assert w == subset_w(g, 6), g
+                assert abel(g, 6) == forest_a(g, 6), g
         for which in ("W", "A"):
             fn = INVARIANTS[which]
             for n in range(1, 6):
@@ -210,7 +215,7 @@ def test_criterion_08_invariant_property_suite(rng):
                 for g1 in all_graphs(n1):
                     for g2 in all_graphs(n2):
                         g = disjoint_union(g1, g2)
-                        for fn in (weighted_chromatic_subset, abel):
+                        for fn in (weighted_chromatic, abel):
                             assert fn(g, 6) == fn(g1, 6) * fn(g2, 6)
 
 
@@ -228,15 +233,15 @@ def test_criterion_09_hopf_suite():
                   for which in ("W", "A")}
         for n in range(1, 7):
             for g in all_graphs(n):
-                assert umbral_from_b(g, coeffs["W"], 6) == weighted_chromatic_subset(g, 6), g
-                assert umbral_from_b(g, coeffs["A"], 6) == abel(g, 6), g
+                assert umbral_from_b(g, coeffs["W"], 6) == weighted_chromatic_dc(g, 6), g
+                assert umbral_from_b(g, coeffs["A"], 6) == forest_a(g, 6), g
 
 
 def test_criterion_10_oracle_suite():
     with criterion(10, "coloring-count specialization and Abel spanning-tree identities"):
         for n in range(1, 7):
             for g in all_graphs(n):
-                w = weighted_chromatic_subset(g, 6)
+                w = weighted_chromatic(g, 6)
                 for k in range(0, 6):
                     point = {i: Fraction(-k) for i in range(1, n + 1)}
                     assert (-1) ** n * evaluate(w, point) == chromatic_oracle(g, k), (g, k)

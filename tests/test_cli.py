@@ -10,6 +10,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from graphkp.cli import main
+from helpers import GRAPH6_TEXT
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -135,9 +136,44 @@ class TestExitCodes:
         assert main(["kp-check", "--input", str(path)]) == 2
         assert "nested too deeply" in capsys.readouterr().err
 
+    def test_kp_check_series_below_order_4_exits_2(self, capsys):
+        assert main(["kp-check", "--series", "S", "--order", "3"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "needs order >= 4" in captured.err
+
+    def test_kp_check_input_below_order_4_exits_2(self, tmp_path, capsys):
+        from graphkp import series
+        from graphkp.schurkp import target_series
+        path = tmp_path / "order3.json"
+        path.write_text(json.dumps(series.log(target_series(3)).to_json_obj()))
+        assert main(["kp-check", "--input", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "needs order >= 4" in captured.err
+
     def test_missing_input_file_exits_2(self, capsys):
         assert main(["kp-check", "--input", "/nonexistent.json"]) == 2
         capsys.readouterr()
+
+
+@pytest.mark.parametrize("which", ["W", "A"])
+def test_invariant_of_k12_at_order_12(which, capsys):
+    assert main(["invariant", "--which", which, "--order", "12",
+                 "--graph6", "K~~~~~~~~~~~"]) == 0
+    top = {"W": "39916800 q12", "A": f"{12 ** 11} q12"}[which]
+    assert capsys.readouterr().out.rstrip("\n").endswith(top)
+
+
+@settings(max_examples=200, deadline=None)
+@given(text=GRAPH6_TEXT, which=st.sampled_from(["W", "A"]))
+def test_invariant_graph6_exit_contract(text, which):
+    """Any --graph6 text exits 0, 2 or 3 without a traceback."""
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        rc = main(["invariant", "--which", which, f"--graph6={text}"])
+    assert rc in (0, 2, 3)
+    assert (rc == 0) == (err.getvalue() == "")
 
 
 def test_kp_check_builtins_pass(capsys):

@@ -4,6 +4,7 @@ canonical forms, contraction, graph6."""
 import math
 
 import pytest
+from hypothesis import given, settings
 
 from graphkp.errors import Graph6ParseError, SizeLimitError
 from graphkp.graphs import (Graph, WeightedGraph, all_graphs, aut_order,
@@ -11,7 +12,7 @@ from graphkp.graphs import (Graph, WeightedGraph, all_graphs, aut_order,
                             connected_graphs, contract_edge, disjoint_union,
                             edge_slot, emit_graph6, is_connected, parse_graph6,
                             set_partitions, spanning_forests)
-from helpers import cycle_graph, path_graph, star_graph
+from helpers import GRAPH6_TEXT, GRAPHS, cycle_graph, path_graph, star_graph
 
 BELL = [1, 1, 2, 5, 15, 52, 203, 877]
 
@@ -222,6 +223,22 @@ class TestGraph6:
             parse_graph6(chr(63 + 13))
         with pytest.raises(SizeLimitError):
             parse_graph6("~??")  # long-form count
+
+    @settings(max_examples=300, deadline=None)
+    @given(text=GRAPH6_TEXT)
+    def test_parse_any_text(self, text):
+        """Any text parses to a Graph or raises one of the two input errors."""
+        try:
+            g = parse_graph6(text)
+        except (Graph6ParseError, SizeLimitError):
+            return
+        assert isinstance(g, Graph)
+        assert parse_graph6(emit_graph6(g)) == g
+
+    @settings(max_examples=200, deadline=None)
+    @given(g=GRAPHS)
+    def test_emit_parse_round_trip(self, g):
+        assert parse_graph6(emit_graph6(g)) == g
 
     def test_corpus_lines(self):
         from graphkp.graphs import read_graph6_lines

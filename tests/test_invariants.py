@@ -1,5 +1,6 @@
-"""Invariant computations: frozen small-graph values, the two-algorithm
-equivalence, the binomial property, oracles, and umbral reconstruction."""
+"""Invariant computations: frozen small-graph values, the umbral assembly
+against deletion-contraction and the definitional expansions, the binomial
+property, oracles, and umbral reconstruction."""
 
 from fractions import Fraction
 
@@ -9,12 +10,11 @@ from graphkp.errors import SizeLimitError
 from graphkp.graphs import (Graph, WeightedGraph, all_graphs, canonical_form,
                             complete_graph, disjoint_union)
 from graphkp.invariants import (UmbralCoefficients, abel, chromatic_oracle,
-                                extract_b, umbral_from_b,
-                                weighted_chromatic_dc,
-                                weighted_chromatic_subset)
+                                extract_b, umbral_from_b, weighted_chromatic,
+                                weighted_chromatic_dc)
 from graphkp.series import evaluate, mono
-from helpers import (cycle_graph, parse_poly, path_graph, random_rational,
-                     star_graph)
+from helpers import (cycle_graph, forest_a, parse_poly, path_graph,
+                     random_graph, random_rational, star_graph, subset_w)
 
 EDGE = Graph.from_edges(2, [(0, 1)])
 
@@ -56,11 +56,12 @@ AUT_TABLE = {P4: 2, CLAW: 6, PAW: 2, C4: 8, DIAMOND: 4, K4: 24}
 class TestWeightedChromatic:
     @pytest.mark.parametrize("g,text", W_TABLE.items(), ids=str)
     def test_subset_formula_table(self, g, text):
-        assert weighted_chromatic_subset(g, 4) == parse_poly(text, 4)
+        assert weighted_chromatic(g, 4) == parse_poly(text, 4)
+        assert subset_w(g, 4) == parse_poly(text, 4)
 
     def test_single_vertex_and_empty_graph(self):
-        assert weighted_chromatic_subset(Graph(1), 4) == parse_poly("q1", 4)
-        assert weighted_chromatic_subset(Graph(0), 4) == 1
+        assert weighted_chromatic(Graph(1), 4) == parse_poly("q1", 4)
+        assert weighted_chromatic(Graph(0), 4) == 1
 
     def test_dc_edgeless_base_case(self):
         wg = WeightedGraph(Graph(1), (3,))
@@ -76,24 +77,31 @@ class TestWeightedChromatic:
     def test_algorithms_agree_through_five_vertices(self):
         for n in range(0, 6):
             for g in all_graphs(n):
-                assert weighted_chromatic_subset(g, 6) == weighted_chromatic_dc(g, 6), g
+                w = weighted_chromatic(g, 6)
+                assert w == weighted_chromatic_dc(g, 6), g
+                assert w == subset_w(g, 6), g
 
     def test_homogeneity(self):
         for g in (PAW, C4, K4):
-            w = weighted_chromatic_subset(g, 6)
+            w = weighted_chromatic(g, 6)
             assert w.homogeneous_part(4) == w
 
     def test_size_caps(self):
+        # the graph's weight must fit the truncation order; Graph's own
+        # 12-vertex cap bounds the rest
         with pytest.raises(SizeLimitError):
-            weighted_chromatic_subset(Graph(11), 8)
+            weighted_chromatic(complete_graph(12), 11)
         with pytest.raises(SizeLimitError):
-            weighted_chromatic_subset(complete_graph(5), 4)
+            weighted_chromatic(complete_graph(5), 4)
+        with pytest.raises(SizeLimitError):
+            abel(complete_graph(5), 4)
 
 
 class TestAbel:
     @pytest.mark.parametrize("g,text", A_TABLE.items(), ids=str)
     def test_forest_sum_table(self, g, text):
         assert abel(g, 4) == parse_poly(text, 4)
+        assert forest_a(g, 4) == parse_poly(text, 4)
 
     def test_empty_and_single_vertex(self):
         assert abel(Graph(0), 4) == 1
@@ -123,7 +131,7 @@ class TestMultiplicativityAndBinomial:
                 for g1 in all_graphs(n1):
                     for g2 in all_graphs(n2):
                         g = disjoint_union(g1, g2)
-                        for fn in (weighted_chromatic_subset, abel):
+                        for fn in (weighted_chromatic, abel):
                             assert fn(g, 6) == fn(g1, 6) * fn(g2, 6)
 
     @pytest.mark.parametrize("which", ["W", "A"])
@@ -146,6 +154,31 @@ class TestMultiplicativityAndBinomial:
                     assert lhs == rhs
 
 
+class TestAgainstOracles:
+    def test_seeded_seven_and_eight_vertex_graphs(self, rng):
+        # W against deletion-contraction and the edge-subset expansion, A
+        # against the spanning-forest sum, on sparse-to-medium random graphs
+        for i in range(24):
+            g = random_graph(rng, 7 + i % 2, 0.35)
+            w = weighted_chromatic(g, 8)
+            assert w == weighted_chromatic_dc(g, 8), g
+            assert w == subset_w(g, 8), g
+            assert abel(g, 8) == forest_a(g, 8), g
+
+    def test_complete_graph_k12(self):
+        # at the vertex cap: [q12] A = 12^11 rooted spanning trees, and the
+        # coloring specialization of W is the falling factorial k (k-1) ... (k-11)
+        n = 12
+        assert abel(complete_graph(n), n).coefficient({n: 1}) == n ** (n - 1)
+        w = weighted_chromatic(complete_graph(n), n)
+        for k in range(n + 3):
+            point = {i: Fraction(-k) for i in range(1, n + 1)}
+            falling = 1
+            for j in range(n):
+                falling *= k - j
+            assert (-1) ** n * evaluate(w, point) == falling, k
+
+
 class TestChromaticOracle:
     def test_trivial_counts(self):
         assert chromatic_oracle(cycle_graph(3), 3) == 6
@@ -158,7 +191,7 @@ class TestChromaticOracle:
         # (-1)^n W_G(q_j = -k) counts proper colorings with k colors
         for n in range(1, 5):
             for g in all_graphs(n):
-                w = weighted_chromatic_subset(g, n)
+                w = weighted_chromatic(g, n)
                 for k in range(0, 6):
                     point = {i: Fraction(-k) for i in range(1, n + 1)}
                     assert (-1) ** n * evaluate(w, point) == chromatic_oracle(g, k)
@@ -197,8 +230,7 @@ class TestUmbral:
 
     @pytest.mark.parametrize("which", ["W", "A"])
     def test_reconstruction_through_five_vertices(self, which):
-        from graphkp.invariants import INVARIANTS
-        fn = INVARIANTS[which]
+        fn = {"W": subset_w, "A": forest_a}[which]
         coeffs = UmbralCoefficients.from_invariant(which, 5)
         for n in range(1, 6):
             for g in all_graphs(n):
@@ -224,4 +256,4 @@ class TestUmbral:
                         key = mono(counts)
                         terms[key] = terms.get(key, 0) + coeff
                 from graphkp.series import TruncSeries
-                assert TruncSeries(5, "q", terms) == abel(g, 5)
+                assert TruncSeries(5, "q", terms) == forest_a(g, 5)
