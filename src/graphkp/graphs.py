@@ -1,7 +1,8 @@
 """Labeled simple graphs with bitset edge storage, plus the enumeration
 primitives the rest of the package consumes: connected components, spanning
-forests, set partitions, automorphism counting, canonical forms, edge
-contraction on weighted graphs, and graph6 parsing/emission.
+forests, set partitions, automorphism counting, canonical forms, the table of
+canonical induced subgraphs and the set-partition assembly over vertex
+subsets, edge contraction on weighted graphs, and graph6 parsing/emission.
 
 Edge slots.  The vertex pairs (i, j) with i < j are numbered in colex order
 
@@ -284,11 +285,6 @@ def aut_order(g: Graph) -> int:
 
 
 @lru_cache(maxsize=None)
-def _perms(n: int) -> tuple[tuple[int, ...], ...]:
-    return tuple(itertools.permutations(range(n)))
-
-
-@lru_cache(maxsize=None)
 def canonical_form(g: Graph) -> Graph:
     """Isomorphism-invariant representative: the relabeling minimizing the edge
     bitset.  Brute force over all vertex permutations with a monotone early
@@ -301,7 +297,7 @@ def canonical_form(g: Graph) -> Graph:
         return g
     el = g.edge_list()
     best = g.edges
-    for perm in _perms(n):
+    for perm in itertools.permutations(range(n)):
         bits = 0
         ok = True
         for u, v in el:
@@ -326,7 +322,7 @@ def all_graphs(n: int) -> tuple[Graph, ...]:
     if n > 7:
         raise SizeLimitError(f"exhaustive enumeration capped at 7 vertices, got {n}")
     m = n * (n - 1) // 2
-    perms = _perms(n)
+    perms = tuple(itertools.permutations(range(n)))
     seen = bytearray(1 << m)
     reps = []
     for bits in range(1 << m):
@@ -347,6 +343,65 @@ def connected_graphs(n: int) -> tuple[Graph, ...]:
     if n == 0:
         return ()
     return tuple(g for g in all_graphs(n) if is_connected(g))
+
+
+# -- vertex-subset tables -----------------------------------------------------
+
+
+def induced_forms(g: Graph) -> list[Graph]:
+    """``canonical_form(g.induced(S))`` for every vertex bitmask S, indexed by S."""
+    verts = range(g.n)
+    return [canonical_form(g.induced([v for v in verts if s >> v & 1]))
+            for s in range(1 << g.n)]
+
+
+def assemble_partitions(labels: Sequence, weights: Sequence) -> dict[tuple, object]:
+    """Sum over the set partitions of V of the product of weights[B] over the
+    blocks B, grouped by the sorted tuple of the blocks' labels.
+
+    ``labels`` and ``weights`` are indexed by vertex bitmask and have 2**n
+    entries each, V being the full mask.  Blocks of zero weight are skipped
+    and keys whose sum is zero dropped.  Splitting off the block that holds
+    top(S), the highest vertex of S, gives the subset recursion
+
+        F(S) = sum over B <= S with top(S) in B of weights[B] * F(S \\ B)
+
+    (Bjorklund-Husfeldt-Koivisto, "Set partitioning via inclusion-exclusion").
+    From V it reaches only V and the subsets of V minus its top vertex, i.e.
+    the bitmasks below 2**(n-1), so only those are stored.  Every key grown
+    by one label is built once and shared by all subsets.
+    """
+    n = len(weights).bit_length() - 1
+    if not n:
+        return {(): 1}
+    keys: dict[tuple, tuple] = {}
+    grown: dict[tuple, tuple] = {}
+
+    def part(s: int) -> dict:
+        top = 1 << (s.bit_length() - 1)
+        rest = s ^ top
+        acc: dict = {}
+        sub = rest
+        while True:
+            block = sub | top
+            w = weights[block]
+            if w:
+                label = labels[block]
+                for key, val in table[rest ^ sub].items():
+                    new = grown.get((key, label))
+                    if new is None:
+                        new = tuple(sorted(key + (label,)))
+                        new = grown[key, label] = keys.setdefault(new, new)
+                    acc[new] = acc.get(new, 0) + w * val
+            if not sub:
+                break
+            sub = (sub - 1) & rest
+        return {key: val for key, val in acc.items() if val}
+
+    table = [{(): 1}]
+    for s in range(1, 1 << (n - 1)):
+        table.append(part(s))
+    return part((1 << n) - 1)
 
 
 # -- contraction --------------------------------------------------------------

@@ -6,211 +6,134 @@ induced subgraphs.  The empty graph is the unit.  Graphs are stored by
 canonical form, so identities between linear combinations reduce to plain
 map equality.
 
+All three operations read the canonical induced subgraphs G(S) from one
+table, :func:`graphkp.graphs.induced_forms`, indexed by vertex bitmask S.
 ``primitive_projection`` sends a graph to the primitive subspace (elements x
 with coproduct x (x) 1 + 1 (x) x) along the decomposables:
 
     pi(G) = sum over set partitions B of V(G) of
-            (-1)^(|B|-1) (|B|-1)! * product of G(V_beta),
+            (-1)^(|B|-1) (|B|-1)! * product of G(V_beta).
 
-where the product over blocks is realized as the graph G with all edges
-between distinct blocks removed.  ``expand_in_primitives`` is the inverse
-expansion: G = sum over partitions B of the product of pi(G(V_beta)).
+The product depends only on the multiset of block graphs, so
+:func:`graphkp.graphs.assemble_partitions`, the subset recursion that also
+assembles the umbral invariants, counts the partitions per multiset with
+every block weighted 1.  ``expand_in_primitives`` is the inverse expansion:
+G = sum over partitions B of the product of pi(G(V_beta)).
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from fractions import Fraction
-from functools import lru_cache
+from functools import lru_cache, reduce
+from itertools import chain
 from math import factorial
 
 from graphkp.errors import SizeLimitError
-from graphkp.graphs import (Graph, canonical_form, disjoint_union, edge_slot,
-                            emit_graph6, set_partitions)
+from graphkp.graphs import (Graph, assemble_partitions, canonical_form,
+                            disjoint_union, emit_graph6, induced_forms,
+                            set_partitions)
 from graphkp.series import _fraction
 
 UNIT_GRAPH = Graph(0, 0)
 
 
-def _graph_key(g: Graph) -> tuple[int, int]:
-    return (g.n, g.edges)
+def _accumulate(pairs) -> dict:
+    """Sum the coefficients of equal keys, dropping the zero sums."""
+    out: dict = {}
+    for key, c in pairs:
+        out[key] = out.get(key, 0) + c
+    return {key: c for key, c in out.items() if c}
 
 
-class GraphSum:
-    """Finite rational linear combination of canonical graphs."""
+class _LinearSum:
+    """Finite rational linear combination of canonical keys.  Subclasses
+    give the key's canonical form and its text label; keys sort as tuples."""
 
     __slots__ = ("terms",)
 
     def __init__(self, terms=None):
-        clean: dict[Graph, Fraction] = {}
-        for g, c in (terms or {}).items():
-            c = _fraction(c)
-            if not c:
-                continue
-            g = canonical_form(g)
-            s = clean.get(g, 0) + c
-            if s:
-                clean[g] = s
-            elif g in clean:
-                del clean[g]
-        self.terms = clean
+        self.terms = _accumulate((self._canonical(key), _fraction(c))
+                                 for key, c in (terms or {}).items())
 
     @classmethod
-    def _raw(cls, terms: dict) -> "GraphSum":
+    def _raw(cls, terms: dict):
         out = object.__new__(cls)
         out.terms = terms
         return out
+
+    def __add__(self, other):
+        if not isinstance(other, type(self)):
+            return NotImplemented
+        return self._raw(_accumulate(chain(self.terms.items(), other.terms.items())))
+
+    def __neg__(self):
+        return self._raw({key: -c for key, c in self.terms.items()})
+
+    def __sub__(self, other):
+        if not isinstance(other, type(self)):
+            return NotImplemented
+        return self + (-other)
+
+    def __mul__(self, other):
+        """Scalar multiple."""
+        if not isinstance(other, (int, Fraction)):
+            return NotImplemented
+        c = _fraction(other)
+        return self._raw({key: c * v for key, v in self.terms.items()} if c else {})
+
+    __rmul__ = __mul__
+
+    def __eq__(self, other):
+        if not isinstance(other, type(self)):
+            return NotImplemented
+        return self.terms == other.terms
+
+    def __bool__(self):
+        return bool(self.terms)
+
+    def text(self) -> str:
+        if not self.terms:
+            return "0"
+        return " + ".join(f"{self.terms[key]} {self._label(key)}"
+                          for key in sorted(self.terms))
+
+    def __repr__(self):
+        return f"{type(self).__name__}<{self.text()}>"
+
+
+class GraphSum(_LinearSum):
+    """Finite rational linear combination of canonical graphs."""
+
+    __slots__ = ()
+    _canonical = staticmethod(canonical_form)
+    _label = staticmethod(emit_graph6)
 
     @classmethod
     def from_graph(cls, g: Graph) -> "GraphSum":
         return cls({g: Fraction(1)})
 
-    def __add__(self, other):
-        if not isinstance(other, GraphSum):
-            return NotImplemented
-        out = dict(self.terms)
-        for g, c in other.terms.items():
-            s = out.get(g, 0) + c
-            if s:
-                out[g] = s
-            elif g in out:
-                del out[g]
-        return GraphSum._raw(out)
-
-    def __neg__(self):
-        return GraphSum._raw({g: -c for g, c in self.terms.items()})
-
-    def __sub__(self, other):
-        if not isinstance(other, GraphSum):
-            return NotImplemented
-        return self + (-other)
-
     def __mul__(self, other):
         """Scalar multiple, or the disjoint-union product of two sums."""
-        if isinstance(other, (int, Fraction)):
-            c = _fraction(other)
-            if not c:
-                return GraphSum._raw({})
-            return GraphSum._raw({g: c * v for g, v in self.terms.items()})
         if not isinstance(other, GraphSum):
-            return NotImplemented
-        out: dict[Graph, Fraction] = {}
-        for g1, c1 in self.terms.items():
-            for g2, c2 in other.terms.items():
-                g = canonical_form(disjoint_union(g1, g2))
-                s = out.get(g, 0) + c1 * c2
-                if s:
-                    out[g] = s
-                elif g in out:
-                    del out[g]
-        return GraphSum._raw(out)
-
-    __rmul__ = __mul__
-
-    def __eq__(self, other):
-        if not isinstance(other, GraphSum):
-            return NotImplemented
-        return self.terms == other.terms
-
-    def __bool__(self):
-        return bool(self.terms)
-
-    def text(self) -> str:
-        if not self.terms:
-            return "0"
-        bits = []
-        for g in sorted(self.terms, key=_graph_key):
-            c = self.terms[g]
-            bits.append(f"{c} {emit_graph6(g)}")
-        return " + ".join(bits)
-
-    def __repr__(self):
-        return f"GraphSum<{self.text()}>"
+            return super().__mul__(other)
+        return GraphSum._raw(_accumulate(
+            (canonical_form(disjoint_union(g1, g2)), c1 * c2)
+            for g1, c1 in self.terms.items() for g2, c2 in other.terms.items()))
 
 
-class TensorSum:
+class TensorSum(_LinearSum):
     """Finite rational linear combination of ordered pairs of canonical graphs."""
 
-    __slots__ = ("terms",)
+    __slots__ = ()
 
-    def __init__(self, terms=None):
-        clean: dict[tuple[Graph, Graph], Fraction] = {}
-        for (a, b), c in (terms or {}).items():
-            c = _fraction(c)
-            if not c:
-                continue
-            key = (canonical_form(a), canonical_form(b))
-            s = clean.get(key, 0) + c
-            if s:
-                clean[key] = s
-            elif key in clean:
-                del clean[key]
-        self.terms = clean
+    @staticmethod
+    def _canonical(pair: tuple[Graph, Graph]) -> tuple[Graph, Graph]:
+        return canonical_form(pair[0]), canonical_form(pair[1])
 
-    @classmethod
-    def _raw(cls, terms: dict) -> "TensorSum":
-        out = object.__new__(cls)
-        out.terms = terms
-        return out
-
-    def __add__(self, other):
-        if not isinstance(other, TensorSum):
-            return NotImplemented
-        out = dict(self.terms)
-        for key, c in other.terms.items():
-            s = out.get(key, 0) + c
-            if s:
-                out[key] = s
-            elif key in out:
-                del out[key]
-        return TensorSum._raw(out)
-
-    def __neg__(self):
-        return TensorSum._raw({k: -c for k, c in self.terms.items()})
-
-    def __sub__(self, other):
-        if not isinstance(other, TensorSum):
-            return NotImplemented
-        return self + (-other)
-
-    def __mul__(self, other):
-        if not isinstance(other, (int, Fraction)):
-            return NotImplemented
-        c = _fraction(other)
-        if not c:
-            return TensorSum._raw({})
-        return TensorSum._raw({k: c * v for k, v in self.terms.items()})
-
-    __rmul__ = __mul__
-
-    def __eq__(self, other):
-        if not isinstance(other, TensorSum):
-            return NotImplemented
-        return self.terms == other.terms
-
-    def __bool__(self):
-        return bool(self.terms)
-
-    def swap(self) -> "TensorSum":
-        out: dict[tuple[Graph, Graph], Fraction] = {}
-        for (a, b), c in self.terms.items():
-            key = (b, a)
-            out[key] = out.get(key, 0) + c
-        return TensorSum._raw({k: c for k, c in out.items() if c})
-
-    def total_mass(self) -> Fraction:
-        return sum(self.terms.values(), Fraction(0))
-
-    def text(self) -> str:
-        if not self.terms:
-            return "0"
-        bits = []
-        for a, b in sorted(self.terms, key=lambda k: (_graph_key(k[0]), _graph_key(k[1]))):
-            c = self.terms[(a, b)]
-            bits.append(f"{c} {emit_graph6(a)}|{emit_graph6(b)}")
-        return " + ".join(bits)
-
-    def __repr__(self):
-        return f"TensorSum<{self.text()}>"
+    @staticmethod
+    def _label(pair: tuple[Graph, Graph]) -> str:
+        return f"{emit_graph6(pair[0])}|{emit_graph6(pair[1])}"
 
 
 def tensor(a: GraphSum, b: GraphSum) -> TensorSum:
@@ -228,14 +151,9 @@ def coproduct(g: Graph) -> TensorSum:
     """Sum of G(V1) (x) G(V2) over all 2**n ordered vertex splits."""
     if g.n > 8:
         raise SizeLimitError(f"coproduct capped at 8 vertices, got {g.n}")
-    out: dict[tuple[Graph, Graph], Fraction] = {}
-    verts = range(g.n)
-    for mask in range(1 << g.n):
-        left = [v for v in verts if mask >> v & 1]
-        right = [v for v in verts if not mask >> v & 1]
-        key = (canonical_form(g.induced(left)), canonical_form(g.induced(right)))
-        out[key] = out.get(key, 0) + 1
-    return TensorSum._raw({k: Fraction(c) for k, c in out.items()})
+    forms = induced_forms(g)
+    full = len(forms) - 1
+    return TensorSum(Counter((forms[s], forms[full ^ s]) for s in range(len(forms))))
 
 
 def coproduct_sum(gs: GraphSum) -> TensorSum:
@@ -246,30 +164,18 @@ def coproduct_sum(gs: GraphSum) -> TensorSum:
     return total
 
 
-def _within_blocks_mask(blocks) -> int:
-    mask = 0
-    for block in blocks:
-        for i, a in enumerate(block):
-            for b in block[i + 1:]:
-                mask |= 1 << edge_slot(a, b)
-    return mask
-
-
 @lru_cache(maxsize=None)
 def primitive_projection(g: Graph) -> GraphSum:
     """Projection onto the primitive subspace along the decomposables."""
     if g.n > 7:
         raise SizeLimitError(f"primitive projection capped at 7 vertices, got {g.n}")
-    out: dict[Graph, Fraction] = {}
-    for blocks in set_partitions(g.n):
-        coeff = Fraction((-1) ** (len(blocks) - 1) * factorial(len(blocks) - 1))
-        key = canonical_form(Graph(g.n, g.edges & _within_blocks_mask(blocks)))
-        s = out.get(key, 0) + coeff
-        if s:
-            out[key] = s
-        elif key in out:
-            del out[key]
-    return GraphSum._raw(out)
+    if not g.n:
+        return GraphSum()  # the unit is not primitive
+    out: Counter = Counter()
+    for blocks, count in assemble_partitions(induced_forms(g), [1] * (1 << g.n)).items():
+        k = len(blocks)
+        out[reduce(disjoint_union, blocks)] += (-1) ** (k - 1) * factorial(k - 1) * count
+    return GraphSum(out)
 
 
 def expand_in_primitives(g: Graph) -> tuple[tuple[Graph, ...], ...]:
@@ -283,12 +189,9 @@ def expand_in_primitives(g: Graph) -> tuple[tuple[Graph, ...], ...]:
     """
     if g.n > 7:
         raise SizeLimitError(f"primitive expansion capped at 7 vertices, got {g.n}")
-    out = []
-    for blocks in set_partitions(g.n):
-        factors = tuple(sorted((canonical_form(g.induced(block)) for block in blocks),
-                               key=_graph_key))
-        out.append(factors)
-    return tuple(out)
+    forms = induced_forms(g)
+    return tuple(tuple(sorted(forms[sum(1 << v for v in block)] for block in blocks))
+                 for blocks in set_partitions(g.n))
 
 
 def flatten_expansion(expansion) -> GraphSum:

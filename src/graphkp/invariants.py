@@ -6,10 +6,11 @@ partitions pi of the vertex set,
 
       U_G(q) = sum over pi of product over blocks B of pi of b(G[B]) q_|B|,
 
-homogeneous of weight |V(G)| when q_i has weight i.  :func:`_assemble`
-evaluates this sum by a dynamic program over vertex subsets
-(Bjorklund-Husfeldt-Koivisto, "Set partitioning via inclusion-exclusion")
-from a table of b indexed by vertex bitmask S:
+homogeneous of weight |V(G)| when q_i has weight i.
+:func:`graphkp.graphs.assemble_partitions` evaluates this sum by a dynamic
+program over vertex subsets (Bjorklund-Husfeldt-Koivisto, "Set partitioning
+via inclusion-exclusion"), with block labels |B| and weights from a table of
+b indexed by vertex bitmask S:
 
 * weighted chromatic polynomial W (the edge-subset expansion
   sum over E' of (-1)^(|E'| - |V| + k(E')) q_{v_1} ... q_{v_k}):
@@ -24,7 +25,8 @@ from a table of b indexed by vertex bitmask S:
   size * q_size over their trees): b(S) = |S| * tau(G[S]), tau the number
   of spanning trees by the matrix-tree theorem;
 
-* :func:`umbral_from_b`: b(S) looked up from a table for canonical graphs.
+* :func:`umbral_from_b`: b(S) looked up from a table for canonical graphs,
+  one lookup per entry of :func:`graphkp.graphs.induced_forms`.
 
 ``weighted_chromatic_dc`` (deletion-contraction, W(G) = W(G - e) + W(G / e)
 on vertex-weighted graphs) and ``chromatic_oracle`` (brute-force colorings,
@@ -41,8 +43,8 @@ from typing import NamedTuple
 
 from graphkp.errors import SizeLimitError
 from graphkp.graphs import (Graph, SLOT_ENDPOINTS, WeightedGraph,
-                            canonical_form, connected_graphs, contract_edge,
-                            is_connected)
+                            assemble_partitions, connected_graphs,
+                            contract_edge, induced_forms, is_connected)
 from graphkp.series import DEFAULT_ORDER, TruncSeries, mono
 
 
@@ -51,46 +53,11 @@ def _check_weight(g: Graph, order: int) -> None:
         raise SizeLimitError(f"graph weight {g.n} exceeds truncation order {order}")
 
 
-def _assemble(g: Graph, b, order: int) -> TruncSeries:
-    """sum over set partitions of V(g) of prod over blocks B of b[B] q_|B|.
-
-    F(S) = sum over T <= S with top(S) in T of b[T] q_|T| F(S \\ T), top(S)
-    being the highest vertex of S.  From V the recursion reaches only V and
-    the subsets of V minus its top vertex, i.e. the bitmasks below 2^(n-1),
-    so only those are stored.  Each F(S) maps sorted block-size tuples to
-    coefficients; every tuple is built once and shared by all subsets.
-    """
-    n = g.n
-    if n == 0:
-        return TruncSeries.one(order, "q")
-    keys: dict[tuple[int, ...], tuple[int, ...]] = {}
-    grown: dict[tuple[tuple[int, ...], int], tuple[int, ...]] = {}
-
-    def part(s: int) -> dict:
-        top = 1 << (s.bit_length() - 1)
-        rest = s ^ top
-        acc: dict = {}
-        sub = rest
-        while True:
-            bt = b[sub | top]
-            if bt:
-                size = sub.bit_count() + 1
-                for key, val in table[rest ^ sub].items():
-                    new = grown.get((key, size))
-                    if new is None:
-                        new = tuple(sorted(key + (size,)))
-                        new = grown[key, size] = keys.setdefault(new, new)
-                    acc[new] = acc.get(new, 0) + bt * val
-            if not sub:
-                break
-            sub = (sub - 1) & rest
-        return {key: val for key, val in acc.items() if val}
-
-    table = [{(): 1}]
-    for s in range(1, 1 << (n - 1)):
-        table.append(part(s))
+def _assemble(b, order: int) -> TruncSeries:
+    """sum over set partitions of V of prod over blocks B of b[B] q_|B|."""
+    sizes = [s.bit_count() for s in range(len(b))]
     return TruncSeries(order, "q", {mono(Counter(key)): val
-                                    for key, val in part((1 << n) - 1).items()})
+                                    for key, val in assemble_partitions(sizes, b).items()})
 
 
 def _b_chromatic(g: Graph) -> list[int]:
@@ -147,14 +114,14 @@ def _b_abel(g: Graph) -> list[int]:
 def weighted_chromatic(g: Graph, order: int = DEFAULT_ORDER) -> TruncSeries:
     """Weighted chromatic polynomial, assembled from b = (-1)^(|S|-1) c(S)."""
     _check_weight(g, order)
-    return _assemble(g, _b_chromatic(g), order)
+    return _assemble(_b_chromatic(g), order)
 
 
 def abel(g: Graph, order: int = DEFAULT_ORDER) -> TruncSeries:
     """Abel polynomial: sum over spanning forests of prod (size * q_size),
     assembled from b = |S| * tau(G[S])."""
     _check_weight(g, order)
-    return _assemble(g, _b_abel(g), order)
+    return _assemble(_b_abel(g), order)
 
 
 def weighted_chromatic_dc(wg: WeightedGraph | Graph,
@@ -268,6 +235,4 @@ def umbral_from_b(g: Graph, coeffs: UmbralCoefficients,
     if g.n > 7:
         raise SizeLimitError(f"umbral reconstruction capped at 7 vertices, got {g.n}")
     _check_weight(g, order)
-    b = [coeffs.lookup(canonical_form(g.induced([v for v in range(g.n) if s >> v & 1])))
-         for s in range(1 << g.n)]
-    return _assemble(g, b, order)
+    return _assemble([coeffs.lookup(h) for h in induced_forms(g)], order)

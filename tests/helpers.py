@@ -1,7 +1,8 @@
 """Shared test utilities: small graph builders, a polynomial text parser for
 frozen expected values, random series generation, the definitional per-graph
-expansions of W and A that serve as oracles for the umbral assembly, and the
-edge-subset sweep that serves as the graph-level oracle for the ensemble
+expansions of W and A that serve as oracles for the umbral assembly, the
+set-partition sum that serves as the oracle for the primitive projection, and
+the edge-subset sweep that serves as the graph-level oracle for the ensemble
 pieces."""
 
 from __future__ import annotations
@@ -10,12 +11,15 @@ import random
 from collections import Counter
 from fractions import Fraction
 from functools import cache
+from itertools import combinations
 from math import factorial, prod
 
 from hypothesis import strategies as st
 
-from graphkp.graphs import (MAX_VERTICES, SLOT_ENDPOINTS, Graph, components,
-                            emit_graph6, spanning_forests)
+from graphkp.graphs import (MAX_VERTICES, SLOT_ENDPOINTS, Graph,
+                            canonical_form, components, edge_slot,
+                            emit_graph6, set_partitions, spanning_forests)
+from graphkp.hopf import GraphSum
 from graphkp.series import TruncSeries, mono
 
 
@@ -143,6 +147,21 @@ def forest_a(g: Graph, order: int) -> TruncSeries:
         sizes = [len(c) for c in components(Graph(g.n, forest))]
         acc[mono(Counter(sizes))] += prod(sizes)
     return TruncSeries(order, "q", acc)
+
+
+def partition_primitive(g: Graph) -> GraphSum:
+    """pi(G) by its definition: sum over the set partitions B of V(G) of
+    (-1)^(|B|-1) (|B|-1)! times G with every edge between distinct blocks
+    removed.  Walks all Bell(n) partitions, canonicalizing each."""
+    terms: Counter = Counter()
+    for blocks in set_partitions(g.n):
+        within = 0
+        for block in blocks:
+            for a, b in combinations(block, 2):
+                within |= 1 << edge_slot(a, b)
+        key = canonical_form(Graph(g.n, g.edges & within))
+        terms[key] += (-1) ** (len(blocks) - 1) * factorial(len(blocks) - 1)
+    return GraphSum(terms)
 
 
 def random_graph(rng: random.Random, n: int, p: float) -> Graph:

@@ -176,6 +176,23 @@ def test_invariant_graph6_exit_contract(text, which):
     assert (rc == 0) == (err.getvalue() == "")
 
 
+def test_primitive_of_empty_graph_is_zero(capsys):
+    assert main(["hopf", "--op", "primitive", "--graph6", "?"]) == 0
+    captured = capsys.readouterr()
+    assert (captured.out, captured.err) == ("0\n", "")
+
+
+@settings(max_examples=150, deadline=None)
+@given(text=GRAPH6_TEXT, op=st.sampled_from(["coproduct", "primitive", "expand"]))
+def test_hopf_graph6_exit_contract(text, op):
+    """Any --graph6 text exits 0, 2 or 3 without a traceback."""
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        rc = main(["hopf", "--op", op, f"--graph6={text}"])
+    assert rc in (0, 2, 3)
+    assert (rc == 0) == (err.getvalue() == "")
+
+
 def test_kp_check_builtins_pass(capsys):
     assert main(["kp-check", "--series", "S", "--order", "7"]) == 0
     assert main(["kp-check", "--series", "W", "--order", "5"]) == 0

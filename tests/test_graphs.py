@@ -1,20 +1,23 @@
-"""Graph primitives: slots, components, forests, partitions, automorphisms,
-canonical forms, contraction, graph6."""
+"""Graph primitives: slots, components, forests, partitions and their
+assembly, automorphisms, canonical forms, contraction, graph6."""
 
 import math
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings
 
 from graphkp.errors import Graph6ParseError, SizeLimitError
-from graphkp.graphs import (Graph, WeightedGraph, all_graphs, aut_order,
-                            canonical_form, complete_graph, components,
-                            connected_graphs, contract_edge, disjoint_union,
-                            edge_slot, emit_graph6, is_connected, parse_graph6,
+from graphkp.graphs import (Graph, WeightedGraph, all_graphs,
+                            assemble_partitions, aut_order, canonical_form,
+                            complete_graph, components, connected_graphs,
+                            contract_edge, disjoint_union, edge_slot,
+                            emit_graph6, is_connected, parse_graph6,
                             set_partitions, spanning_forests)
 from helpers import GRAPH6_TEXT, GRAPHS, cycle_graph, path_graph, star_graph
 
 BELL = [1, 1, 2, 5, 15, 52, 203, 877]
+INTEGER_PARTITIONS = [1, 1, 2, 3, 5, 7, 11, 15]
 
 
 class TestSlots:
@@ -88,6 +91,18 @@ class TestSetPartitions:
 
     def test_empty_set_has_one_partition(self):
         assert list(set_partitions(0)) == [()]
+
+    @pytest.mark.parametrize("n", range(8))
+    def test_assembly_counts_partitions_by_block_sizes(self, n):
+        # n! / (prod lambda_i! prod m_j!) set partitions have block sizes lambda
+        sizes = [s.bit_count() for s in range(1 << n)]
+        counts = assemble_partitions(sizes, [1] * (1 << n))
+        assert len(counts) == INTEGER_PARTITIONS[n]
+        for lam, count in counts.items():
+            assert list(lam) == sorted(lam) and sum(lam) == n
+            denom = math.prod(math.factorial(m) for m in lam + tuple(Counter(lam).values()))
+            assert count * denom == math.factorial(n), lam
+        assert sum(counts.values()) == BELL[n]
 
 
 class TestAutomorphisms:

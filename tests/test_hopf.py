@@ -1,5 +1,6 @@
 """Hopf-algebra structure: coproduct, primitive projection, reconstruction."""
 
+import random
 from fractions import Fraction
 
 import pytest
@@ -9,7 +10,7 @@ from graphkp.graphs import Graph, all_graphs, canonical_form, connected_graphs
 from graphkp.hopf import (GraphSum, TensorSum, UNIT_GRAPH, coproduct,
                           coproduct_sum, expand_in_primitives,
                           flatten_expansion, primitive_projection, tensor)
-from helpers import cycle_graph, path_graph
+from helpers import cycle_graph, partition_primitive, path_graph, random_graph
 
 VERTEX = Graph(1)
 EDGE = Graph.from_edges(2, [(0, 1)])
@@ -47,14 +48,14 @@ class TestCoproduct:
         for n in range(0, 5):
             for g in all_graphs(n):
                 delta = coproduct(g)
-                assert delta.total_mass() == 2 ** n
+                assert sum(delta.terms.values()) == 2 ** n
                 assert all(a.n + b.n == n for a, b in delta.terms)
 
     def test_cocommutativity(self):
         for n in range(0, 5):
             for g in all_graphs(n):
-                delta = coproduct(g)
-                assert delta.swap() == delta
+                delta = coproduct(g).terms
+                assert {(b, a): c for (a, b), c in delta.items()} == delta
 
     def test_counit_axiom(self):
         # collapsing the left factor against the counit returns the graph
@@ -75,6 +76,19 @@ class TestPrimitiveProjection:
 
     def test_single_edge(self):
         assert primitive_projection(EDGE) == gs((1, EDGE), (-1, TWO_POINTS))
+
+    def test_empty_graph_projects_to_zero(self):
+        # the unit is not primitive; the empty partition must not be weighted
+        assert primitive_projection(UNIT_GRAPH) == GraphSum()
+
+    def test_matches_partition_oracle(self):
+        for n in range(1, 6):
+            for g in all_graphs(n):
+                assert primitive_projection(g) == partition_primitive(g), g
+        rng = random.Random(2024)
+        for n in (6, 6, 6, 7, 7):
+            g = random_graph(rng, n, 0.5)
+            assert primitive_projection(g) == partition_primitive(g), g
 
     def test_projection_lands_in_primitives(self):
         # coproduct(pi(g)) == pi(g) (x) 1 + 1 (x) pi(g) for connected graphs
