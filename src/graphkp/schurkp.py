@@ -1,12 +1,28 @@
-"""Schur polynomials in power-sum variables and the first two KP equations.
+"""Schur functions in power-sum variables, the Schur expansion, and the first
+two KP equations.
 
-One-part Schur polynomials (complete homogeneous symmetric functions) are
-read off from the generating function
+The power sums p_mu = p_mu1 p_mu2 ... are orthogonal for the Hall inner
+product, <p_mu, p_nu> = z_mu if mu = nu and 0 otherwise, with
+z_mu = prod_i i^(m_i) m_i! for m_i parts equal to i.  The Schur functions are
+orthonormal, and the change of basis between the two is the character table
+of the symmetric group (Macdonald, *Symmetric Functions and Hall
+Polynomials*, I.4 and I.7):
 
-    sum_{n>=0} s_n = exp(sum_{k>=1} p_k / k),
+    s_lambda = sum_{mu |- |lambda|} chi^lambda_mu p_mu / z_mu.
 
-with the weight of p_i taken to be i; general s_lambda come from the
-Jacobi-Trudi determinant det(s_{lambda_i - i + j}).
+So the coefficient of s_lambda in a series tau is one inner product,
+
+    c_lambda = <tau, s_lambda> = sum_{mu |- |lambda|} chi^lambda_mu [p_mu] tau,
+
+a sum of integer characters times coefficients of tau, with no linear solve.
+The characters come from the Murnaghan-Nakayama rule (Macdonald I.7, Ex. 5),
+on the beta-numbers beta_i = lambda_i + l - i of lambda with l parts.
+Removing a border strip of length r moves one bead b to a free position
+b - r >= 0 and is signed by (-1)^(number of beads strictly between them), and
+chi^lambda_mu sums these signs times chi^(lambda - strip)_(mu minus mu_1).
+The characters are computed on demand and cached.  One-part Schur functions
+(complete homogeneous symmetric functions) are the case chi = 1:
+s_n = sum_{mu |- n} p_mu / z_mu, with the weight of p_i taken to be i.
 
 ``target_series`` builds the reference tau-function
 
@@ -30,13 +46,14 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
+from math import factorial, lcm
 
-from graphkp import series
-from graphkp.series import DEFAULT_ORDER, TruncSeries, mono, mono_key, partial
+from graphkp.series import DEFAULT_ORDER, Monomial, TruncSeries, partial
 
 Partition = tuple[int, ...]
 
 
+@lru_cache(maxsize=None)
 def partitions_of(w: int, max_part: int | None = None) -> tuple[Partition, ...]:
     """Weakly decreasing partitions of w, largest first part first."""
     if w == 0:
@@ -51,17 +68,62 @@ def partitions_of(w: int, max_part: int | None = None) -> tuple[Partition, ...]:
 
 
 @lru_cache(maxsize=None)
-def _exp_power_sums(order: int) -> TruncSeries:
-    base = TruncSeries(order, "p",
-                       {mono({k: 1}): Fraction(1, k) for k in range(1, order + 1)})
-    return series.exp(base)
+def character(lam: Partition, mu: Partition) -> int:
+    """chi^lambda_mu: the irreducible character of S_n indexed by lambda on
+    the permutations of cycle type mu, by the Murnaghan-Nakayama rule.
+
+    Both arguments are weakly decreasing tuples of positive parts; the value
+    is 0 when their weights differ."""
+    if not mu:
+        return 0 if lam else 1
+    r, rest = mu[0], mu[1:]
+    l = len(lam)
+    beta = [part + l - 1 - i for i, part in enumerate(lam)]  # strictly decreasing
+    total = 0
+    for i, b in enumerate(beta):
+        t = b - r
+        if t < 0:
+            break
+        # the beads strictly between t and b follow b in beta
+        height = 0
+        while i + 1 + height < l and beta[i + 1 + height] > t:
+            height += 1
+        if i + 1 + height < l and beta[i + 1 + height] == t:
+            continue  # position t is taken: no strip of length r ends here
+        moved = beta[:i] + beta[i + 1:i + 1 + height] + [t] + beta[i + 1 + height:]
+        smaller = [x - (l - 1 - j) for j, x in enumerate(moved)]
+        while smaller and not smaller[-1]:
+            smaller.pop()
+        chi = character(tuple(smaller), rest)
+        total += -chi if height & 1 else chi
+    return total
 
 
-def schur_one_part(n: int, order: int = DEFAULT_ORDER) -> TruncSeries:
-    """s_n in power-sum variables, exact through its own weight."""
-    if n > order:
-        raise ValueError(f"s_{n} does not fit truncation order {order}")
-    return _exp_power_sums(order).homogeneous_part(n)
+# Tuples on the hot paths are built from lists, never from generators:
+# tuple(generator) and f(*generator) allocate a spare-size tuple and shrink
+# it, which shifts it between CPython's per-size tuple free lists, so those
+# lists, and the peak memory of a long run, grow with every call until full.
+
+
+def _p_monomial(mu: Partition) -> Monomial:
+    """The monomial of p_mu: (part, multiplicity) pairs by increasing part."""
+    return tuple([(part, mu.count(part)) for part in sorted(set(mu))])
+
+
+def _partition(m: Monomial) -> Partition:
+    parts: list[int] = []
+    for part, mult in reversed(m):
+        parts += [part] * mult
+    return tuple(parts)
+
+
+def _z(m: Monomial) -> int:
+    """z_mu = prod_i i^(m_i) m_i!, the size of the centralizer of a
+    permutation of cycle type mu."""
+    out = 1
+    for part, mult in m:
+        out *= part ** mult * factorial(mult)
+    return out
 
 
 def _validate_partition(lam) -> Partition:
@@ -71,119 +133,73 @@ def _validate_partition(lam) -> Partition:
     return lam
 
 
-def schur_jacobi_trudi(lam, order: int = DEFAULT_ORDER) -> TruncSeries:
-    """s_lambda = det(s_{lambda_i - i + j}) with s_0 = 1 and s_m = 0 for m < 0."""
-    lam = _validate_partition(lam)
-    weight = sum(lam)
-    if weight > order:
-        raise ValueError(f"|lambda| = {weight} exceeds truncation order {order}")
-    l = len(lam)
-    if l == 0:
-        return TruncSeries.one(order, "p")
-    one = TruncSeries.one(order, "p")
-    zero = TruncSeries.zero(order, "p")
+def schur_one_part(n: int, order: int = DEFAULT_ORDER) -> TruncSeries:
+    """s_n = sum_{mu |- n} p_mu / z_mu in power-sum variables."""
+    if n > order:
+        raise ValueError(f"s_{n} does not fit truncation order {order}")
+    return TruncSeries(order, "p", {m: Fraction(1, _z(m))
+                                    for m in map(_p_monomial, partitions_of(n))})
 
-    def entry(i: int, j: int) -> TruncSeries:
-        idx = lam[i] - i + j
-        if idx < 0:
-            return zero
-        if idx == 0:
-            return one
-        return schur_one_part(idx, order)
 
-    # determinant by expansion along rows, memoized on the remaining columns
-    memo: dict[int, TruncSeries] = {}
+def schur_combination(coeffs, order: int = DEFAULT_ORDER) -> TruncSeries:
+    """sum c_lambda s_lambda from a coefficient map {lambda: c_lambda}, with
+    s_lambda = sum_mu chi^lambda_mu p_mu / z_mu."""
+    terms: dict[Monomial, Fraction] = {}
+    for lam, c in coeffs.items():
+        lam = _validate_partition(lam)
+        weight = sum(lam)
+        if weight > order:
+            raise ValueError(f"|lambda| = {weight} exceeds truncation order {order}")
+        c = Fraction(c)
+        for mu in partitions_of(weight):
+            chi = character(lam, mu)
+            if chi and c:
+                m = _p_monomial(mu)
+                terms[m] = terms.get(m, 0) + c * Fraction(chi, _z(m))
+    return TruncSeries(order, "p", terms)
 
-    def minor(colmask: int) -> TruncSeries:
-        if colmask == 0:
-            return one
-        cached = memo.get(colmask)
-        if cached is not None:
-            return cached
-        row = l - colmask.bit_count()
-        total = zero
-        sign = 1
-        rest = colmask
-        while rest:
-            low = rest & -rest
-            j = low.bit_length() - 1
-            e = entry(row, j)
-            if e:
-                total = total + e * minor(colmask ^ low) * sign
-            sign = -sign
-            rest ^= low
-        memo[colmask] = total
-        return total
 
-    return minor((1 << l) - 1)
+def schur_polynomial(lam, order: int = DEFAULT_ORDER) -> TruncSeries:
+    """s_lambda in power-sum variables, exact through its own weight."""
+    return schur_combination({tuple(lam): 1}, order)
+
+
+#: s_lambda under its earlier name; perfbench/test_oracles.py imports it.
+schur_jacobi_trudi = schur_polynomial
 
 
 def target_series(order: int = DEFAULT_ORDER) -> TruncSeries:
     """1 + sum_{n>=1} 2^(n(n-1)/2) s_n, truncated at the order."""
-    total = TruncSeries.one(order, "p")
-    for n in range(1, order + 1):
-        total = total + schur_one_part(n, order) * Fraction(2 ** (n * (n - 1) // 2))
-    return total
-
-
-def schur_combination(coeffs, order: int = DEFAULT_ORDER) -> TruncSeries:
-    """Rebuild sum c_lambda s_lambda from a coefficient map."""
-    total = TruncSeries.zero(order, "p")
-    for lam, c in coeffs.items():
-        total = total + schur_jacobi_trudi(lam, order) * Fraction(c)
-    return total
+    return schur_combination({(n,) if n else (): 2 ** (n * (n - 1) // 2)
+                              for n in range(order + 1)}, order)
 
 
 def schur_expand(tau: TruncSeries) -> dict[Partition, Fraction]:
     """Coefficients c_lambda with tau = sum c_lambda s_lambda, |lambda| <= order.
 
-    Works weight by weight: at weight w the s_lambda with |lambda| = w are a
-    basis of the quasihomogeneous polynomials, so the coefficients come from
-    one exact linear solve per weight (Gaussian elimination over Fraction).
-    Zero coefficients are omitted from the result.
+    Each is the Hall inner product c_lambda = sum_mu chi^lambda_mu [p_mu] tau
+    over the partitions mu of |lambda|.  Zero coefficients are omitted; the
+    rest are listed by weight, then in the order of :func:`partitions_of`.
     """
     if tau.var != "p":
         raise ValueError("Schur expansion expects a series in p-variables")
+    by_weight: list[dict[Partition, Fraction]] = [{} for _ in range(tau.order + 1)]
+    for m, c in tau.terms.items():
+        mu = _partition(m)
+        by_weight[sum(mu)][mu] = c
     out: dict[Partition, Fraction] = {}
-    for w in range(tau.order + 1):
-        parts = partitions_of(w)
-        monos = sorted({mono({i: list(lam).count(i) for i in set(lam)})
-                        for lam in parts}, key=mono_key)
-        index = {m: r for r, m in enumerate(monos)}
-        rows = len(monos)
-        # columns: one per partition, right-hand side appended
-        matrix = [[Fraction(0)] * (len(parts) + 1) for _ in range(rows)]
-        for cidx, lam in enumerate(parts):
-            s = schur_jacobi_trudi(lam, w)
-            for m, c in s.terms.items():
-                matrix[index[m]][cidx] = c
-        target = tau.homogeneous_part(w)
-        for m, c in target.terms.items():
-            matrix[index[m]][-1] = c
-        solution = _solve_exact(matrix, len(parts))
-        for lam, c in zip(parts, solution):
+    for w, coeffs in enumerate(by_weight):
+        if not coeffs:
+            continue
+        # integer arithmetic over one common denominator per weight (the
+        # list, not a generator, keeps the tuple free lists flat; see above)
+        den = lcm(*[a.denominator for a in coeffs.values()])
+        nums = [(mu, a.numerator * (den // a.denominator)) for mu, a in coeffs.items()]
+        for lam in partitions_of(w):
+            c = sum(character(lam, mu) * x for mu, x in nums)
             if c:
-                out[lam] = c
+                out[lam] = Fraction(c, den)
     return out
-
-
-def _solve_exact(matrix: list[list[Fraction]], ncols: int) -> list[Fraction]:
-    """Gaussian elimination over Fractions for a square augmented system."""
-    rows = len(matrix)
-    if rows != ncols:
-        raise ValueError("expected a square system")
-    for col in range(ncols):
-        pivot = next((r for r in range(col, rows) if matrix[r][col]), None)
-        if pivot is None:
-            raise ValueError("singular basis matrix")
-        matrix[col], matrix[pivot] = matrix[pivot], matrix[col]
-        inv = 1 / matrix[col][col]
-        matrix[col] = [x * inv for x in matrix[col]]
-        for r in range(rows):
-            if r != col and matrix[r][col]:
-                factor = matrix[r][col]
-                matrix[r] = [a - factor * b for a, b in zip(matrix[r], matrix[col])]
-    return [matrix[r][-1] for r in range(ncols)]
 
 
 # -- KP residuals ---------------------------------------------------------------

@@ -213,23 +213,12 @@ class TruncSeries:
         if not isinstance(other, TruncSeries):
             return NotImplemented
         self._check_compatible(other)
-        order = self.order
-        out: dict[Monomial, Fraction] = {}
-        for m1, c1 in self.terms.items():
-            w1 = mono_weight(m1)
-            for m2, c2 in other.terms.items():
-                if w1 + mono_weight(m2) > order:
-                    continue
-                e = dict(m1)
-                for var, exp in m2:
-                    e[var] = e.get(var, 0) + exp
-                key = tuple(sorted(e.items()))
-                s = out.get(key, 0) + c1 * c2
-                if s:
-                    out[key] = s
-                elif key in out:
-                    del out[key]
-        return TruncSeries._raw(self.order, self.var, out)
+        right = _graded(other)
+        out = {}
+        for w, piece in enumerate(_graded(self)):
+            for y in right[:self.order - w + 1]:
+                _add_product(out, piece, y)
+        return TruncSeries._raw(self.order, self.var, {m: c for m, c in out.items() if c})
 
     __rmul__ = __mul__
 
@@ -334,33 +323,65 @@ class TruncSeries:
 # -- calculus ---------------------------------------------------------------
 
 
+def _graded(a: TruncSeries) -> list[dict[Monomial, Fraction]]:
+    """The homogeneous pieces of a series, indexed by weight 0..order."""
+    pieces = [{} for _ in range(a.order + 1)]
+    for m, c in a.terms.items():
+        pieces[mono_weight(m)][m] = c
+    return pieces
+
+
+def _add_product(acc: dict, x: dict, y: dict) -> None:
+    """acc += x * y for homogeneous pieces x and y (zeros may be left in acc)."""
+    for m1, c1 in x.items():
+        for m2, c2 in y.items():
+            e = dict(m1)
+            for var, exp in m2:
+                e[var] = e.get(var, 0) + exp
+            key = tuple(sorted(e.items()))
+            acc[key] = acc.get(key, 0) + c1 * c2
+
+
 def exp(a: TruncSeries) -> TruncSeries:
-    """Exponential of a series with zero constant term."""
+    """Exponential of a series with zero constant term.
+
+    Weight by weight from the Euler recurrence: applying the weight operator
+    to E = exp(A) gives n E_n = sum_{k=1}^{n} k A_k E_{n-k}, where X_n is
+    the weight-n part of X and E_0 = 1.  Each step multiplies homogeneous
+    pieces and builds only the terms of weight exactly n.
+    """
     if a.constant_term:
         raise ValueError("exp requires a zero constant term")
-    result = TruncSeries.one(a.order, a.var)
-    term = result
-    for k in range(1, a.order + 1):
-        term = term * a * Fraction(1, k)
-        if not term:
-            break
-        result = result + term
-    return result
+    scaled = [{m: k * c for m, c in piece.items()} for k, piece in enumerate(_graded(a))]
+    out = [{UNIT: Fraction(1)}]
+    for n in range(1, a.order + 1):
+        acc = {}
+        for k in range(1, n + 1):
+            _add_product(acc, scaled[k], out[n - k])
+        out.append({m: c / n for m, c in acc.items() if c})
+    return TruncSeries._raw(a.order, a.var, {m: c for piece in out for m, c in piece.items()})
 
 
 def log(a: TruncSeries) -> TruncSeries:
-    """Logarithm of a series with constant term 1; inverse of :func:`exp`."""
+    """Logarithm of a series with constant term 1; inverse of :func:`exp`.
+
+    Weight by weight from the same recurrence solved for L = log(A):
+    n L_n = n A_n - sum_{k=1}^{n-1} k L_k A_{n-k}, with L_0 = 0.  Each step
+    multiplies homogeneous pieces and builds only the terms of weight
+    exactly n.
+    """
     if a.constant_term != 1:
         raise ValueError("log requires constant term 1")
-    u = a - 1
-    result = TruncSeries.zero(a.order, a.var)
-    power = TruncSeries.one(a.order, a.var)
-    for k in range(1, a.order + 1):
-        power = power * u
-        if not power:
-            break
-        result = result + power * Fraction((-1) ** (k + 1), k)
-    return result
+    pieces = _graded(a)
+    minus = [{m: -c for m, c in piece.items()} for piece in pieces]
+    scaled = [{}]  # n L_n
+    for n in range(1, a.order + 1):
+        acc = {m: n * c for m, c in pieces[n].items()}
+        for k in range(1, n):
+            _add_product(acc, scaled[k], minus[n - k])
+        scaled.append({m: c for m, c in acc.items() if c})
+    return TruncSeries._raw(a.order, a.var, {m: c / n for n, piece in enumerate(scaled)
+                                             for m, c in piece.items()})
 
 
 def partial(a: TruncSeries, var_index: int, times: int = 1) -> TruncSeries:

@@ -1,9 +1,10 @@
 """Shared test utilities: small graph builders, a polynomial text parser for
 frozen expected values, random series generation, the definitional per-graph
 expansions of W and A that serve as oracles for the umbral assembly, the
-set-partition sum that serves as the oracle for the primitive projection, and
-the edge-subset sweep that serves as the graph-level oracle for the ensemble
-pieces."""
+set-partition sum that serves as the oracle for the primitive projection, the
+edge-subset sweep that serves as the graph-level oracle for the ensemble
+pieces, and the Jacobi-Trudi determinant and an exact linear solve over it,
+the oracles for the character-based Schur functions and Schur expansion."""
 
 from __future__ import annotations
 
@@ -20,7 +21,8 @@ from graphkp.graphs import (MAX_VERTICES, SLOT_ENDPOINTS, Graph,
                             canonical_form, components, edge_slot,
                             emit_graph6, set_partitions, spanning_forests)
 from graphkp.hopf import GraphSum
-from graphkp.series import TruncSeries, mono
+from graphkp.schurkp import partitions_of
+from graphkp.series import TruncSeries, exp, mono
 
 
 def path_graph(n: int) -> Graph:
@@ -267,3 +269,96 @@ def swept_constants(which: str, n_max: int) -> list[Fraction]:
     """i_n = n! * [q_n] piece_n for n = 1..n_max, read off the sweep."""
     return [factorial(n) * swept_piece(which, n, n_max).coefficient({n: 1})
             for n in range(1, n_max + 1)]
+
+
+# -- Schur oracles ---------------------------------------------------------------
+
+
+@cache
+def _complete_homogeneous(order: int) -> TruncSeries:
+    """sum_n h_n = exp(sum_k p_k / k), truncated at the order."""
+    return exp(TruncSeries(order, "p", {mono({k: 1}): Fraction(1, k)
+                                        for k in range(1, order + 1)}))
+
+
+def schur_jacobi_trudi(lam, order: int) -> TruncSeries:
+    """s_lambda = det(h_{lambda_i - i + j}) with h_0 = 1 and h_m = 0 for
+    m < 0, each h_n the weight-n part of exp(sum p_k / k); the determinant
+    is expanded along rows, memoized on the remaining columns."""
+    lam = tuple(lam)
+    if sum(lam) > order:
+        raise ValueError(f"|lambda| = {sum(lam)} exceeds truncation order {order}")
+    l = len(lam)
+    one = TruncSeries.one(order, "p")
+    zero = TruncSeries.zero(order, "p")
+    h = _complete_homogeneous(order)
+
+    def entry(i: int, j: int) -> TruncSeries:
+        idx = lam[i] - i + j
+        return zero if idx < 0 else h.homogeneous_part(idx)
+
+    memo: dict[int, TruncSeries] = {}
+
+    def minor(colmask: int) -> TruncSeries:
+        if colmask == 0:
+            return one
+        if colmask not in memo:
+            row = l - colmask.bit_count()
+            total = zero
+            sign = 1
+            for j in range(l):
+                if colmask >> j & 1:
+                    e = entry(row, j)
+                    if e:
+                        total = total + e * minor(colmask ^ 1 << j) * sign
+                    sign = -sign
+            memo[colmask] = total
+        return memo[colmask]
+
+    return minor((1 << l) - 1)
+
+
+def _solve_exact(matrix: list[list[Fraction]], ncols: int) -> list[Fraction]:
+    """Gauss-Jordan elimination over Fractions for a square augmented system."""
+    rows = len(matrix)
+    assert rows == ncols, "expected a square system"
+    for col in range(ncols):
+        pivot = next(r for r in range(col, rows) if matrix[r][col])
+        matrix[col], matrix[pivot] = matrix[pivot], matrix[col]
+        inv = 1 / matrix[col][col]
+        matrix[col] = [x * inv for x in matrix[col]]
+        for r in range(rows):
+            if r != col and matrix[r][col]:
+                factor = matrix[r][col]
+                matrix[r] = [a - factor * b for a, b in zip(matrix[r], matrix[col])]
+    return [matrix[r][-1] for r in range(ncols)]
+
+
+def elimination_expand(tau: TruncSeries) -> dict:
+    """Schur coefficients of a p-series by one exact linear solve per
+    weight w: the Jacobi-Trudi s_lambda with |lambda| = w are the columns,
+    the monomials p_mu with |mu| = w the rows, and tau's weight-w part the
+    right-hand side.  Zero coefficients are omitted."""
+    out = {}
+    for w in range(tau.order + 1):
+        parts = partitions_of(w)
+        index = {mono(Counter(mu)): r for r, mu in enumerate(parts)}
+        matrix = [[Fraction(0)] * (len(parts) + 1) for _ in parts]
+        for col, lam in enumerate(parts):
+            for m, c in schur_jacobi_trudi(lam, w).terms.items():
+                matrix[index[m]][col] = c
+        for m, c in tau.homogeneous_part(w).terms.items():
+            matrix[index[m]][-1] = c
+        for lam, c in zip(parts, _solve_exact(matrix, len(parts))):
+            if c:
+                out[lam] = c
+    return out
+
+
+def hook_length_count(lam) -> int:
+    """f^lambda, the number of standard Young tableaux of shape lambda, by
+    the hook length formula n! / prod of the hook lengths."""
+    conjugate = [sum(1 for part in lam if part > j) for j in range(lam[0])] if lam else []
+    hooks = prod(lam[i] - j + conjugate[j] - i - 1
+                 for i in range(len(lam)) for j in range(lam[i]))
+    return factorial(sum(lam)) // hooks

@@ -200,6 +200,48 @@ def test_kp_check_builtins_pass(capsys):
     capsys.readouterr()
 
 
+def test_kp_check_reference_at_order_12(capsys):
+    assert main(["kp-check", "--series", "S", "--order", "12"]) == 0
+    assert capsys.readouterr().out.splitlines()[1:] == [
+        "kp1: residual zero through weight 8", "kp2: residual zero through weight 7"]
+
+
+def _not_an_int(text: str) -> bool:
+    try:
+        int(text)
+    except ValueError:
+        return True
+    return False
+
+
+def _numeric_argv(prefix: list, option: str, ints):
+    values = ints.map(str) | st.text(max_size=6).filter(_not_an_int)
+    return values.map(lambda v: [*prefix, f"{option}={v}"])
+
+
+_NUMERIC_ARGV = st.one_of(
+    _numeric_argv(["series", "--which", "W"], "--order", st.integers(-3, 20)),
+    _numeric_argv(["constants", "--which", "A"], "--max-n", st.integers(-3, 20)),
+    _numeric_argv(["rescale", "--which", "A"], "--order", st.integers(-3, 20)),
+    # tables --max-n 6 is valid but takes about 0.3 s, beyond the deadline
+    _numeric_argv(["tables"], "--max-n", st.integers(-3, 20).filter(lambda n: n != 6)),
+)
+
+
+@settings(max_examples=200)
+@given(argv=_NUMERIC_ARGV)
+def test_numeric_options_exit_contract(argv):
+    """Any value of a numeric option exits 0, 2 or 3 without a traceback."""
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        try:
+            rc = main(argv)
+        except SystemExit as exc:  # argparse rejects a value that is not an int
+            rc = exc.code
+    assert rc in (0, 2, 3)
+    assert (rc == 0) == (err.getvalue() == "")
+
+
 _JSON = st.recursive(
     st.none() | st.booleans() | st.integers(-3, 3)
     | st.floats(allow_nan=False, allow_infinity=False) | st.text(max_size=3),

@@ -1,15 +1,17 @@
 """Schur machinery and the residual operators for the first two KP equations."""
 
 from fractions import Fraction
+from math import factorial, prod
 
 import pytest
 
 from graphkp import series
-from graphkp.schurkp import (kp1_residual, kp2_residual, partitions_of,
-                             schur_combination, schur_expand,
-                             schur_jacobi_trudi, schur_one_part, target_series)
+from graphkp.schurkp import (character, kp1_residual, kp2_residual,
+                             partitions_of, schur_combination, schur_expand,
+                             schur_one_part, schur_polynomial, target_series)
 from graphkp.series import TruncSeries, partial
-from helpers import parse_poly, random_rational
+from helpers import (elimination_expand, hook_length_count, parse_poly,
+                     random_rational, schur_jacobi_trudi)
 
 
 class TestOnePartSchur:
@@ -40,13 +42,44 @@ class TestJacobiTrudi:
 
     def test_rejects_non_partitions(self):
         with pytest.raises(ValueError):
-            schur_jacobi_trudi((1, 2), 4)
+            schur_polynomial((1, 2), 4)
         with pytest.raises(ValueError):
-            schur_jacobi_trudi((3, 3), 4)
+            schur_polynomial((3, 3), 4)
+
+    def test_characters_give_the_determinant(self):
+        for w in range(8):
+            for lam in partitions_of(w):
+                assert schur_polynomial(lam, 7) == schur_jacobi_trudi(lam, 7), lam
 
     def test_partitions_of(self):
         assert partitions_of(4) == ((4,), (3, 1), (2, 2), (2, 1, 1), (1, 1, 1, 1))
         assert partitions_of(0) == ((),)
+
+
+class TestCharacters:
+    def test_s3_table(self):
+        classes = ((1, 1, 1), (2, 1), (3,))
+        table = {lam: [character(lam, mu) for mu in classes] for lam in partitions_of(3)}
+        assert table == {(3,): [1, 1, 1], (2, 1): [2, 0, -1], (1, 1, 1): [1, -1, 1]}
+
+    def test_identity_class_gives_hook_length_count(self):
+        for n in range(11):
+            for lam in partitions_of(n):
+                assert character(lam, (1,) * n) == hook_length_count(lam), lam
+
+    def test_column_orthogonality(self):
+        for n in range(11):
+            parts = partitions_of(n)
+            for mu in parts:
+                z = prod(i ** mu.count(i) * factorial(mu.count(i)) for i in set(mu))
+                for nu in parts:
+                    total = sum(character(lam, mu) * character(lam, nu) for lam in parts)
+                    assert total == (z if mu == nu else 0), (mu, nu)
+
+    def test_weights_must_agree(self):
+        assert character((2, 1), (2,)) == 0
+        assert character((), (1,)) == 0
+        assert character((1,), ()) == 0
 
 
 class TestTargetSeries:
@@ -79,7 +112,14 @@ class TestSchurExpand:
                     if rng.random() < 0.4:
                         coeffs[lam] = random_rational(rng)
             tau = schur_combination(coeffs, order)
-            assert schur_combination(schur_expand(tau), order) == tau
+            expansion = schur_expand(tau)
+            assert expansion == {lam: c for lam, c in coeffs.items() if c}
+            assert expansion == elimination_expand(tau)
+            assert schur_combination(expansion, order) == tau
+
+    def test_target_at_order_12(self):
+        assert schur_expand(target_series(12)) == {
+            (n,) if n else (): 2 ** (n * (n - 1) // 2) for n in range(13)}
 
     def test_requires_p_variables(self):
         with pytest.raises(ValueError):

@@ -77,6 +77,10 @@ class TestMul:
         a = parse_poly("q1 + q2", 2)
         assert a * q(1, 2) == parse_poly("q1^2", 2)  # q1 q2 has weight 3
 
+    def test_cancelled_terms_are_dropped(self):
+        product = (1 + q(1)) * (1 - q(1))
+        assert product.terms == parse_poly("1 - q1^2", 7).terms
+
     def test_s1_squared_in_p_vars(self):
         s1 = TruncSeries.variable(1, 2, "p")
         assert s1 * s1 == parse_poly("p1^2", 2, "p")
@@ -182,12 +186,12 @@ class TestRingLaws:
             assert a * (b + c) == a * b + a * c
 
     def test_exp_log_mutually_inverse(self, rng):
-        for _ in range(25):
-            order = rng.randint(2, 8)
-            a = random_series(rng, order, max_terms=10, constant=0)
-            u = random_series(rng, order, max_terms=10, constant=1)
+        cases = [(rng.randint(2, 8), "q") for _ in range(25)]
+        cases += [(MAX_ORDER, var) for var in ("q", "p") for _ in range(5)]
+        for order, var in cases:
+            a = random_series(rng, order, var, max_terms=10, constant=0)
             assert log(exp(a)) == a
-            assert exp(log(u)) == u
+            assert exp(log(1 + a)) == 1 + a
 
     def test_substitute_is_ring_homomorphism(self, rng):
         from helpers import random_rational
