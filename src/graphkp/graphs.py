@@ -10,7 +10,8 @@ Edge slots.  The vertex pairs (i, j) with i < j are numbered in colex order
 
 so ``slot(i, j) = j*(j-1)//2 + i``.  This single slot order is shared by the
 edge bitsets, graph6 encoding, canonical forms and subset enumeration, so
-bitsets move between all of them without translation.
+bitsets move between all of them without translation.  Canonical forms, the
+least bitset over all relabelings, come from a search with twin pruning.
 """
 
 from __future__ import annotations
@@ -78,12 +79,6 @@ class Graph(namedtuple("Graph", "n edges")):
             masks[u] |= 1 << v
             masks[v] |= 1 << u
         return masks
-
-    def degree(self, v: int) -> int:
-        return self.adjacency_masks()[v].bit_count()
-
-    def degrees(self) -> tuple[int, ...]:
-        return tuple(m.bit_count() for m in self.adjacency_masks())
 
     def induced(self, vertices: Sequence[int]) -> "Graph":
         """Induced subgraph on ``vertices``, relabeled 0..k-1 in sorted order."""
@@ -287,27 +282,56 @@ def aut_order(g: Graph) -> int:
 @lru_cache(maxsize=None)
 def canonical_form(g: Graph) -> Graph:
     """Isomorphism-invariant representative: the relabeling minimizing the edge
-    bitset.  Brute force over all vertex permutations with a monotone early
-    abort (the bitset only grows while it is being assembled)."""
+    bitset, by branch and bound.
+
+    Row r_j (slots (i, j), i < j) weighs r_j << C(j,2), so labels go out from
+    n-1 down.  The unlabeled vertices sit in cells that are label intervals,
+    top cell first.  Label j goes to a top-cell vertex y whose neighbours take
+    the low end of each cell: its row is the sum of (2**k - 1) << lo over
+    cells holding k of them.  Each least-row y splits every cell into
+    non-neighbours (above) and neighbours (below), unless it is a twin of one
+    tried (N(u) - v == N(v) - u: the swap fixes every label so far).  Branches
+    whose rows exceed the best leaf are cut."""
     n = g.n
-    if n > 8:
-        raise SizeLimitError(f"canonical form capped at 8 vertices, got {n}")
     m = n * (n - 1) // 2
     if n <= 2 or g.edges == 0 or g.edges == (1 << m) - 1:
         return g
-    el = g.edge_list()
-    best = g.edges
-    for perm in itertools.permutations(range(n)):
-        bits = 0
-        ok = True
-        for u, v in el:
-            a, b = perm[u], perm[v]
-            bits |= 1 << (b * (b - 1) // 2 + a if a < b else a * (a - 1) // 2 + b)
-            if bits >= best:
-                ok = False
-                break
-        if ok and bits < best:
+    adj = g.adjacency_masks()
+    best = 1 << m
+
+    def search(cells: list, j: int, bits: int) -> None:
+        # cells: (lowest label, vertex mask), top cell first
+        nonlocal best
+        if not j:
             best = bits
+            return
+        rows: dict[int, list[int]] = {}
+        for y in _bit_indices(cells[0][1]):
+            row = 0
+            for lo, cell in cells:
+                row |= ((1 << (adj[y] & cell).bit_count()) - 1) << lo
+            rows.setdefault(row, []).append(y)
+        least = min(rows)
+        shift = j * (j - 1) // 2
+        bits |= least << shift
+        if bits >> shift > best >> shift:
+            return
+        tried: list[int] = []
+        for y in rows[least]:
+            if any(not (adj[u] ^ adj[y]) & ~(1 << u | 1 << y) for u in tried):
+                continue
+            tried.append(y)
+            split = []
+            for lo, cell in cells:
+                cell &= ~(1 << y)
+                below = cell & adj[y]
+                if cell ^ below:
+                    split.append((lo + below.bit_count(), cell ^ below))
+                if below:
+                    split.append((lo, below))
+            search(split, j - 1, bits)
+
+    search([(0, (1 << n) - 1)], n - 1, 0)
     return Graph(n, best)
 
 

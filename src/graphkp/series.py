@@ -159,10 +159,6 @@ class TruncSeries:
             order, self.var,
             {m: c for m, c in self.terms.items() if mono_weight(m) <= order})
 
-    def min_weight(self) -> int:
-        """Smallest weight carrying a term; order + 1 for the zero series."""
-        return min((mono_weight(m) for m in self.terms), default=self.order + 1)
-
     # -- ring operations ---------------------------------------------------
 
     def _check_compatible(self, other: "TruncSeries") -> None:

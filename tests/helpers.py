@@ -2,8 +2,9 @@
 frozen expected values, random series generation, the definitional per-graph
 expansions of W and A that serve as oracles for the umbral assembly, the
 set-partition sum that serves as the oracle for the primitive projection, the
-edge-subset sweep that serves as the graph-level oracle for the ensemble
-pieces, and the Jacobi-Trudi determinant and an exact linear solve over it,
+brute-force minimum over all relabelings that serves as the oracle for the
+canonical-form search, the edge-subset sweep that serves as the graph-level
+oracle for the ensemble pieces, and the Jacobi-Trudi determinant and an exact linear solve over it,
 the oracles for the character-based Schur functions and Schur expansion."""
 
 from __future__ import annotations
@@ -12,11 +13,12 @@ import random
 from collections import Counter
 from fractions import Fraction
 from functools import cache
-from itertools import combinations
+from itertools import combinations, permutations
 from math import factorial, prod
 
 from hypothesis import strategies as st
 
+from graphkp.errors import SizeLimitError
 from graphkp.graphs import (MAX_VERTICES, SLOT_ENDPOINTS, Graph,
                             canonical_form, components, edge_slot,
                             emit_graph6, set_partitions, spanning_forests)
@@ -164,6 +166,32 @@ def partition_primitive(g: Graph) -> GraphSum:
         key = canonical_form(Graph(g.n, g.edges & within))
         terms[key] += (-1) ** (len(blocks) - 1) * factorial(len(blocks) - 1)
     return GraphSum(terms)
+
+
+def brute_canonical_form(g: Graph) -> Graph:
+    """Isomorphism-invariant representative: the relabeling minimizing the edge
+    bitset.  Brute force over all vertex permutations with a monotone early
+    abort (the bitset only grows while it is being assembled)."""
+    n = g.n
+    if n > 8:
+        raise SizeLimitError(f"canonical form capped at 8 vertices, got {n}")
+    m = n * (n - 1) // 2
+    if n <= 2 or g.edges == 0 or g.edges == (1 << m) - 1:
+        return g
+    el = g.edge_list()
+    best = g.edges
+    for perm in permutations(range(n)):
+        bits = 0
+        ok = True
+        for u, v in el:
+            a, b = perm[u], perm[v]
+            bits |= 1 << (b * (b - 1) // 2 + a if a < b else a * (a - 1) // 2 + b)
+            if bits >= best:
+                ok = False
+                break
+        if ok and bits < best:
+            best = bits
+    return Graph(n, best)
 
 
 def random_graph(rng: random.Random, n: int, p: float) -> Graph:

@@ -6,6 +6,7 @@ from collections import Counter
 
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from graphkp.errors import Graph6ParseError, SizeLimitError
 from graphkp.graphs import (Graph, WeightedGraph, all_graphs,
@@ -14,10 +15,32 @@ from graphkp.graphs import (Graph, WeightedGraph, all_graphs,
                             contract_edge, disjoint_union, edge_slot,
                             emit_graph6, is_connected, parse_graph6,
                             set_partitions, spanning_forests)
-from helpers import GRAPH6_TEXT, GRAPHS, cycle_graph, path_graph, star_graph
+from helpers import (GRAPH6_TEXT, GRAPHS, brute_canonical_form, cycle_graph,
+                     path_graph, random_graph, star_graph)
 
 BELL = [1, 1, 2, 5, 15, 52, 203, 877]
 INTEGER_PARTITIONS = [1, 1, 2, 3, 5, 7, 11, 15]
+
+
+def copies(h: Graph, k: int) -> Graph:
+    g = Graph(0)
+    for _ in range(k):
+        g = disjoint_union(g, h)
+    return g
+
+
+def complement(g: Graph) -> Graph:
+    return Graph(g.n, complete_graph(g.n).edges ^ g.edges)
+
+
+def icosahedron() -> Graph:
+    """Apex 0, pentagon 1..5, antiprism band to pentagon 6..10, apex 11."""
+    ring = [(i, i % 5 + 1) for i in range(1, 6)]
+    return Graph.from_edges(12, [(0, i) for i in range(1, 6)] + ring
+                            + [(i, i + 5) for i in range(1, 6)]
+                            + [(i, i % 5 + 6) for i in range(1, 6)]
+                            + [(a + 5, b + 5) for a, b in ring]
+                            + [(11, i) for i in range(6, 11)])
 
 
 class TestSlots:
@@ -160,9 +183,61 @@ class TestCanonicalForm:
         assert [len(all_graphs(n)) for n in range(7)] == [1, 1, 2, 4, 11, 34, 156]
         assert [len(connected_graphs(n)) for n in range(1, 7)] == [1, 1, 2, 6, 21, 112]
 
-    def test_size_cap(self):
-        with pytest.raises(SizeLimitError):
-            canonical_form(Graph(9))
+    def test_matches_brute_force_through_five_vertices(self):
+        for n in range(6):
+            for bits in range(1 << n * (n - 1) // 2):
+                g = Graph(n, bits)
+                assert canonical_form(g) == brute_canonical_form(g)
+
+    def test_matches_brute_force_on_seeded_graphs(self, rng):
+        graphs = [random_graph(rng, n, p) for n in range(6, 9)
+                  for p in (0.15, 0.3, 0.5, 0.7, 0.85) for _ in range(2)]
+        graphs += [copies(h, k) for h, k in (
+            (complete_graph(2), 3), (complete_graph(2), 4), (path_graph(3), 2),
+            (cycle_graph(3), 2), (cycle_graph(4), 2), (star_graph(4), 2),
+            (random_graph(rng, 4, 0.5), 2), (random_graph(rng, 3, 0.5), 2))]
+        graphs.append(disjoint_union(Graph(1), copies(path_graph(3), 2)))
+        for g in graphs + [complement(g) for g in graphs]:
+            assert canonical_form(g) == brute_canonical_form(g)
+
+    def test_class_representatives_are_fixed_points(self):
+        # all_graphs finds each orbit minimum by marking whole orbits
+        for n in range(7):
+            for g in all_graphs(n):
+                assert canonical_form(g) == g
+
+    def test_symmetric_twelve_vertex_graphs(self, rng):
+        rook = Graph.from_edges(12, [(a, b) for a in range(12) for b in range(a + 1, 12)
+                                     if a // 4 == b // 4 or a % 4 == b % 4])
+        family = [copies(complete_graph(2), 6), copies(complete_graph(3), 4),
+                  copies(cycle_graph(4), 3), copies(cycle_graph(6), 2),
+                  cycle_graph(12), rook, icosahedron()]
+        family += [complement(g) for g in family]
+        forms = set()
+        for g in family:
+            canon = canonical_form(g)
+            assert canonical_form(canon) == canon
+            assert (canon.n, canon.num_edges) == (12, g.num_edges)
+            for _ in range(3):
+                perm = list(range(12))
+                rng.shuffle(perm)
+                assert canonical_form(g.relabel(perm)) == canon
+            forms.add(canon)
+        assert len(forms) == len(family)  # pairwise non-isomorphic
+        # each new label's neighbour takes the least free label
+        assert canonical_form(family[0]) == Graph.from_edges(12, [(i, 11 - i) for i in range(6)])
+
+    @settings(max_examples=200, deadline=None)
+    @given(data=st.data())
+    def test_properties(self, data):
+        g = data.draw(GRAPHS)
+        perm = data.draw(st.permutations(range(g.n)))
+        canon = canonical_form(g)
+        assert (canon.n, canon.num_edges) == (g.n, g.num_edges)
+        assert canonical_form(canon) == canon
+        assert canonical_form(g.relabel(perm)) == canon
+        if g.n <= 7:
+            assert canon == brute_canonical_form(g)
 
 
 class TestContraction:
