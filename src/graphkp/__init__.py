@@ -3,7 +3,7 @@ functions, and KP tau-function checks.  Everything is computed over exact
 rationals; there is no floating point anywhere in the package."""
 
 from graphkp.errors import Graph6ParseError, SizeLimitError
-from graphkp.graphs import Graph, WeightedGraph
+from graphkp.graphs import Graph
 from graphkp.series import DEFAULT_ORDER, MAX_ORDER, TruncSeries, mono
 
 __version__ = "0.1.0"
@@ -15,7 +15,6 @@ __all__ = [
     "MAX_ORDER",
     "SizeLimitError",
     "TruncSeries",
-    "WeightedGraph",
     "mono",
     "__version__",
 ]

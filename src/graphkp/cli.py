@@ -20,6 +20,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from fractions import Fraction
 
 from graphkp import ensemble, schurkp, series
 from graphkp.errors import Graph6ParseError, SizeLimitError
@@ -110,7 +111,7 @@ def _emit_series(s: TruncSeries, fmt: str) -> None:
         print(s.text())
 
 
-def _plan(which: str, order: int) -> ensemble.RescalePlan:
+def _plan(which: str, order: int) -> dict[int, Fraction]:
     return ensemble.make_plan(ensemble.rescale_constants(which, order))
 
 
@@ -145,16 +146,15 @@ def _cmd_series(args) -> int:
 def _cmd_constants(args) -> int:
     if not 1 <= args.max_n <= series.MAX_ORDER:
         raise SizeLimitError(f"--max-n must be in [1, {series.MAX_ORDER}]")
-    table = ensemble.rescale_constants(args.which, args.max_n)
-    plan = ensemble.make_plan(table)
+    constants = ensemble.rescale_constants(args.which, args.max_n)
+    plan = ensemble.make_plan(constants)
     if args.format == "json":
-        print(json.dumps([{"n": n, "i_n": str(table.value(n)),
-                           "lambda_n": str(plan.factors[n])}
-                          for n in range(1, args.max_n + 1)], indent=2))
+        print(json.dumps([{"n": n, "i_n": str(i_n), "lambda_n": str(plan[n])}
+                          for n, i_n in enumerate(constants, start=1)], indent=2))
     else:
         print("n,i_n,lambda_n")
-        for n in range(1, args.max_n + 1):
-            print(f"{n},{table.value(n)},{plan.factors[n]}")
+        for n, i_n in enumerate(constants, start=1):
+            print(f"{n},{i_n},{plan[n]}")
     return EXIT_OK
 
 

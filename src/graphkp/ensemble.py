@@ -34,7 +34,7 @@ For the weighted chromatic polynomial the i_n satisfy the recursion in
 closed form in :func:`abel_constants`.  The graph-level evidence for both
 (the edge-subset sweep and the iso-class sums) lives in the tests.
 
-The per-variable rescaling factor derived from a constants table is
+The per-variable rescaling factor derived from the constants is
 lambda_n = 2^(n(n-1)/2) * (n-1)! / i_n.
 """
 
@@ -43,12 +43,9 @@ from __future__ import annotations
 from collections import Counter
 from fractions import Fraction
 from math import comb, factorial
-from typing import NamedTuple
 
 from graphkp import series
 from graphkp.errors import SizeLimitError
-from graphkp.graphs import all_graphs, aut_order
-from graphkp.invariants import INVARIANTS
 from graphkp.schurkp import partitions_of
 from graphkp.series import DEFAULT_ORDER, MAX_ORDER, TruncSeries, mono
 
@@ -141,50 +138,19 @@ def connected_series(which: str, order: int = DEFAULT_ORDER) -> TruncSeries:
 # -- rescale plans -------------------------------------------------------------
 
 
-class ConstantsTable(NamedTuple):
-    """Rescaling constants i_1..i_N for one invariant (exact rationals)."""
-
-    which: str
-    values: tuple[Fraction, ...]
-
-    def value(self, n: int) -> Fraction:
-        return self.values[n - 1]
-
-
-class RescalePlan(NamedTuple):
-    """Per-variable substitution factors: q_n = factors[n] * p_n."""
-
-    factors: dict[int, Fraction]
-    source: str
-
-
-def rescale_constants(which: str, order: int = DEFAULT_ORDER) -> ConstantsTable:
-    """i_n = n! * [q_n] piece_n for n = 1..order, the automorphism-weighted
+def rescale_constants(which: str, order: int = DEFAULT_ORDER) -> tuple[Fraction, ...]:
+    """(i_1, ..., i_order), i_n = n! * [q_n] piece_n, the automorphism-weighted
     count of the q_n coefficients over all connected n-vertex graphs."""
-    return ConstantsTable(which, tuple(Fraction(i) for i in _CONSTANTS[which](order)))
+    return tuple(Fraction(i) for i in _CONSTANTS[which](order))
 
 
-def make_plan(table: ConstantsTable) -> RescalePlan:
-    """lambda_n = 2^(n(n-1)/2) * (n-1)! / i_n."""
+def make_plan(constants) -> dict[int, Fraction]:
+    """{n: lambda_n} with lambda_n = 2^(n(n-1)/2) * (n-1)! / i_n, for the
+    constants (i_1, i_2, ...)."""
     factors = {}
-    for n, i_n in enumerate(table.values, start=1):
+    for n, i_n in enumerate(constants, start=1):
         if not i_n:
             raise ValueError(f"degenerate plan: i_{n} is zero")
         factors[n] = Fraction(2 ** (n * (n - 1) // 2) * factorial(n - 1)) / i_n
-    return RescalePlan(factors, table.which)
+    return factors
 
-
-# -- direct isomorphism-class sums (cross-check path) --------------------------
-
-
-def isoclass_series(which: str, k: int, order: int = DEFAULT_ORDER) -> TruncSeries:
-    """Weight-k piece computed the definitional way: sum I_G / |Aut(G)| over
-    the isomorphism classes of k-vertex graphs from :func:`all_graphs`.
-    Deliberately independent of the partition formula; capped at k = 5."""
-    if not 1 <= k <= 5:
-        raise SizeLimitError(f"iso-class sums capped at 5 vertices, got {k}")
-    invariant = INVARIANTS[which]
-    total = TruncSeries.zero(order, "q")
-    for g in all_graphs(k):
-        total = total + invariant(g, order) * Fraction(1, aut_order(g))
-    return total

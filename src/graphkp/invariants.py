@@ -28,23 +28,20 @@ b indexed by vertex bitmask S:
 * :func:`umbral_from_b`: b(S) looked up from a table for canonical graphs,
   one lookup per entry of :func:`graphkp.graphs.induced_forms`.
 
-``weighted_chromatic_dc`` (deletion-contraction, W(G) = W(G - e) + W(G / e)
-on vertex-weighted graphs) and ``chromatic_oracle`` (brute-force colorings,
-(-1)^n W_G(q_j = -k) = #colorings with k colors) share no code with the
-assembly and serve as independent checks.
+The independent checks, deletion-contraction on vertex-weighted graphs and
+brute-force colorings ((-1)^n W_G(q_j = -k) = #colorings with k colors),
+share no code with the assembly and live in ``tests/helpers.py``.
 """
 
 from __future__ import annotations
 
-import itertools
 from collections import Counter
 from fractions import Fraction
 from typing import NamedTuple
 
 from graphkp.errors import SizeLimitError
-from graphkp.graphs import (Graph, SLOT_ENDPOINTS, WeightedGraph,
-                            assemble_partitions, connected_graphs,
-                            contract_edge, induced_forms, is_connected)
+from graphkp.graphs import (Graph, assemble_partitions, connected_graphs,
+                            induced_forms, is_connected)
 from graphkp.series import DEFAULT_ORDER, TruncSeries, mono
 
 
@@ -122,60 +119,6 @@ def abel(g: Graph, order: int = DEFAULT_ORDER) -> TruncSeries:
     assembled from b = |S| * tau(G[S])."""
     _check_weight(g, order)
     return _assemble(_b_abel(g), order)
-
-
-def weighted_chromatic_dc(wg: WeightedGraph | Graph,
-                          order: int = DEFAULT_ORDER) -> TruncSeries:
-    """Weighted chromatic polynomial by deletion-contraction.
-
-    Always splits on the lowest-numbered present edge slot; an edgeless
-    weighted graph with vertex weights w_1..w_k maps to q_{w_1} ... q_{w_k}.
-    On simple graphs (all weights 1) this agrees with the umbral assembly.
-    """
-    if isinstance(wg, Graph):
-        wg = WeightedGraph.from_graph(wg)
-    if wg.total_weight > order:
-        raise SizeLimitError(
-            f"total weight {wg.total_weight} exceeds truncation order {order}")
-    if wg.graph.num_edges > 24:
-        raise SizeLimitError("deletion-contraction capped at 24 edges")
-    acc: dict[tuple[int, ...], int] = {}
-    stack = [wg]
-    while stack:
-        cur = stack.pop()
-        bits = cur.graph.edges
-        if bits == 0:
-            key = tuple(sorted(cur.weights))
-            acc[key] = acc.get(key, 0) + 1
-            continue
-        slot = (bits & -bits).bit_length() - 1
-        stack.append(WeightedGraph(Graph(cur.graph.n, bits ^ (1 << slot)),
-                                   cur.weights))
-        stack.append(contract_edge(cur, SLOT_ENDPOINTS[slot]))
-    return TruncSeries(order, "q", {mono(Counter(weights)): val
-                                    for weights, val in acc.items()})
-
-
-def chromatic_oracle(g: Graph, colors: int) -> int:
-    """Count proper colorings with colors {1..k} by scanning all k**n maps.
-
-    Deliberately naive: no deletion-contraction, no shared code with the
-    polynomial invariants, so it can act as an independent oracle.
-    """
-    if g.n > 8 or colors > 8:
-        raise SizeLimitError("coloring oracle capped at 8 vertices and 8 colors")
-    if colors < 0:
-        raise ValueError("color count must be nonnegative")
-    if g.n == 0:
-        return 1
-    if colors == 0:
-        return 0
-    edges = g.edge_list()
-    count = 0
-    for coloring in itertools.product(range(colors), repeat=g.n):
-        if all(coloring[u] != coloring[v] for u, v in edges):
-            count += 1
-    return count
 
 
 INVARIANTS = {

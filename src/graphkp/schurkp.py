@@ -133,14 +133,6 @@ def _validate_partition(lam) -> Partition:
     return lam
 
 
-def schur_one_part(n: int, order: int = DEFAULT_ORDER) -> TruncSeries:
-    """s_n = sum_{mu |- n} p_mu / z_mu in power-sum variables."""
-    if n > order:
-        raise ValueError(f"s_{n} does not fit truncation order {order}")
-    return TruncSeries(order, "p", {m: Fraction(1, _z(m))
-                                    for m in map(_p_monomial, partitions_of(n))})
-
-
 def schur_combination(coeffs, order: int = DEFAULT_ORDER) -> TruncSeries:
     """sum c_lambda s_lambda from a coefficient map {lambda: c_lambda}, with
     s_lambda = sum_mu chi^lambda_mu p_mu / z_mu."""

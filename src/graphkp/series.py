@@ -410,11 +410,9 @@ def partial(a: TruncSeries, var_index: int, times: int = 1) -> TruncSeries:
 def substitute(a: TruncSeries, factors, var: str = "p") -> TruncSeries:
     """Rescale variables, x_i -> factor_i * y_i, keeping weights unchanged.
 
-    ``factors`` maps variable indices to nonzero rationals; an object with a
-    ``factors`` attribute (a rescale plan) is accepted as well.  Every variable
-    appearing in ``a`` must have a factor.
+    ``factors`` maps variable indices to nonzero rationals, as a rescaling
+    plan does.  Every variable appearing in ``a`` must have a factor.
     """
-    factors = getattr(factors, "factors", factors)
     out: dict[Monomial, Fraction] = {}
     for m, c in a.terms.items():
         for i, e in m:

@@ -1,30 +1,41 @@
-"""Shared test utilities: small graph builders, a polynomial text parser for
-frozen expected values, random series generation, the definitional per-graph
-expansions of W and A that serve as oracles for the umbral assembly, the
-set-partition sum that serves as the oracle for the primitive projection, the
-brute-force minimum over all relabelings that serves as the oracle for the
-canonical-form search, the edge-subset sweep that serves as the graph-level
-oracle for the ensemble pieces, and the Jacobi-Trudi determinant and an exact linear solve over it,
-the oracles for the character-based Schur functions and Schur expansion."""
+"""Shared test utilities and the oracles: second algorithms for quantities
+the package computes one way, kept here only to check it.
+
+* Builders and generators: small graph families, a polynomial text parser
+  for frozen expected values, random series and graph6 strategies.
+* Per-graph oracles for the umbral assembly: the edge-subset expansion of W,
+  the spanning-forest sum of A, deletion-contraction of W on vertex-weighted
+  graphs, and brute-force proper colorings.
+* The set-partition sum, the oracle for the primitive projection.
+* Isomorphism by brute force: the minimum over all relabelings, the oracle
+  for the canonical-form search, and the orbit sweep over all labeled graphs,
+  the oracle for the class enumeration.
+* Graph-level oracles for the ensemble pieces: the edge-subset sweep over
+  K_k and the sums over isomorphism classes.
+* Schur oracles for the character-based Schur functions and Schur
+  expansion: the one-part sum over p_mu / z_mu, the Jacobi-Trudi
+  determinant, and an exact linear solve over it."""
 
 from __future__ import annotations
 
 import random
-from collections import Counter
+from collections import Counter, namedtuple
 from fractions import Fraction
 from functools import cache
-from itertools import combinations, permutations
+from itertools import combinations, permutations, product
 from math import factorial, prod
+from typing import Iterator
 
 from hypothesis import strategies as st
 
 from graphkp.errors import SizeLimitError
-from graphkp.graphs import (MAX_VERTICES, SLOT_ENDPOINTS, Graph,
-                            canonical_form, components, edge_slot,
-                            emit_graph6, set_partitions, spanning_forests)
+from graphkp.graphs import (MAX_VERTICES, SLOT_ENDPOINTS, Graph, _bit_indices,
+                            all_graphs, aut_order, canonical_form, components,
+                            edge_slot, emit_graph6, set_partitions)
 from graphkp.hopf import GraphSum
-from graphkp.schurkp import partitions_of
-from graphkp.series import TruncSeries, exp, mono
+from graphkp.invariants import INVARIANTS
+from graphkp.schurkp import _p_monomial, _z, partitions_of
+from graphkp.series import DEFAULT_ORDER, TruncSeries, exp, mono
 
 
 def path_graph(n: int) -> Graph:
@@ -142,6 +153,42 @@ def subset_w(g: Graph, order: int) -> TruncSeries:
     return TruncSeries(order, "q", acc)
 
 
+def spanning_forests(g: Graph) -> Iterator[int]:
+    """Yield every acyclic edge subset of ``g`` exactly once, as edge bitsets.
+
+    The empty forest is included.  Enumeration is by recursive edge
+    inclusion/exclusion with union-find cycle rejection, so the work is
+    proportional to the number of forests rather than 2**|E|.
+    """
+    edge_slots = tuple(_bit_indices(g.edges))
+    m = len(edge_slots)
+    parent = list(range(g.n))
+    size = [1] * g.n
+
+    def rec(i: int, bits: int) -> Iterator[int]:
+        if i == m:
+            yield bits
+            return
+        yield from rec(i + 1, bits)
+        slot = edge_slots[i]
+        u, v = SLOT_ENDPOINTS[slot]
+        while parent[u] != u:
+            u = parent[u]
+        while parent[v] != v:
+            v = parent[v]
+        if u == v:
+            return
+        if size[u] < size[v]:
+            u, v = v, u
+        parent[v] = u
+        size[u] += size[v]
+        yield from rec(i + 1, bits | 1 << slot)
+        size[u] -= size[v]
+        parent[v] = v
+
+    yield from rec(0, 0)
+
+
 @cache
 def forest_a(g: Graph, order: int) -> TruncSeries:
     """A by the spanning-forest sum: sum over forests F of g of
@@ -151,6 +198,111 @@ def forest_a(g: Graph, order: int) -> TruncSeries:
         sizes = [len(c) for c in components(Graph(g.n, forest))]
         acc[mono(Counter(sizes))] += prod(sizes)
     return TruncSeries(order, "q", acc)
+
+
+class WeightedGraph(namedtuple("WeightedGraph", "graph weights")):
+    """Graph with positive integer vertex weights; total weight is the grading."""
+
+    __slots__ = ()
+
+    def __new__(cls, graph: Graph, weights: tuple[int, ...]):
+        if len(weights) != graph.n:
+            raise ValueError("one weight per vertex required")
+        if any(w < 1 for w in weights):
+            raise ValueError("vertex weights must be positive integers")
+        return tuple.__new__(cls, (graph, weights))
+
+    @classmethod
+    def from_graph(cls, g: Graph) -> "WeightedGraph":
+        return cls(g, (1,) * g.n)
+
+    @property
+    def total_weight(self) -> int:
+        return sum(self.weights)
+
+
+def contract_edge(wg: WeightedGraph, edge: tuple[int, int]) -> WeightedGraph:
+    """Contract an edge of a weighted graph.
+
+    The endpoints merge into the lower-labeled vertex, whose weight becomes
+    the sum of the endpoint weights; parallel edges collapse; vertices above
+    the removed endpoint shift down by one.  Total weight is preserved.
+    """
+    u, v = edge
+    if u > v:
+        u, v = v, u
+    g = wg.graph
+    if not g.has_edge(u, v):
+        raise ValueError(f"edge ({u}, {v}) not present")
+
+    def newlabel(x: int) -> int:
+        if x == v:
+            return u
+        return x - 1 if x > v else x
+
+    bits = 0
+    for a, b in g.edge_list():
+        na, nb = newlabel(a), newlabel(b)
+        if na != nb:
+            bits |= 1 << edge_slot(na, nb)
+    weights = list(wg.weights)
+    weights[u] += weights[v]
+    del weights[v]
+    return WeightedGraph(Graph(g.n - 1, bits), tuple(weights))
+
+
+def weighted_chromatic_dc(wg: WeightedGraph | Graph,
+                          order: int = DEFAULT_ORDER) -> TruncSeries:
+    """Weighted chromatic polynomial by deletion-contraction.
+
+    Always splits on the lowest-numbered present edge slot; an edgeless
+    weighted graph with vertex weights w_1..w_k maps to q_{w_1} ... q_{w_k}.
+    On simple graphs (all weights 1) this agrees with the umbral assembly.
+    """
+    if isinstance(wg, Graph):
+        wg = WeightedGraph.from_graph(wg)
+    if wg.total_weight > order:
+        raise SizeLimitError(
+            f"total weight {wg.total_weight} exceeds truncation order {order}")
+    if wg.graph.num_edges > 24:
+        raise SizeLimitError("deletion-contraction capped at 24 edges")
+    acc: dict[tuple[int, ...], int] = {}
+    stack = [wg]
+    while stack:
+        cur = stack.pop()
+        bits = cur.graph.edges
+        if bits == 0:
+            key = tuple(sorted(cur.weights))
+            acc[key] = acc.get(key, 0) + 1
+            continue
+        slot = (bits & -bits).bit_length() - 1
+        stack.append(WeightedGraph(Graph(cur.graph.n, bits ^ (1 << slot)),
+                                   cur.weights))
+        stack.append(contract_edge(cur, SLOT_ENDPOINTS[slot]))
+    return TruncSeries(order, "q", {mono(Counter(weights)): val
+                                    for weights, val in acc.items()})
+
+
+def chromatic_oracle(g: Graph, colors: int) -> int:
+    """Count proper colorings with colors {1..k} by scanning all k**n maps.
+
+    Deliberately naive: no deletion-contraction, no shared code with the
+    polynomial invariants, so it can act as an independent oracle.
+    """
+    if g.n > 8 or colors > 8:
+        raise SizeLimitError("coloring oracle capped at 8 vertices and 8 colors")
+    if colors < 0:
+        raise ValueError("color count must be nonnegative")
+    if g.n == 0:
+        return 1
+    if colors == 0:
+        return 0
+    edges = g.edge_list()
+    count = 0
+    for coloring in product(range(colors), repeat=g.n):
+        if all(coloring[u] != coloring[v] for u, v in edges):
+            count += 1
+    return count
 
 
 def partition_primitive(g: Graph) -> GraphSum:
@@ -194,6 +346,34 @@ def brute_canonical_form(g: Graph) -> Graph:
     return Graph(n, best)
 
 
+@cache
+def brute_all_graphs(n: int) -> tuple[Graph, ...]:
+    """Canonical representatives of every isomorphism class on n vertices.
+
+    Sweeps the 2**C(n,2) labeled bitsets in increasing order and marks whole
+    orbits, so each first-unseen bitset is the minimum of its orbit, i.e. the
+    canonical form.  Capped at n = 7 (2**21 bitsets).
+    """
+    if n > 7:
+        raise SizeLimitError(f"exhaustive enumeration capped at 7 vertices, got {n}")
+    m = n * (n - 1) // 2
+    perms = tuple(permutations(range(n)))
+    seen = bytearray(1 << m)
+    reps = []
+    for bits in range(1 << m):
+        if seen[bits]:
+            continue
+        reps.append(Graph(n, bits))
+        el = tuple(SLOT_ENDPOINTS[s] for s in _bit_indices(bits))
+        for perm in perms:
+            image = 0
+            for u, v in el:
+                a, b = perm[u], perm[v]
+                image |= 1 << (b * (b - 1) // 2 + a if a < b else a * (a - 1) // 2 + b)
+            seen[image] = 1
+    return tuple(reps)
+
+
 def random_graph(rng: random.Random, n: int, p: float) -> Graph:
     """Each of the C(n,2) edges present independently with probability p."""
     m = n * (n - 1) // 2
@@ -216,7 +396,7 @@ GRAPH6_TEXT = (
                 st.text(max_size=2)).map("".join))
 
 
-# -- edge-subset sweep oracle --------------------------------------------------
+# -- ensemble oracles: edge-subset sweep and iso-class sums ----------------------
 
 
 @cache
@@ -299,7 +479,28 @@ def swept_constants(which: str, n_max: int) -> list[Fraction]:
             for n in range(1, n_max + 1)]
 
 
+def isoclass_series(which: str, k: int, order: int = DEFAULT_ORDER) -> TruncSeries:
+    """Weight-k piece computed the definitional way: sum I_G / |Aut(G)| over
+    the isomorphism classes of k-vertex graphs from :func:`all_graphs`.
+    Deliberately independent of the partition formula; capped at k = 5."""
+    if not 1 <= k <= 5:
+        raise SizeLimitError(f"iso-class sums capped at 5 vertices, got {k}")
+    invariant = INVARIANTS[which]
+    total = TruncSeries.zero(order, "q")
+    for g in all_graphs(k):
+        total = total + invariant(g, order) * Fraction(1, aut_order(g))
+    return total
+
+
 # -- Schur oracles ---------------------------------------------------------------
+
+
+def schur_one_part(n: int, order: int = DEFAULT_ORDER) -> TruncSeries:
+    """s_n = sum_{mu |- n} p_mu / z_mu in power-sum variables."""
+    if n > order:
+        raise ValueError(f"s_{n} does not fit truncation order {order}")
+    return TruncSeries(order, "p", {m: Fraction(1, _z(m))
+                                    for m in map(_p_monomial, partitions_of(n))})
 
 
 @cache

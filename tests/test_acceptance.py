@@ -11,23 +11,22 @@ from fractions import Fraction
 import pytest
 
 from graphkp import series
-from graphkp.ensemble import (ConstantsTable, abel_constants, c_recursion,
-                              connected_part, ensemble_a, ensemble_w,
-                              full_series, isoclass_series, make_plan)
+from graphkp.ensemble import (abel_constants, c_recursion, connected_part,
+                              ensemble_a, ensemble_w, full_series, make_plan)
 from graphkp.graphs import (Graph, all_graphs, aut_order, canonical_form,
                             complete_graph, connected_graphs, disjoint_union)
 from graphkp.hopf import (GraphSum, UNIT_GRAPH, coproduct_sum,
                           expand_in_primitives, flatten_expansion,
                           primitive_projection, tensor)
 from graphkp.invariants import (INVARIANTS, UmbralCoefficients, abel,
-                                chromatic_oracle, umbral_from_b,
-                                weighted_chromatic, weighted_chromatic_dc)
+                                umbral_from_b, weighted_chromatic)
 from graphkp.schurkp import (kp1_residual, kp2_residual, schur_combination,
                              target_series)
 from graphkp.series import TruncSeries, evaluate, partial
-from helpers import (cycle_graph, forest_a, parse_poly, path_graph,
-                     random_rational, star_graph, subset_w, swept_constants,
-                     swept_piece)
+from helpers import (chromatic_oracle, cycle_graph, forest_a, isoclass_series,
+                     parse_poly, path_graph, random_rational, star_graph,
+                     subset_w, swept_constants, swept_piece,
+                     weighted_chromatic_dc)
 
 ORDER = 7
 
@@ -80,8 +79,8 @@ def order7():
     input."""
     full_w = _swept_full("W")
     full_a = _swept_full("A")
-    plan_w = make_plan(ConstantsTable("W", tuple(swept_constants("W", ORDER))))
-    plan_a = make_plan(ConstantsTable("A", tuple(swept_constants("A", ORDER))))
+    plan_w = make_plan(swept_constants("W", ORDER))
+    plan_a = make_plan(swept_constants("A", ORDER))
     return {
         "full_w": full_w,
         "full_a": full_a,

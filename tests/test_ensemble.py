@@ -7,14 +7,13 @@ from fractions import Fraction
 import pytest
 
 from graphkp import series
-from graphkp.ensemble import (ConstantsTable, abel_constants, c_recursion,
-                              connected_part, connected_series, ensemble_a,
-                              ensemble_w, full_series, isoclass_series,
-                              make_plan, rescale_constants)
+from graphkp.ensemble import (abel_constants, c_recursion, connected_part,
+                              connected_series, ensemble_a, ensemble_w,
+                              full_series, make_plan, rescale_constants)
 from graphkp.errors import SizeLimitError
 from graphkp.schurkp import kp1_residual, kp2_residual, target_series
 from graphkp.series import MAX_ORDER, TruncSeries, mono
-from helpers import parse_poly, swept_constants, swept_piece
+from helpers import isoclass_series, parse_poly, swept_constants, swept_piece
 
 
 class TestPieces:
@@ -68,12 +67,10 @@ class TestDoubleCounting:
 
 class TestConstants:
     def test_weighted_chromatic_constants(self):
-        table = rescale_constants("W", 5)
-        assert list(table.values) == [1, 1, 5, 79, 3377]
+        assert rescale_constants("W", 5) == (1, 1, 5, 79, 3377)
 
     def test_abel_constants_table(self):
-        table = rescale_constants("A", 5)
-        assert list(table.values) == [1, 2, 18, 512, 40000]
+        assert rescale_constants("A", 5) == (1, 2, 18, 512, 40000)
         assert abel_constants(5) == [1, 2, 18, 512, 40000]
 
     def test_recursion_matches_swept_constants(self):
@@ -102,21 +99,19 @@ class TestConstants:
 class TestPlans:
     def test_weighted_chromatic_plan(self):
         plan = make_plan(rescale_constants("W", 4))
-        assert [plan.factors[n] for n in range(1, 5)] == \
-            [1, 2, Fraction(16, 5), Fraction(384, 79)]
+        assert plan == {1: 1, 2: 2, 3: Fraction(16, 5), 4: Fraction(384, 79)}
 
     def test_abel_plan(self):
         plan = make_plan(rescale_constants("A", 4))
-        assert [plan.factors[n] for n in range(1, 5)] == \
-            [1, 1, Fraction(8, 9), Fraction(3, 4)]
+        assert plan == {1: 1, 2: 1, 3: Fraction(8, 9), 4: Fraction(3, 4)}
 
     def test_lambda_one_is_always_one(self):
         for which in ("W", "A"):
-            assert make_plan(rescale_constants(which, 3)).factors[1] == 1
+            assert make_plan(rescale_constants(which, 3))[1] == 1
 
     def test_degenerate_plan_rejected(self):
         with pytest.raises(ValueError):
-            make_plan(ConstantsTable("W", (Fraction(1), Fraction(0))))
+            make_plan((Fraction(1), Fraction(0)))
 
 
 class TestUniversality:

@@ -1,5 +1,6 @@
-"""Graph primitives: slots, components, forests, partitions and their
-assembly, automorphisms, canonical forms, contraction, graph6."""
+"""Graph primitives: slots, components, partitions and their assembly,
+automorphisms, canonical forms and isomorphism classes, graph6; and the
+spanning-forest and edge-contraction helpers the oracles use."""
 
 import math
 from collections import Counter
@@ -9,14 +10,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from graphkp.errors import Graph6ParseError, SizeLimitError
-from graphkp.graphs import (Graph, WeightedGraph, all_graphs,
-                            assemble_partitions, aut_order, canonical_form,
-                            complete_graph, components, connected_graphs,
-                            contract_edge, disjoint_union, edge_slot,
+from graphkp.graphs import (Graph, all_graphs, assemble_partitions, aut_order,
+                            canonical_form, complete_graph, components,
+                            connected_graphs, disjoint_union, edge_slot,
                             emit_graph6, is_connected, parse_graph6,
-                            set_partitions, spanning_forests)
-from helpers import (GRAPH6_TEXT, GRAPHS, brute_canonical_form, cycle_graph,
-                     path_graph, random_graph, star_graph)
+                            set_partitions)
+from helpers import (GRAPH6_TEXT, GRAPHS, WeightedGraph, brute_all_graphs,
+                     brute_canonical_form, contract_edge, cycle_graph,
+                     path_graph, random_graph, spanning_forests, star_graph)
 
 BELL = [1, 1, 2, 5, 15, 52, 203, 877]
 INTEGER_PARTITIONS = [1, 1, 2, 3, 5, 7, 11, 15]
@@ -180,8 +181,17 @@ class TestCanonicalForm:
 
     def test_class_counts(self):
         # numbers of isomorphism classes of simple graphs on n vertices
-        assert [len(all_graphs(n)) for n in range(7)] == [1, 1, 2, 4, 11, 34, 156]
-        assert [len(connected_graphs(n)) for n in range(1, 7)] == [1, 1, 2, 6, 21, 112]
+        assert [len(all_graphs(n)) for n in range(8)] == [1, 1, 2, 4, 11, 34, 156, 1044]
+        assert [len(connected_graphs(n)) for n in range(1, 8)] == [1, 1, 2, 6, 21, 112, 853]
+
+    def test_classes_match_orbit_sweep(self):
+        for n in range(7):
+            assert all_graphs(n) == brute_all_graphs(n)
+
+    def test_class_enumeration_cap(self):
+        for n in (-1, 8):
+            with pytest.raises(SizeLimitError):
+                all_graphs(n)
 
     def test_matches_brute_force_through_five_vertices(self):
         for n in range(6):
@@ -201,7 +211,7 @@ class TestCanonicalForm:
             assert canonical_form(g) == brute_canonical_form(g)
 
     def test_class_representatives_are_fixed_points(self):
-        # all_graphs finds each orbit minimum by marking whole orbits
+        # all_graphs returns canonical forms, so each is its own form
         for n in range(7):
             for g in all_graphs(n):
                 assert canonical_form(g) == g
@@ -329,11 +339,6 @@ class TestGraph6:
     @given(g=GRAPHS)
     def test_emit_parse_round_trip(self, g):
         assert parse_graph6(emit_graph6(g)) == g
-
-    def test_corpus_lines(self):
-        from graphkp.graphs import read_graph6_lines
-        graphs = read_graph6_lines("A_\n\nBw\n")
-        assert graphs == [Graph.from_edges(2, [(0, 1)]), cycle_graph(3)]
 
 
 class TestUnion:

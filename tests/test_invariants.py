@@ -7,14 +7,14 @@ from fractions import Fraction
 import pytest
 
 from graphkp.errors import SizeLimitError
-from graphkp.graphs import (Graph, WeightedGraph, all_graphs, canonical_form,
-                            complete_graph, disjoint_union)
-from graphkp.invariants import (UmbralCoefficients, abel, chromatic_oracle,
-                                extract_b, umbral_from_b, weighted_chromatic,
-                                weighted_chromatic_dc)
+from graphkp.graphs import (Graph, all_graphs, canonical_form, complete_graph,
+                            disjoint_union)
+from graphkp.invariants import (UmbralCoefficients, abel, extract_b,
+                                umbral_from_b, weighted_chromatic)
 from graphkp.series import evaluate, mono
-from helpers import (cycle_graph, forest_a, parse_poly, path_graph,
-                     random_graph, random_rational, star_graph, subset_w)
+from helpers import (WeightedGraph, chromatic_oracle, cycle_graph, forest_a,
+                     parse_poly, path_graph, random_graph, random_rational,
+                     star_graph, subset_w, weighted_chromatic_dc)
 
 EDGE = Graph.from_edges(2, [(0, 1)])
 

@@ -8,10 +8,10 @@ import pytest
 from graphkp import series
 from graphkp.schurkp import (character, kp1_residual, kp2_residual,
                              partitions_of, schur_combination, schur_expand,
-                             schur_one_part, schur_polynomial, target_series)
+                             schur_polynomial, target_series)
 from graphkp.series import TruncSeries, partial
 from helpers import (elimination_expand, hook_length_count, parse_poly,
-                     random_rational, schur_jacobi_trudi)
+                     random_rational, schur_jacobi_trudi, schur_one_part)
 
 
 class TestOnePartSchur:
