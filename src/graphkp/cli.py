@@ -24,8 +24,7 @@ from fractions import Fraction
 
 from graphkp import ensemble, schurkp, series
 from graphkp.errors import Graph6ParseError, SizeLimitError
-from graphkp.graphs import (Graph, aut_order, connected_graphs, emit_graph6,
-                            parse_graph6)
+from graphkp.graphs import aut_order, connected_graphs, emit_graph6, parse_graph6
 from graphkp.hopf import (coproduct, expand_in_primitives, primitive_projection)
 from graphkp.invariants import INVARIANTS
 from graphkp.series import TruncSeries

@@ -4,7 +4,10 @@ Series live in Q[x_1, x_2, ...] where the variable x_i carries weight i; they
 are printed as ``q1, q2, ...`` or ``p1, p2, ...`` depending on the series'
 variable family.  A :class:`TruncSeries` keeps the terms of weighted degree at
 most ``order`` as a sparse map from monomials to ``fractions.Fraction``
-coefficients.  All arithmetic is exact; floats are rejected outright.
+coefficients.  All arithmetic is exact; floats are rejected outright.  The
+products, exp and log run on integer numerators: with D the lcm of the
+denominators, weight w is scaled by D^w (D^(w+1) in a product, where constant
+terms may be fractions) and each result term is divided once at the end.
 
 A monomial is a tuple of ``(variable index, exponent)`` pairs sorted by
 variable index, with zero exponents never stored; the empty tuple is the
@@ -25,6 +28,7 @@ association order.
 from __future__ import annotations
 
 from fractions import Fraction
+from math import factorial, lcm, perm
 from typing import Iterable, Mapping
 
 MAX_ORDER = 12
@@ -209,12 +213,13 @@ class TruncSeries:
         if not isinstance(other, TruncSeries):
             return NotImplemented
         self._check_compatible(other)
-        right = _graded(other)
+        den, (left, right) = _graded(1, self, other)
         out = {}
-        for w, piece in enumerate(_graded(self)):
+        for w, piece in enumerate(left):
             for y in right[:self.order - w + 1]:
                 _add_product(out, piece, y)
-        return TruncSeries._raw(self.order, self.var, {m: c for m, c in out.items() if c})
+        return TruncSeries._raw(self.order, self.var, {
+            m: Fraction(c, den ** (mono_weight(m) + 2)) for m, c in out.items() if c})
 
     __rmul__ = __mul__
 
@@ -319,12 +324,16 @@ class TruncSeries:
 # -- calculus ---------------------------------------------------------------
 
 
-def _graded(a: TruncSeries) -> list[dict[Monomial, Fraction]]:
-    """The homogeneous pieces of a series, indexed by weight 0..order."""
-    pieces = [{} for _ in range(a.order + 1)]
-    for m, c in a.terms.items():
-        pieces[mono_weight(m)][m] = c
-    return pieces
+def _graded(shift: int, *series: TruncSeries) -> tuple[int, list]:
+    """D, the lcm of every denominator, and each series' pieces by weight
+    0..order, piece w as the integers D^(w + shift) A_w."""
+    den = lcm(*[c.denominator for a in series for c in a.terms.values()])
+    graded = [[{} for _ in range(a.order + 1)] for a in series]
+    for a, pieces in zip(series, graded):
+        for m, c in a.terms.items():
+            w = mono_weight(m)
+            pieces[w][m] = c.numerator * den ** (w + shift) // c.denominator
+    return den, graded
 
 
 def _add_product(acc: dict, x: dict, y: dict) -> None:
@@ -344,18 +353,22 @@ def exp(a: TruncSeries) -> TruncSeries:
     Weight by weight from the Euler recurrence: applying the weight operator
     to E = exp(A) gives n E_n = sum_{k=1}^{n} k A_k E_{n-k}, where X_n is
     the weight-n part of X and E_0 = 1.  Each step multiplies homogeneous
-    pieces and builds only the terms of weight exactly n.
+    pieces and builds only the terms of weight exactly n, on the integers
+    e_n = n! D^n E_n = sum_k k (n-1)!/(n-k)! a_k e_{n-k} with a_k = D^k A_k.
     """
     if a.constant_term:
         raise ValueError("exp requires a zero constant term")
-    scaled = [{m: k * c for m, c in piece.items()} for k, piece in enumerate(_graded(a))]
-    out = [{UNIT: Fraction(1)}]
+    den, (pieces,) = _graded(0, a)
+    out = [{UNIT: 1}]  # e_n
     for n in range(1, a.order + 1):
         acc = {}
         for k in range(1, n + 1):
-            _add_product(acc, scaled[k], out[n - k])
-        out.append({m: c / n for m, c in acc.items() if c})
-    return TruncSeries._raw(a.order, a.var, {m: c for piece in out for m, c in piece.items()})
+            f = k * perm(n - 1, k - 1)
+            _add_product(acc, {m: f * c for m, c in pieces[k].items()}, out[n - k])
+        out.append({m: c for m, c in acc.items() if c})
+    return TruncSeries._raw(a.order, a.var, {m: Fraction(c, factorial(n) * den ** n)
+                                             for n, piece in enumerate(out)
+                                             for m, c in piece.items()})
 
 
 def log(a: TruncSeries) -> TruncSeries:
@@ -364,19 +377,20 @@ def log(a: TruncSeries) -> TruncSeries:
     Weight by weight from the same recurrence solved for L = log(A):
     n L_n = n A_n - sum_{k=1}^{n-1} k L_k A_{n-k}, with L_0 = 0.  Each step
     multiplies homogeneous pieces and builds only the terms of weight
-    exactly n.
+    exactly n, on the integers l_n = D^n n L_n = n a_n - sum_{k<n} l_k a_{n-k}
+    with a_k = D^k A_k.
     """
     if a.constant_term != 1:
         raise ValueError("log requires constant term 1")
-    pieces = _graded(a)
-    minus = [{m: -c for m, c in piece.items()} for piece in pieces]
-    scaled = [{}]  # n L_n
+    den, (pieces,) = _graded(0, a)
+    out = [{}]  # l_n, with l_0 = 0
     for n in range(1, a.order + 1):
-        acc = {m: n * c for m, c in pieces[n].items()}
+        acc = {m: -n * c for m, c in pieces[n].items()}  # -l_n
         for k in range(1, n):
-            _add_product(acc, scaled[k], minus[n - k])
-        scaled.append({m: c for m, c in acc.items() if c})
-    return TruncSeries._raw(a.order, a.var, {m: c / n for n, piece in enumerate(scaled)
+            _add_product(acc, out[k], pieces[n - k])
+        out.append({m: -c for m, c in acc.items() if c})
+    return TruncSeries._raw(a.order, a.var, {m: Fraction(c, n * den ** n)
+                                             for n, piece in enumerate(out)
                                              for m, c in piece.items()})
 
 
@@ -393,17 +407,12 @@ def partial(a: TruncSeries, var_index: int, times: int = 1) -> TruncSeries:
     new_order = max(0, a.order - times * var_index)
     out: dict[Monomial, Fraction] = {}
     for m, c in a.terms.items():
-        exps = dict(m)
-        e = exps.get(var_index, 0)
-        if e < times:
-            continue
-        for t in range(times):
-            c = c * (e - t)
-        if e > times:
-            exps[var_index] = e - times
-        else:
-            del exps[var_index]
-        out[tuple(sorted(exps.items()))] = c
+        for j, (var, e) in enumerate(m):
+            if var == var_index and e >= times:
+                f = perm(e, times)
+                # repeating the pair False times drops it: zero exponents are never stored
+                key = m[:j] + ((var, e - times),) * (e > times) + m[j + 1:]
+                out[key] = c * f if f > 1 else c
     return TruncSeries._raw(new_order, a.var, out)
 
 

@@ -3,6 +3,9 @@ the package computes one way, kept here only to check it.
 
 * Builders and generators: small graph families, a polynomial text parser
   for frozen expected values, random series and graph6 strategies.
+* Series kernel oracles: the product, exp, log and partial derivative with
+  one Fraction operation per coefficient step, the oracles for the kernels
+  that run on integer numerators over a common denominator.
 * Per-graph oracles for the umbral assembly: the edge-subset expansion of W,
   the spanning-forest sum of A, deletion-contraction of W on vertex-weighted
   graphs, and brute-force proper colorings.
@@ -35,7 +38,8 @@ from graphkp.graphs import (MAX_VERTICES, SLOT_ENDPOINTS, Graph, _bit_indices,
 from graphkp.hopf import GraphSum
 from graphkp.invariants import INVARIANTS
 from graphkp.schurkp import _p_monomial, _z, partitions_of
-from graphkp.series import DEFAULT_ORDER, TruncSeries, exp, mono
+from graphkp.series import (DEFAULT_ORDER, TruncSeries, _add_product, exp, mono,
+                            mono_weight)
 
 
 def path_graph(n: int) -> Graph:
@@ -126,6 +130,74 @@ def random_rational(rng: random.Random, lo: int = -9, hi: int = 9,
         value = Fraction(rng.randint(lo, hi), rng.randint(1, 9))
         if value or not nonzero:
             return value
+
+
+# -- series kernel oracles ------------------------------------------------------
+
+
+def _fraction_graded(a: TruncSeries) -> list[dict]:
+    pieces = [{} for _ in range(a.order + 1)]
+    for m, c in a.terms.items():
+        pieces[mono_weight(m)][m] = c
+    return pieces
+
+
+def fraction_mul(a: TruncSeries, b: TruncSeries) -> TruncSeries:
+    """a * b by products of homogeneous pieces, one Fraction per term product."""
+    assert (a.order, a.var) == (b.order, b.var)
+    right = _fraction_graded(b)
+    out = {}
+    for w, piece in enumerate(_fraction_graded(a)):
+        for y in right[:a.order - w + 1]:
+            _add_product(out, piece, y)
+    return TruncSeries(a.order, a.var, out)
+
+
+def fraction_exp(a: TruncSeries) -> TruncSeries:
+    """exp(a) by n E_n = sum_k k A_k E_{n-k} on Fraction coefficients."""
+    assert not a.constant_term
+    scaled = [{m: k * c for m, c in piece.items()}
+              for k, piece in enumerate(_fraction_graded(a))]
+    out = [{(): Fraction(1)}]
+    for n in range(1, a.order + 1):
+        acc = {}
+        for k in range(1, n + 1):
+            _add_product(acc, scaled[k], out[n - k])
+        out.append({m: c / n for m, c in acc.items() if c})
+    return TruncSeries(a.order, a.var, {m: c for piece in out for m, c in piece.items()})
+
+
+def fraction_log(a: TruncSeries) -> TruncSeries:
+    """log(a) by n L_n = n A_n - sum_k k L_k A_{n-k} on Fraction coefficients."""
+    assert a.constant_term == 1
+    pieces = _fraction_graded(a)
+    minus = [{m: -c for m, c in piece.items()} for piece in pieces]
+    scaled = [{}]  # n L_n
+    for n in range(1, a.order + 1):
+        acc = {m: n * c for m, c in pieces[n].items()}
+        for k in range(1, n):
+            _add_product(acc, scaled[k], minus[n - k])
+        scaled.append({m: c for m, c in acc.items() if c})
+    return TruncSeries(a.order, a.var, {m: c / n for n, piece in enumerate(scaled)
+                                        for m, c in piece.items()})
+
+
+def fraction_partial(a: TruncSeries, var_index: int, times: int = 1) -> TruncSeries:
+    """d^times/d(x_var_index)^times, one falling-factorial step at a time."""
+    out = {}
+    for m, c in a.terms.items():
+        exps = dict(m)
+        e = exps.get(var_index, 0)
+        if e < times:
+            continue
+        for t in range(times):
+            c = c * (e - t)
+        if e > times:
+            exps[var_index] = e - times
+        else:
+            del exps[var_index]
+        out[tuple(sorted(exps.items()))] = c
+    return TruncSeries(max(0, a.order - times * var_index), a.var, out)
 
 
 # -- per-graph oracles ----------------------------------------------------------

@@ -2,6 +2,9 @@
 
 import io
 import json
+import os
+import subprocess
+import sys
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
@@ -9,6 +12,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+import graphkp
 from graphkp.cli import main
 from helpers import GRAPH6_TEXT
 
@@ -191,6 +195,25 @@ def test_hopf_graph6_exit_contract(text, op):
         rc = main(["hopf", "--op", op, f"--graph6={text}"])
     assert rc in (0, 2, 3)
     assert (rc == 0) == (err.getvalue() == "")
+
+
+#: Standard-library modules ``import graphkp.cli`` may load beyond what the
+#: interpreter has at start-up.  Every CLI run pays for each module on this
+#: list in start-up time and memory, so growing it is a deliberate choice.
+CLI_IMPORT_ALLOWLIST = {"__future__", "argparse", "gettext", "json", "_json",
+                        "fractions", "decimal", "_decimal", "numbers"}
+
+
+def test_cli_import_footprint():
+    code = ("import sys; before = set(sys.modules); import graphkp.cli; "
+            "print(*sorted(set(sys.modules) - before))")
+    env = {**os.environ, "PYTHONPATH": str(Path(graphkp.__file__).parents[1])}
+    added = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                           text=True, check=True).stdout.split()
+    assert "graphkp.cli" in added
+    stray = [m for m in added if m not in CLI_IMPORT_ALLOWLIST
+             and m.partition(".")[0] not in ("graphkp", "json")]
+    assert stray == []
 
 
 def test_kp_check_builtins_pass(capsys):

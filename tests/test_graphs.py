@@ -188,6 +188,12 @@ class TestCanonicalForm:
         for n in range(7):
             assert all_graphs(n) == brute_all_graphs(n)
 
+    def test_enumeration_leaves_canonical_cache_empty(self):
+        all_graphs.cache_clear()
+        canonical_form.cache_clear()
+        all_graphs(6)
+        assert canonical_form.cache_info().currsize == 0
+
     def test_class_enumeration_cap(self):
         for n in (-1, 8):
             with pytest.raises(SizeLimitError):

@@ -6,7 +6,8 @@ import pytest
 
 from graphkp.series import (MAX_ORDER, TruncSeries, evaluate, exp, log, mono,
                             partial, substitute)
-from helpers import parse_poly, random_series
+from helpers import (fraction_exp, fraction_log, fraction_mul, fraction_partial,
+                     parse_poly, random_rational, random_series)
 
 
 def q(i, order=7):
@@ -194,7 +195,6 @@ class TestRingLaws:
             assert exp(log(1 + a)) == 1 + a
 
     def test_substitute_is_ring_homomorphism(self, rng):
-        from helpers import random_rational
         for _ in range(25):
             order = rng.randint(2, 6)
             a = random_series(rng, order)
@@ -221,6 +221,40 @@ class TestRingLaws:
         for coeff in (a * b + a).terms.values():
             assert isinstance(coeff, Fraction)
             assert coeff.denominator > 0
+
+
+class TestKernelsMatchFractionOracles:
+    """The integer-numerator kernels equal the per-term Fraction versions
+    exactly, term for term and in their truncation order."""
+
+    @staticmethod
+    def _cases(rng, order, var):
+        # random_series draws constant terms only when pinned (and no terms at
+        # all at order 0), so the fractional constants that a product must not
+        # scale away are drawn here
+        yield TruncSeries.zero(order, var)
+        yield TruncSeries.constant(Fraction(-7, 3), order, var)
+        for _ in range(4 if order else 0):
+            yield random_series(rng, order, var, max_terms=8,
+                                constant=random_rational(rng, nonzero=True))
+
+    @staticmethod
+    def _same(got, want):
+        assert (got.order, got.var, got.terms) == (want.order, want.var, want.terms)
+
+    @pytest.mark.parametrize("var", ["q", "p"])
+    def test_every_order(self, rng, var):
+        for order in range(MAX_ORDER + 1):
+            cases = list(self._cases(rng, order, var))
+            for a in cases:
+                for b in cases:
+                    self._same(a * b, fraction_mul(a, b))
+                shifted = a - a.constant_term
+                self._same(exp(shifted), fraction_exp(shifted))
+                self._same(log(shifted + 1), fraction_log(shifted + 1))
+                for v in range(1, 5):
+                    for times in range(1, 4):
+                        self._same(partial(a, v, times), fraction_partial(a, v, times))
 
 
 class TestRendering:
