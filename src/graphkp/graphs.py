@@ -1,6 +1,6 @@
 """Labeled simple graphs with bitset edge storage, plus the enumeration
 primitives the rest of the package consumes: connected components, set
-partitions, automorphism counting, canonical forms and the isomorphism
+partitions, canonical forms, automorphism counts and the isomorphism
 classes built on them, the table of canonical induced subgraphs and the
 set-partition assembly over vertex subsets, and graph6 parsing/emission.
 
@@ -10,9 +10,10 @@ Edge slots.  The vertex pairs (i, j) with i < j are numbered in colex order
 
 so ``slot(i, j) = j*(j-1)//2 + i``.  This single slot order is shared by the
 edge bitsets, graph6 encoding, canonical forms and subset enumeration, so
-bitsets move between all of them without translation.  Canonical forms, the
-least bitset over all relabelings, come from a search with twin pruning, and
-the isomorphism classes are enumerated by extending and canonicalizing.
+bitsets move between all of them without translation.  One branch and bound
+with twin classes finds the canonical form, the least bitset over all
+relabelings, and counts the relabelings that reach it, |Aut|; the
+isomorphism classes are enumerated by extending and canonicalizing.
 """
 
 from __future__ import annotations
@@ -186,85 +187,58 @@ def set_partitions(n: int) -> Iterator[SetPartition]:
     yield from rec(1, 0)
 
 
-# -- automorphisms and canonical forms ---------------------------------------
+# -- isomorphism: canonical forms and automorphism counts --------------------
 
 
-def aut_order(g: Graph) -> int:
-    """Order of the automorphism group, by backtracking over vertex images
-    with degree pruning."""
-    n = g.n
-    if n > 10:
-        raise SizeLimitError(f"automorphism counting capped at 10 vertices, got {n}")
-    if n <= 1:
-        return 1
-    masks = g.adjacency_masks()
-    deg = [m.bit_count() for m in masks]
-    perm = [0] * n
-    used = [False] * n
-    count = 0
-
-    def place(i: int) -> None:
-        nonlocal count
-        if i == n:
-            count += 1
-            return
-        row = masks[i]
-        for v in range(n):
-            if used[v] or deg[v] != deg[i]:
-                continue
-            vrow = masks[v]
-            if all((row >> j & 1) == (vrow >> perm[j] & 1) for j in range(i)):
-                used[v] = True
-                perm[i] = v
-                place(i + 1)
-                used[v] = False
-
-    place(0)
-    return count
-
-
-@lru_cache(maxsize=None)
-def canonical_form(g: Graph) -> Graph:
-    """Isomorphism-invariant representative: the relabeling minimizing the edge
-    bitset, by branch and bound.
+def _search(g: Graph) -> tuple[int, int]:
+    """The least edge bitset over all relabelings, and the number of
+    relabelings that reach it, i.e. |Aut(g)|, by one branch and bound.
 
     Row r_j (slots (i, j), i < j) weighs r_j << C(j,2), so labels go out from
     n-1 down.  The unlabeled vertices sit in cells that are label intervals,
     top cell first.  Label j goes to a top-cell vertex y whose neighbours take
     the low end of each cell: its row is the sum of (2**k - 1) << lo over
     cells holding k of them.  Each least-row y splits every cell into
-    non-neighbours (above) and neighbours (below), unless it is a twin of one
-    tried (N(u) - v == N(v) - u: the swap fixes every label so far).  Branches
-    whose rows exceed the best leaf are cut."""
+    non-neighbours (above) and neighbours (below).  Twins (N(u) - v ==
+    N(v) - u) form classes, and swapping two fixes every label so far, so
+    only the first of a class is tried and its leaves count class-size
+    times.  Branches whose rows exceed the best leaf are cut; ties are not,
+    so the leaves that reach the least bitset count every automorphism."""
     n = g.n
-    m = n * (n - 1) // 2
-    if n <= 2 or g.edges == 0 or g.edges == (1 << m) - 1:
-        return g
+    if not n:
+        return 0, 1
     adj = g.adjacency_masks()
-    best = 1 << m
+    # twin[v]: first vertex of v's twin class.  Twins share their open or
+    # their closed neighbourhood, and an open one never equals a closed one.
+    first: dict[int, int] = {}
+    twin = []
+    for v, a in enumerate(adj):
+        rep = first.get(a, first.get(a | 1 << v, v))
+        first[a] = first[a | 1 << v] = rep
+        twin.append(rep)
+    best = 1 << n * (n - 1) // 2
+    count = 0
 
-    def search(cells: list, j: int, bits: int) -> None:
+    def search(cells: list, j: int, bits: int, mult: int) -> None:
         # cells: (lowest label, vertex mask), top cell first
-        nonlocal best
+        nonlocal best, count
         if not j:
-            best = bits
+            if bits < best:
+                best, count = bits, 0
+            count += mult
             return
-        rows: dict[int, list[int]] = {}
+        rows: dict[int, dict[int, list[int]]] = {}
         for y in _bit_indices(cells[0][1]):
             row = 0
             for lo, cell in cells:
                 row |= ((1 << (adj[y] & cell).bit_count()) - 1) << lo
-            rows.setdefault(row, []).append(y)
+            rows.setdefault(row, {}).setdefault(twin[y], []).append(y)
         least = min(rows)
         shift = j * (j - 1) // 2
         bits |= least << shift
         if bits >> shift > best >> shift:
             return
-        tried: list[int] = []
-        for y in rows[least]:
-            if any(not (adj[u] ^ adj[y]) & ~(1 << u | 1 << y) for u in tried):
-                continue
-            tried.append(y)
+        for y, *twins in rows[least].values():
             split = []
             for lo, cell in cells:
                 cell &= ~(1 << y)
@@ -273,10 +247,22 @@ def canonical_form(g: Graph) -> Graph:
                     split.append((lo + below.bit_count(), cell ^ below))
                 if below:
                     split.append((lo, below))
-            search(split, j - 1, bits)
+            search(split, j - 1, bits, mult * (1 + len(twins)))
 
-    search([(0, (1 << n) - 1)], n - 1, 0)
-    return Graph(n, best)
+    search([(0, (1 << n) - 1)], n - 1, 0, 1)
+    return best, count
+
+
+def aut_order(g: Graph) -> int:
+    """Order of the automorphism group, counted by the canonical search."""
+    return _search(g)[1]
+
+
+@lru_cache(maxsize=None)
+def canonical_form(g: Graph) -> Graph:
+    """Isomorphism-invariant representative: the relabeling minimizing the edge
+    bitset, found by the branch and bound of :func:`_search`."""
+    return Graph(g.n, _search(g)[0])
 
 
 @lru_cache(maxsize=None)
@@ -289,15 +275,17 @@ def all_graphs(n: int) -> tuple[Graph, ...]:
     all_graphs(n-1) with a row of edges to the new vertex on top: extend,
     then deduplicate (the plain form of McKay, "Isomorph-free exhaustive
     generation").  Capped at n = 7 by cost: n = 7 takes about 0.7 s and
-    n = 8 about 11 s.  The extensions bypass canonical_form's unbounded cache.
+    n = 8 about 11 s.  The extensions go to the search directly and leave
+    canonical_form's cache alone.
     """
     if not 0 <= n <= 7:
         raise SizeLimitError(f"exhaustive enumeration supported for 0 <= n <= 7, got {n}")
     if not n:
         return (Graph(0),)
     shift = (n - 1) * (n - 2) // 2
-    return tuple(sorted({canonical_form.__wrapped__(Graph(n, g.edges | row << shift))
-                         for g in all_graphs(n - 1) for row in range(1 << (n - 1))}))
+    forms = {_search(Graph(n, g.edges | row << shift))[0]
+             for g in all_graphs(n - 1) for row in range(1 << (n - 1))}
+    return tuple(Graph(n, bits) for bits in sorted(forms))
 
 
 def connected_graphs(n: int) -> tuple[Graph, ...]:

@@ -145,11 +145,10 @@ def extract_b(which: str, g: Graph) -> Fraction:
 
 
 class UmbralCoefficients(NamedTuple):
-    """Primitive coefficients b_G for connected canonical graphs up to a vertex
-    bound; by convention b is zero on disconnected graphs."""
+    """Primitive coefficients b_G for connected canonical graphs; by
+    convention b is zero on disconnected graphs."""
 
     values: dict[Graph, Fraction]
-    bound: int
 
     @classmethod
     def from_invariant(cls, which: str, bound: int) -> "UmbralCoefficients":
@@ -157,7 +156,7 @@ class UmbralCoefficients(NamedTuple):
         for n in range(1, bound + 1):
             for g in connected_graphs(n):
                 values[g] = extract_b(which, g)
-        return cls(values, bound)
+        return cls(values)
 
     def lookup(self, g: Graph) -> Fraction:
         """b for a canonical connected graph; zero if disconnected."""

@@ -48,7 +48,7 @@ from fractions import Fraction
 from functools import lru_cache
 from math import factorial, lcm
 
-from graphkp.series import DEFAULT_ORDER, Monomial, TruncSeries, partial
+from graphkp.series import DEFAULT_ORDER, Monomial, TruncSeries, _fraction, partial
 
 Partition = tuple[int, ...]
 
@@ -142,7 +142,7 @@ def schur_combination(coeffs, order: int = DEFAULT_ORDER) -> TruncSeries:
         weight = sum(lam)
         if weight > order:
             raise ValueError(f"|lambda| = {weight} exceeds truncation order {order}")
-        c = Fraction(c)
+        c = _fraction(c)
         for mu in partitions_of(weight):
             chi = character(lam, mu)
             if chi and c:

@@ -10,9 +10,10 @@ the package computes one way, kept here only to check it.
   the spanning-forest sum of A, deletion-contraction of W on vertex-weighted
   graphs, and brute-force proper colorings.
 * The set-partition sum, the oracle for the primitive projection.
-* Isomorphism by brute force: the minimum over all relabelings, the oracle
-  for the canonical-form search, and the orbit sweep over all labeled graphs,
-  the oracle for the class enumeration.
+* Isomorphism by brute force: a backtracker over vertex images, the oracle
+  for the automorphism count; the minimum over all relabelings, the oracle
+  for the canonical-form search; and the orbit sweep over all labeled
+  graphs, the oracle for the class enumeration.
 * Graph-level oracles for the ensemble pieces: the edge-subset sweep over
   K_k and the sums over isomorphism classes.
 * Schur oracles for the character-based Schur functions and Schur
@@ -103,9 +104,10 @@ def parse_poly(text: str, order: int, var: str = "q") -> TruncSeries:
 
 def random_series(rng: random.Random, order: int, var: str = "q",
                   max_terms: int = 6, constant=None) -> TruncSeries:
-    """Random sparse series; ``constant`` pins the constant term if given."""
+    """Random sparse series; ``constant`` pins the constant term if given.
+    At order 0 no monomial fits, so the series is empty or constant-only."""
     terms: dict = {}
-    for _ in range(rng.randint(0, max_terms)):
+    for _ in range(rng.randint(0, max_terms) if order else 0):
         exps: dict[int, int] = {}
         budget = rng.randint(1, order)
         while budget:
@@ -392,6 +394,40 @@ def partition_primitive(g: Graph) -> GraphSum:
     return GraphSum(terms)
 
 
+def brute_aut_order(g: Graph) -> int:
+    """Order of the automorphism group, by backtracking over vertex images
+    with degree pruning."""
+    n = g.n
+    if n > 10:
+        raise SizeLimitError(f"automorphism counting capped at 10 vertices, got {n}")
+    if n <= 1:
+        return 1
+    masks = g.adjacency_masks()
+    deg = [m.bit_count() for m in masks]
+    perm = [0] * n
+    used = [False] * n
+    count = 0
+
+    def place(i: int) -> None:
+        nonlocal count
+        if i == n:
+            count += 1
+            return
+        row = masks[i]
+        for v in range(n):
+            if used[v] or deg[v] != deg[i]:
+                continue
+            vrow = masks[v]
+            if all((row >> j & 1) == (vrow >> perm[j] & 1) for j in range(i)):
+                used[v] = True
+                perm[i] = v
+                place(i + 1)
+                used[v] = False
+
+    place(0)
+    return count
+
+
 def brute_canonical_form(g: Graph) -> Graph:
     """Isomorphism-invariant representative: the relabeling minimizing the edge
     bitset.  Brute force over all vertex permutations with a monotone early
@@ -554,9 +590,9 @@ def swept_constants(which: str, n_max: int) -> list[Fraction]:
 def isoclass_series(which: str, k: int, order: int = DEFAULT_ORDER) -> TruncSeries:
     """Weight-k piece computed the definitional way: sum I_G / |Aut(G)| over
     the isomorphism classes of k-vertex graphs from :func:`all_graphs`.
-    Deliberately independent of the partition formula; capped at k = 5."""
-    if not 1 <= k <= 5:
-        raise SizeLimitError(f"iso-class sums capped at 5 vertices, got {k}")
+    Deliberately independent of the partition formula; capped at k = 7."""
+    if not 1 <= k <= 7:
+        raise SizeLimitError(f"iso-class sums capped at 7 vertices, got {k}")
     invariant = INVARIANTS[which]
     total = TruncSeries.zero(order, "q")
     for g in all_graphs(k):

@@ -57,12 +57,12 @@ class TestDoubleCounting:
     @pytest.mark.parametrize("which", ["W", "A"])
     def test_swept_sums_match_isoclass_sums(self, which):
         fn = ensemble_w if which == "W" else ensemble_a
-        for k in range(1, 5):
-            assert fn(k, 5) == isoclass_series(which, k, 5), (which, k)
+        for k in range(1, 8):
+            assert fn(k, 7) == isoclass_series(which, k, 7), (which, k)
 
     def test_isoclass_cap(self):
         with pytest.raises(SizeLimitError):
-            isoclass_series("W", 6, 6)
+            isoclass_series("W", 8, 8)
 
 
 class TestConstants:

@@ -16,8 +16,9 @@ from graphkp.graphs import (Graph, all_graphs, assemble_partitions, aut_order,
                             emit_graph6, is_connected, parse_graph6,
                             set_partitions)
 from helpers import (GRAPH6_TEXT, GRAPHS, WeightedGraph, brute_all_graphs,
-                     brute_canonical_form, contract_edge, cycle_graph,
-                     path_graph, random_graph, spanning_forests, star_graph)
+                     brute_aut_order, brute_canonical_form, contract_edge,
+                     cycle_graph, path_graph, random_graph, spanning_forests,
+                     star_graph)
 
 BELL = [1, 1, 2, 5, 15, 52, 203, 877]
 INTEGER_PARTITIONS = [1, 1, 2, 3, 5, 7, 11, 15]
@@ -42,6 +43,18 @@ def icosahedron() -> Graph:
                             + [(i, i % 5 + 6) for i in range(1, 6)]
                             + [(a + 5, b + 5) for a, b in ring]
                             + [(11, i) for i in range(6, 11)])
+
+
+def symmetric_twelve_vertex_graphs() -> list[tuple[Graph, int]]:
+    """Pairwise non-isomorphic 12-vertex graphs with large automorphism
+    groups, each with |Aut|: 6K2, 4K3, 3C4, 2C6, C12, the 3x4 rook graph,
+    the icosahedron, then their complements (same groups)."""
+    rook = Graph.from_edges(12, [(a, b) for a in range(12) for b in range(a + 1, 12)
+                                 if a // 4 == b // 4 or a % 4 == b % 4])
+    family = [(copies(complete_graph(2), 6), 46080), (copies(complete_graph(3), 4), 31104),
+              (copies(cycle_graph(4), 3), 3072), (copies(cycle_graph(6), 2), 288),
+              (cycle_graph(12), 24), (rook, 144), (icosahedron(), 120)]
+    return family + [(complement(g), aut) for g, aut in family]
 
 
 class TestSlots:
@@ -152,9 +165,16 @@ class TestAutomorphisms:
                 orbit = {g.relabel(p).edges for p in itertools.permutations(range(n))}
                 assert len(orbit) * aut_order(g) == math.factorial(n)
 
-    def test_size_cap(self):
-        with pytest.raises(SizeLimitError):
-            aut_order(Graph(11))
+    def test_symmetric_twelve_vertex_graphs(self):
+        for g, aut in symmetric_twelve_vertex_graphs():
+            assert aut_order(g) == aut, g
+        assert aut_order(complete_graph(12)) == aut_order(Graph(12)) == math.factorial(12)
+
+    def test_labeled_graphs_counted_by_classes(self):
+        # each class holds n! / |Aut| labeled graphs, and there are 2**C(n,2)
+        for n in range(8):
+            total = sum(math.factorial(n) // aut_order(g) for g in all_graphs(n))
+            assert total == 2 ** (n * (n - 1) // 2), n
 
 
 class TestCanonicalForm:
@@ -204,6 +224,7 @@ class TestCanonicalForm:
             for bits in range(1 << n * (n - 1) // 2):
                 g = Graph(n, bits)
                 assert canonical_form(g) == brute_canonical_form(g)
+                assert aut_order(g) == brute_aut_order(g)
 
     def test_matches_brute_force_on_seeded_graphs(self, rng):
         graphs = [random_graph(rng, n, p) for n in range(6, 9)
@@ -223,12 +244,7 @@ class TestCanonicalForm:
                 assert canonical_form(g) == g
 
     def test_symmetric_twelve_vertex_graphs(self, rng):
-        rook = Graph.from_edges(12, [(a, b) for a in range(12) for b in range(a + 1, 12)
-                                     if a // 4 == b // 4 or a % 4 == b % 4])
-        family = [copies(complete_graph(2), 6), copies(complete_graph(3), 4),
-                  copies(cycle_graph(4), 3), copies(cycle_graph(6), 2),
-                  cycle_graph(12), rook, icosahedron()]
-        family += [complement(g) for g in family]
+        family = [g for g, _ in symmetric_twelve_vertex_graphs()]
         forms = set()
         for g in family:
             canon = canonical_form(g)
@@ -252,8 +268,11 @@ class TestCanonicalForm:
         assert (canon.n, canon.num_edges) == (g.n, g.num_edges)
         assert canonical_form(canon) == canon
         assert canonical_form(g.relabel(perm)) == canon
+        aut = aut_order(g)
+        assert aut_order(g.relabel(perm)) == aut
         if g.n <= 7:
             assert canon == brute_canonical_form(g)
+            assert aut == brute_aut_order(g)
 
 
 class TestContraction:

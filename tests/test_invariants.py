@@ -203,19 +203,19 @@ class TestChromaticOracle:
 
 class TestUmbral:
     def test_single_vertex(self):
-        coeffs = UmbralCoefficients({Graph(1): Fraction(1)}, 1)
+        coeffs = UmbralCoefficients({Graph(1): Fraction(1)})
         assert umbral_from_b(Graph(1), coeffs, 4) == parse_poly("q1", 4)
 
     def test_single_edge_reproduces_w_and_a(self):
         w_coeffs = UmbralCoefficients(
-            {Graph(1): Fraction(1), canonical_form(EDGE): Fraction(1)}, 2)
+            {Graph(1): Fraction(1), canonical_form(EDGE): Fraction(1)})
         assert umbral_from_b(EDGE, w_coeffs, 4) == parse_poly("q1^2 + q2", 4)
         a_coeffs = UmbralCoefficients(
-            {Graph(1): Fraction(1), canonical_form(EDGE): Fraction(2)}, 2)
+            {Graph(1): Fraction(1), canonical_form(EDGE): Fraction(2)})
         assert umbral_from_b(EDGE, a_coeffs, 4) == parse_poly("q1^2 + 2 q2", 4)
 
     def test_missing_coefficient_raises(self):
-        coeffs = UmbralCoefficients({Graph(1): Fraction(1)}, 1)
+        coeffs = UmbralCoefficients({Graph(1): Fraction(1)})
         with pytest.raises(ValueError):
             umbral_from_b(cycle_graph(3), coeffs, 4)
 

@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import pytest
 
+from graphkp.schurkp import schur_combination
 from graphkp.series import (MAX_ORDER, TruncSeries, evaluate, exp, log, mono,
                             partial, substitute)
 from helpers import (fraction_exp, fraction_log, fraction_mul, fraction_partial,
@@ -28,6 +29,10 @@ class TestConstruction:
     def test_floats_rejected(self):
         with pytest.raises(TypeError):
             TruncSeries(4, "q", {mono({1: 1}): 0.5})
+
+    def test_floats_rejected_in_schur_combinations(self):
+        with pytest.raises(TypeError):
+            schur_combination({(1,): 0.1}, 2)
 
     def test_equality_compares_order(self):
         assert TruncSeries.one(3, "q") != TruncSeries.one(7, "q")
@@ -229,12 +234,11 @@ class TestKernelsMatchFractionOracles:
 
     @staticmethod
     def _cases(rng, order, var):
-        # random_series draws constant terms only when pinned (and no terms at
-        # all at order 0), so the fractional constants that a product must not
-        # scale away are drawn here
+        # random_series draws constant terms only when pinned, so the
+        # fractional constants that a product must not scale away are drawn here
         yield TruncSeries.zero(order, var)
         yield TruncSeries.constant(Fraction(-7, 3), order, var)
-        for _ in range(4 if order else 0):
+        for _ in range(4):
             yield random_series(rng, order, var, max_terms=8,
                                 constant=random_rational(rng, nonzero=True))
 
