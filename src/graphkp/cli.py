@@ -12,7 +12,7 @@ Subcommands:
 
 Output is deterministic plain text by default; JSON and CSV sit behind
 ``--format``.  Exit codes: 0 success, 1 nonzero KP residual, 2 malformed
-input, 3 size cap exceeded.
+input, 3 size cap exceeded.  ``--help`` lists the size caps.
 """
 
 from __future__ import annotations
@@ -23,7 +23,7 @@ import sys
 from fractions import Fraction
 
 from graphkp import ensemble, schurkp, series
-from graphkp.errors import Graph6ParseError, SizeLimitError
+from graphkp.errors import LIMITS, Graph6ParseError, SizeLimitError, check_limit
 from graphkp.graphs import aut_order, connected_graphs, emit_graph6, parse_graph6
 from graphkp.hopf import (coproduct, expand_in_primitives, primitive_projection)
 from graphkp.invariants import INVARIANTS
@@ -36,9 +36,12 @@ EXIT_SIZE = 3
 
 
 def _build_parser() -> argparse.ArgumentParser:
+    caps = [f"  {name:<22}{cap:>3}  {what}" for name, (cap, what) in LIMITS.items()]
     parser = argparse.ArgumentParser(
         prog="graphkp",
-        description="Exact graph polynomial invariants and KP tau-function checks.")
+        description="Exact graph polynomial invariants and KP tau-function checks.",
+        epilog="\n".join(["size caps (a larger value exits 3):", *caps]),
+        formatter_class=argparse.RawDescriptionHelpFormatter)
     sub = parser.add_subparsers(dest="command", required=True)
 
     def add_common(p, which=True, order=True, fmt=("text", "json")):
@@ -96,13 +99,6 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _check_order(args) -> int:
-    order = args.order
-    if not 1 <= order <= series.MAX_ORDER:
-        raise SizeLimitError(f"--order must be in [1, {series.MAX_ORDER}], got {order}")
-    return order
-
-
 def _emit_series(s: TruncSeries, fmt: str) -> None:
     if fmt == "json":
         print(json.dumps(s.to_json_obj(), indent=2))
@@ -115,7 +111,7 @@ def _plan(which: str, order: int) -> dict[int, Fraction]:
 
 
 def _cmd_invariant(args) -> int:
-    order = _check_order(args)
+    order = check_limit("order", args.order, low=1)
     fn = INVARIANTS[args.which]
     if args.graph6 is not None:
         _emit_series(fn(parse_graph6(args.graph6), order), args.format)
@@ -133,7 +129,7 @@ def _cmd_invariant(args) -> int:
 
 
 def _cmd_series(args) -> int:
-    order = _check_order(args)
+    order = check_limit("order", args.order, low=1)
     full = ensemble.full_series(args.which, order)
     out = ensemble.connected_part(full) if args.sum == "connected" else full
     if args.rescaled:
@@ -143,8 +139,7 @@ def _cmd_series(args) -> int:
 
 
 def _cmd_constants(args) -> int:
-    if not 1 <= args.max_n <= series.MAX_ORDER:
-        raise SizeLimitError(f"--max-n must be in [1, {series.MAX_ORDER}]")
+    check_limit("order", args.max_n, low=1)
     constants = ensemble.rescale_constants(args.which, args.max_n)
     plan = ensemble.make_plan(constants)
     if args.format == "json":
@@ -158,7 +153,7 @@ def _cmd_constants(args) -> int:
 
 
 def _cmd_rescale(args) -> int:
-    order = _check_order(args)
+    order = check_limit("order", args.order, low=1)
     plan = _plan(args.which, order)
     if args.graph6 is not None:
         poly = INVARIANTS[args.which](parse_graph6(args.graph6), order)
@@ -170,7 +165,7 @@ def _cmd_rescale(args) -> int:
 
 
 def _cmd_kp_check(args) -> int:
-    order = _check_order(args)
+    order = check_limit("order", args.order, low=1)
     if args.input is not None:
         with open(args.input, encoding="ascii") as handle:
             try:
@@ -208,8 +203,7 @@ def _cmd_kp_check(args) -> int:
 
 
 def _cmd_tables(args) -> int:
-    if not 1 <= args.max_n <= 6:
-        raise SizeLimitError("--max-n must be in [1, 6] for tables")
+    check_limit("tables", args.max_n, low=1)
     names = ("W", "A") if args.which == "both" else (args.which,)
     sep = "," if args.format == "csv" else "\t"
     for which in names:

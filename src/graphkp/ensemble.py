@@ -45,9 +45,9 @@ from fractions import Fraction
 from math import comb, factorial
 
 from graphkp import series
-from graphkp.errors import SizeLimitError
+from graphkp.errors import check_limit
 from graphkp.schurkp import partitions_of
-from graphkp.series import DEFAULT_ORDER, MAX_ORDER, TruncSeries, mono
+from graphkp.series import DEFAULT_ORDER, TruncSeries, mono
 
 # -- rescaling constants -------------------------------------------------------
 
@@ -88,8 +88,7 @@ _CONSTANTS = {"W": c_recursion, "A": abel_constants}
 
 
 def _piece(which: str, k: int, order: int) -> TruncSeries:
-    if not 1 <= k <= MAX_ORDER:
-        raise SizeLimitError(f"ensemble pieces supported for 1 <= k <= {MAX_ORDER}, got {k}")
+    check_limit("order", k, low=1)
     if k > order:
         raise ValueError(f"weight-{k} piece does not fit truncation order {order}")
     consts = _CONSTANTS[which](k)

@@ -1,4 +1,6 @@
-"""Shared exception types for size caps and input parsing."""
+"""Shared exception types, and the one table of size caps."""
+
+from typing import NamedTuple
 
 
 class SizeLimitError(ValueError):
@@ -11,3 +13,37 @@ class Graph6ParseError(ValueError):
     def __init__(self, message: str, offset: int):
         super().__init__(f"{message} (byte {offset})")
         self.offset = offset
+
+
+class Limit(NamedTuple):
+    cap: int
+    what: str
+
+
+#: Every user-facing size cap; ``graphkp --help`` prints it.  A cap stays only where one
+#: size more takes over 1 s, or a representation fixes it.  Beside each: the slowest of K_n,
+#: edgeless and seeded random graphs at the cap and one above (Python 3.11, 2-core Xeon).
+LIMITS = {
+    # the edge-slot table ends at K_12; W or A on 12 vertices: 0.26 s
+    "vertices": Limit(12, "vertex count"),
+    # the vertex cap, so any graph's polynomial fits; kp-check: 0.03 s, 13: 0.04 s
+    "order": Limit(12, "truncation order"),
+    # n = 7: 0.60 s; n = 8: 10.2 s
+    "all_graphs": Limit(7, "vertex count for all_graphs"),
+    # --max-n 6: 0.23 s; 7: 2.8 s
+    "tables": Limit(6, "tables --max-n"),
+    # 10 vertices: 0.34 s; 11: 1.7 s
+    "primitive_projection": Limit(10, "vertex count for hopf --op primitive"),
+    # 9 vertices: 0.35 s (21,147 lines); 10: 2.1 s
+    "expand_in_primitives": Limit(9, "vertex count for hopf --op expand"),
+    # 11 vertices: 0.58 s; 12: 1.9 s
+    "umbral_from_b": Limit(11, "vertex count for umbral_from_b"),
+}
+
+
+def check_limit(name: str, value: int, low: int = 0) -> int:
+    """Return ``value`` if it lies in [low, LIMITS[name].cap], else raise SizeLimitError."""
+    cap, what = LIMITS[name]
+    if not low <= value <= cap:
+        raise SizeLimitError(f"{what} must be in [{low}, {cap}], got {value}")
+    return value

@@ -23,9 +23,9 @@ from collections import namedtuple
 from functools import lru_cache
 from typing import Iterator, Sequence
 
-from graphkp.errors import Graph6ParseError, SizeLimitError
+from graphkp.errors import LIMITS, Graph6ParseError, SizeLimitError, check_limit
 
-MAX_VERTICES = 12
+MAX_VERTICES = LIMITS["vertices"].cap
 
 #: slot -> (i, j) with i < j, colex order, for every slot of K_12.
 SLOT_ENDPOINTS: tuple[tuple[int, int], ...] = tuple(
@@ -50,8 +50,7 @@ class Graph(namedtuple("Graph", "n edges")):
     __slots__ = ()
 
     def __new__(cls, n: int, edges: int = 0):
-        if not 0 <= n <= MAX_VERTICES:
-            raise SizeLimitError(f"vertex count must be in [0, {MAX_VERTICES}], got {n}")
+        check_limit("vertices", n)
         if not 0 <= edges < 1 << (n * (n - 1) // 2):
             raise ValueError("edge bitset out of range for vertex count")
         return tuple.__new__(cls, (n, edges))
@@ -166,8 +165,7 @@ def set_partitions(n: int) -> Iterator[SetPartition]:
 
     Enumeration follows restricted growth strings, so the count is Bell(n).
     """
-    if not 0 <= n <= MAX_VERTICES:
-        raise SizeLimitError(f"set partitions supported for 0 <= n <= {MAX_VERTICES}")
+    check_limit("vertices", n)
     if n == 0:
         yield ()
         return
@@ -274,12 +272,10 @@ def all_graphs(n: int) -> tuple[Graph, ...]:
     top n-1 colex slots, so every class is the canonical form of some g in
     all_graphs(n-1) with a row of edges to the new vertex on top: extend,
     then deduplicate (the plain form of McKay, "Isomorph-free exhaustive
-    generation").  Capped at n = 7 by cost: n = 7 takes about 0.7 s and
-    n = 8 about 11 s.  The extensions go to the search directly and leave
+    generation").  The extensions go to the search directly and leave
     canonical_form's cache alone.
     """
-    if not 0 <= n <= 7:
-        raise SizeLimitError(f"exhaustive enumeration supported for 0 <= n <= 7, got {n}")
+    check_limit("all_graphs", n)
     if not n:
         return (Graph(0),)
     shift = (n - 1) * (n - 2) // 2
@@ -370,9 +366,7 @@ def parse_graph6(text: str) -> Graph:
         raise SizeLimitError("graph6 long-form vertex counts (>62) are not supported")
     if not 63 <= c0 <= 125:
         raise Graph6ParseError(f"invalid vertex-count byte {data[0]!r}", base)
-    n = c0 - 63
-    if n > MAX_VERTICES:
-        raise SizeLimitError(f"graph6 value has {n} vertices, cap is {MAX_VERTICES}")
+    n = check_limit("vertices", c0 - 63)
     m = n * (n - 1) // 2
     need = (m + 5) // 6
     body = data[1:]

@@ -29,7 +29,7 @@ from functools import lru_cache, reduce
 from itertools import chain
 from math import factorial
 
-from graphkp.errors import SizeLimitError
+from graphkp.errors import check_limit
 from graphkp.graphs import (Graph, assemble_partitions, canonical_form,
                             disjoint_union, emit_graph6, induced_forms,
                             set_partitions)
@@ -149,8 +149,6 @@ def tensor(a: GraphSum, b: GraphSum) -> TensorSum:
 
 def coproduct(g: Graph) -> TensorSum:
     """Sum of G(V1) (x) G(V2) over all 2**n ordered vertex splits."""
-    if g.n > 8:
-        raise SizeLimitError(f"coproduct capped at 8 vertices, got {g.n}")
     forms = induced_forms(g)
     full = len(forms) - 1
     return TensorSum(Counter((forms[s], forms[full ^ s]) for s in range(len(forms))))
@@ -158,17 +156,14 @@ def coproduct(g: Graph) -> TensorSum:
 
 def coproduct_sum(gs: GraphSum) -> TensorSum:
     """Linear extension of the coproduct to a GraphSum."""
-    total = TensorSum()
-    for g, c in gs.terms.items():
-        total = total + coproduct(g) * c
-    return total
+    return TensorSum._raw(_accumulate((pair, c * m) for g, c in gs.terms.items()
+                                      for pair, m in coproduct(g).terms.items()))
 
 
 @lru_cache(maxsize=None)
 def primitive_projection(g: Graph) -> GraphSum:
     """Projection onto the primitive subspace along the decomposables."""
-    if g.n > 7:
-        raise SizeLimitError(f"primitive projection capped at 7 vertices, got {g.n}")
+    check_limit("primitive_projection", g.n)
     if not g.n:
         return GraphSum()  # the unit is not primitive
     out: Counter = Counter()
@@ -187,8 +182,7 @@ def expand_in_primitives(g: Graph) -> tuple[tuple[Graph, ...], ...]:
     the graph; pushing each factor H through an umbral invariant as b_H *
     q_{|V(H)|} evaluates the invariant on ``g``.
     """
-    if g.n > 7:
-        raise SizeLimitError(f"primitive expansion capped at 7 vertices, got {g.n}")
+    check_limit("expand_in_primitives", g.n)
     forms = induced_forms(g)
     return tuple(tuple(sorted(forms[sum(1 << v for v in block)] for block in blocks))
                  for blocks in set_partitions(g.n))

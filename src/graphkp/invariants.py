@@ -39,15 +39,10 @@ from collections import Counter
 from fractions import Fraction
 from typing import NamedTuple
 
-from graphkp.errors import SizeLimitError
+from graphkp.errors import check_limit
 from graphkp.graphs import (Graph, assemble_partitions, connected_graphs,
                             induced_forms, is_connected)
 from graphkp.series import DEFAULT_ORDER, TruncSeries, mono
-
-
-def _check_weight(g: Graph, order: int) -> None:
-    if g.n > order:
-        raise SizeLimitError(f"graph weight {g.n} exceeds truncation order {order}")
 
 
 def _assemble(b, order: int) -> TruncSeries:
@@ -110,14 +105,14 @@ def _b_abel(g: Graph) -> list[int]:
 
 def weighted_chromatic(g: Graph, order: int = DEFAULT_ORDER) -> TruncSeries:
     """Weighted chromatic polynomial, assembled from b = (-1)^(|S|-1) c(S)."""
-    _check_weight(g, order)
+    check_limit("order", order, low=g.n)
     return _assemble(_b_chromatic(g), order)
 
 
 def abel(g: Graph, order: int = DEFAULT_ORDER) -> TruncSeries:
     """Abel polynomial: sum over spanning forests of prod (size * q_size),
     assembled from b = |S| * tau(G[S])."""
-    _check_weight(g, order)
+    check_limit("order", order, low=g.n)
     return _assemble(_b_abel(g), order)
 
 
@@ -137,8 +132,6 @@ def extract_b(which: str, g: Graph) -> Fraction:
     the invariant, which is b of the full vertex set."""
     if which not in _B_TABLES:
         raise ValueError(f"unknown invariant {which!r}, expected one of {sorted(_B_TABLES)}")
-    if g.n > 7:
-        raise SizeLimitError(f"primitive coefficients capped at 7 vertices, got {g.n}")
     if not is_connected(g):
         raise ValueError("primitive coefficients are defined for connected graphs only")
     return Fraction(_B_TABLES[which](g)[-1])
@@ -174,7 +167,6 @@ def umbral_from_b(g: Graph, coeffs: UmbralCoefficients,
                   order: int = DEFAULT_ORDER) -> TruncSeries:
     """Reconstruct an umbral invariant from primitive coefficients by the set
     partition assembly; partitions with a disconnected block contribute 0."""
-    if g.n > 7:
-        raise SizeLimitError(f"umbral reconstruction capped at 7 vertices, got {g.n}")
-    _check_weight(g, order)
+    check_limit("umbral_from_b", g.n)
+    check_limit("order", order, low=g.n)
     return _assemble([coeffs.lookup(h) for h in induced_forms(g)], order)

@@ -127,8 +127,9 @@ def _z(m: Monomial) -> int:
 
 
 def _validate_partition(lam) -> Partition:
-    lam = tuple(int(x) for x in lam)
-    if any(a < 1 for a in lam) or any(lam[i] < lam[i + 1] for i in range(len(lam) - 1)):
+    lam = tuple(lam)
+    # parts are never coerced: int() would turn 2.7 into 2 and True into 1
+    if any(type(a) is not int or a < 1 for a in lam) or lam != tuple(sorted(lam)[::-1]):
         raise ValueError(f"not a partition: {lam}")
     return lam
 

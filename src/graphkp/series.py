@@ -31,7 +31,9 @@ from fractions import Fraction
 from math import factorial, lcm, perm
 from typing import Iterable, Mapping
 
-MAX_ORDER = 12
+from graphkp.errors import LIMITS, check_limit
+
+MAX_ORDER = LIMITS["order"].cap
 DEFAULT_ORDER = 7
 
 Monomial = tuple[tuple[int, int], ...]
@@ -92,8 +94,9 @@ class TruncSeries:
     __slots__ = ("order", "var", "terms")
 
     def __init__(self, order: int = DEFAULT_ORDER, var: str = "q", terms=None):
-        if not 0 <= order <= MAX_ORDER:
-            raise ValueError(f"truncation order must be in [0, {MAX_ORDER}], got {order}")
+        if order < 0:
+            raise ValueError(f"truncation order must be nonnegative, got {order}")
+        check_limit("order", order)
         if var not in ("q", "p"):
             raise ValueError(f"variable family must be 'q' or 'p', got {var!r}")
         clean: dict[Monomial, Fraction] = {}
@@ -222,19 +225,6 @@ class TruncSeries:
             m: Fraction(c, den ** (mono_weight(m) + 2)) for m, c in out.items() if c})
 
     __rmul__ = __mul__
-
-    def __pow__(self, k: int):
-        if not isinstance(k, int) or k < 0:
-            raise ValueError("series powers must be nonnegative integers")
-        result = TruncSeries.one(self.order, self.var)
-        base = self
-        while k:
-            if k & 1:
-                result = result * base
-            k >>= 1
-            if k:
-                base = base * base
-        return result
 
     def __eq__(self, other):
         if isinstance(other, (int, Fraction)):

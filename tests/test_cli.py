@@ -14,6 +14,8 @@ from hypothesis import strategies as st
 
 import graphkp
 from graphkp.cli import main
+from graphkp.errors import LIMITS
+from graphkp.series import MAX_ORDER
 from helpers import GRAPH6_TEXT
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -156,6 +158,16 @@ class TestExitCodes:
         assert captured.out == ""
         assert "needs order >= 4" in captured.err
 
+    @pytest.mark.parametrize("order, code", [(13, 3), (-1, 2)])
+    def test_kp_check_input_order_out_of_range(self, order, code, tmp_path, capsys):
+        # an order above the cap is a size cap; a negative one is malformed
+        path = tmp_path / "series.json"
+        path.write_text(json.dumps({"var": "p", "order": order, "terms": []}))
+        assert main(["kp-check", "--input", str(path)]) == code
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert ("size cap" in captured.err) == (code == 3)
+
     def test_missing_input_file_exits_2(self, capsys):
         assert main(["kp-check", "--input", "/nonexistent.json"]) == 2
         capsys.readouterr()
@@ -246,8 +258,9 @@ _NUMERIC_ARGV = st.one_of(
     _numeric_argv(["series", "--which", "W"], "--order", st.integers(-3, 20)),
     _numeric_argv(["constants", "--which", "A"], "--max-n", st.integers(-3, 20)),
     _numeric_argv(["rescale", "--which", "A"], "--order", st.integers(-3, 20)),
-    # tables --max-n 6 is valid but takes about 0.3 s, beyond the deadline
-    _numeric_argv(["tables"], "--max-n", st.integers(-3, 20).filter(lambda n: n != 6)),
+    # tables at its cap is valid but takes about 0.3 s, beyond the deadline
+    _numeric_argv(["tables"], "--max-n",
+                  st.integers(-3, 20).filter(lambda n: n != LIMITS["tables"].cap)),
 )
 
 
@@ -286,7 +299,7 @@ _SERIES_LIKE = st.fixed_dictionaries({
 # well-formed p-series, so that exits 0 and 1 are reached as well as 2
 _VALID = st.fixed_dictionaries({
     "var": st.just("p"),
-    "order": st.integers(0, 9),
+    "order": st.integers(0, MAX_ORDER + 2),
     "terms": st.lists(st.fixed_dictionaries({
         "exponents": st.dictionaries(st.sampled_from(["1", "2", "3", "4", "5"]),
                                      st.integers(0, 3), max_size=3),
@@ -300,12 +313,15 @@ _VALID = st.fixed_dictionaries({
           suppress_health_check=[HealthCheck.function_scoped_fixture])
 @given(obj=_VALID | _SERIES_LIKE | _JSON)
 def test_kp_check_input_exit_contract(obj, tmp_path):
-    """Any JSON document exits 0, 1 or 2 without a traceback, and exit 1
+    """Any JSON document exits 0, 1 or 2 without a traceback, exit 3 is
+    allowed only when its order is an integer above the cap, and exit 1
     comes only with a NONZERO residual line."""
     path = tmp_path / "series.json"
     path.write_text(json.dumps(obj))
     out, err = io.StringIO(), io.StringIO()
     with redirect_stdout(out), redirect_stderr(err):
         rc = main(["kp-check", "--input", str(path)])
-    assert rc in (0, 1, 2)
+    over_cap = isinstance(obj, dict) and type(obj.get("order")) is int \
+        and obj["order"] > MAX_ORDER
+    assert rc in ((2, 3) if over_cap else (0, 1, 2))
     assert (rc == 1) == ("NONZERO" in out.getvalue())

@@ -3,13 +3,14 @@ against deletion-contraction and the definitional expansions, the binomial
 property, oracles, and umbral reconstruction."""
 
 from fractions import Fraction
+from math import factorial
 
 import pytest
 
 from graphkp.errors import SizeLimitError
 from graphkp.graphs import (Graph, all_graphs, canonical_form, complete_graph,
-                            disjoint_union)
-from graphkp.invariants import (UmbralCoefficients, abel, extract_b,
+                            disjoint_union, induced_forms, is_connected)
+from graphkp.invariants import (INVARIANTS, UmbralCoefficients, abel, extract_b,
                                 umbral_from_b, weighted_chromatic)
 from graphkp.series import evaluate, mono
 from helpers import (WeightedGraph, chromatic_oracle, cycle_graph, forest_a,
@@ -223,6 +224,9 @@ class TestUmbral:
         assert extract_b("W", EDGE) == 1
         assert extract_b("A", cycle_graph(3)) == 9
         assert extract_b("A", Graph(1)) == 1
+        # at the vertex cap: b_W(K_n) = (n-1)!, b_A(K_n) = n^(n-1) rooted trees
+        assert extract_b("W", complete_graph(12)) == factorial(11)
+        assert extract_b("A", complete_graph(12)) == 12 ** 11
 
     def test_extract_b_rejects_disconnected(self):
         with pytest.raises(ValueError):
@@ -235,6 +239,14 @@ class TestUmbral:
         for n in range(1, 6):
             for g in all_graphs(n):
                 assert umbral_from_b(g, coeffs, 5) == fn(g, 5), g
+
+    def test_reconstruction_on_ten_vertices(self, rng):
+        # b of every connected induced subgraph, read off by extract_b
+        g = random_graph(rng, 10, 0.5)
+        forms = {h for h in induced_forms(g) if h.n and is_connected(h)}
+        for which, fn in INVARIANTS.items():
+            coeffs = UmbralCoefficients({h: extract_b(which, h) for h in forms})
+            assert umbral_from_b(g, coeffs, 10) == fn(g, 10), which
 
     def test_reconstruction_matches_primitive_expansion(self):
         # pushing each expansion factor H to b_H * q_{|V(H)|} evaluates the

@@ -46,6 +46,11 @@ class TestJacobiTrudi:
         with pytest.raises(ValueError):
             schur_polynomial((3, 3), 4)
 
+    @pytest.mark.parametrize("lam", [(2.7, 1.2), ("2", True), (2, True), (2.0, 1)])
+    def test_rejects_parts_that_are_not_ints(self, lam):
+        with pytest.raises(ValueError):
+            schur_combination({lam: 1}, 3)
+
     def test_characters_give_the_determinant(self):
         for w in range(8):
             for lam in partitions_of(w):
