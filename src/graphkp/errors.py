@@ -26,8 +26,9 @@ class Limit(NamedTuple):
 LIMITS = {
     # the edge-slot table ends at K_12; W or A on 12 vertices: 0.26 s
     "vertices": Limit(12, "vertex count"),
-    # the vertex cap, so any graph's polynomial fits; kp-check: 0.03 s, 13: 0.04 s
-    "order": Limit(12, "truncation order"),
+    # kp-check --series W|A|S, series --rescaled, rescale: at most 0.67 s; 23: up to
+    # 0.93 s (series --which W --rescaled, runs to 1.03 s); 24: 1.1-1.5 s
+    "order": Limit(22, "truncation order"),
     # n = 7: 0.60 s; n = 8: 10.2 s
     "all_graphs": Limit(7, "vertex count for all_graphs"),
     # --max-n 6: 0.23 s; 7: 2.8 s

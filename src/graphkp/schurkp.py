@@ -20,7 +20,12 @@ on the beta-numbers beta_i = lambda_i + l - i of lambda with l parts.
 Removing a border strip of length r moves one bead b to a free position
 b - r >= 0 and is signed by (-1)^(number of beads strictly between them), and
 chi^lambda_mu sums these signs times chi^(lambda - strip)_(mu minus mu_1).
-The characters are computed on demand and cached.  One-part Schur functions
+The characters are computed on demand and cached.  :func:`schur_expand` also
+caches one column [chi^lambda_mu for lambda |- |mu|] per mu; the columns at
+the mu where tau has a term, read row by row, give each c_lambda as one dot
+product with tau's coefficients of that weight, as integers over their common
+denominator.  Only those columns are computed, so a sparse series never
+pays for a whole character table.  One-part Schur functions
 (complete homogeneous symmetric functions) are the case chi = 1:
 s_n = sum_{mu |- n} p_mu / z_mu, with the weight of p_i taken to be i.
 
@@ -40,15 +45,33 @@ here check the first two equations:
 weight by exactly 4 and every term of kp2 by exactly 5, so the residual of
 an order-N series is reliable through weight N - 4 resp. N - 5; the
 returned residual carries that reduced order and never claims more.
+
+The residuals never differentiate the whole series.  With D the lcm of F's
+denominators, they run on the integer series G = D F, and look up each
+coefficient of a derivative of G instead of differentiating term by term:
+
+    [p_mu] d/dp_v1 ... d/dp_vk G
+        = [p_mu p_v1 ... p_vk] G * prod_i (m_i + 1) ... (m_i + t_i),
+
+with m_i the multiplicity of i in mu and t_i that of i among v1 ... vk; for
+example d^2/dp_1^2 (p_1^3 p_2) = 6 p_1 p_2.  So each residual reads only the
+coefficients it certifies, all of weight at most F.order.  On the integers,
+
+    12 D^2 kp1 = 12 D G_{2,2} - 12 D G_{1,3} + 6 (G_{1,1})^2 + D G_{1,1,1,1},
+     6 D^2 kp2 =  6 D G_{2,3} -  6 D G_{1,4} + 6 G_{1,1} G_{1,2} + D G_{1,1,1,2},
+
+and one Fraction is built per nonzero residual term.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from math import factorial, lcm
+from math import factorial, lcm, perm
+from operator import mul
 
-from graphkp.series import DEFAULT_ORDER, Monomial, TruncSeries, _fraction, partial
+from graphkp.series import (DEFAULT_ORDER, Monomial, TruncSeries, _add_product, _fraction,
+                            _monomial, _partition)
 
 Partition = tuple[int, ...]
 
@@ -105,18 +128,6 @@ def character(lam: Partition, mu: Partition) -> int:
 # lists, and the peak memory of a long run, grow with every call until full.
 
 
-def _p_monomial(mu: Partition) -> Monomial:
-    """The monomial of p_mu: (part, multiplicity) pairs by increasing part."""
-    return tuple([(part, mu.count(part)) for part in sorted(set(mu))])
-
-
-def _partition(m: Monomial) -> Partition:
-    parts: list[int] = []
-    for part, mult in reversed(m):
-        parts += [part] * mult
-    return tuple(parts)
-
-
 def _z(m: Monomial) -> int:
     """z_mu = prod_i i^(m_i) m_i!, the size of the centralizer of a
     permutation of cycle type mu."""
@@ -147,7 +158,7 @@ def schur_combination(coeffs, order: int = DEFAULT_ORDER) -> TruncSeries:
         for mu in partitions_of(weight):
             chi = character(lam, mu)
             if chi and c:
-                m = _p_monomial(mu)
+                m = _monomial(mu)
                 terms[m] = terms.get(m, 0) + c * Fraction(chi, _z(m))
     return TruncSeries(order, "p", terms)
 
@@ -165,6 +176,12 @@ def target_series(order: int = DEFAULT_ORDER) -> TruncSeries:
     """1 + sum_{n>=1} 2^(n(n-1)/2) s_n, truncated at the order."""
     return schur_combination({(n,) if n else (): 2 ** (n * (n - 1) // 2)
                               for n in range(order + 1)}, order)
+
+
+@lru_cache(maxsize=None)
+def _character_column(mu: Partition) -> tuple[int, ...]:
+    """chi^lambda_mu for every lambda |- |mu|, in the order of :func:`partitions_of`."""
+    return tuple([character(lam, mu) for lam in partitions_of(sum(mu))])
 
 
 def schur_expand(tau: TruncSeries) -> dict[Partition, Fraction]:
@@ -187,9 +204,11 @@ def schur_expand(tau: TruncSeries) -> dict[Partition, Fraction]:
         # integer arithmetic over one common denominator per weight (the
         # list, not a generator, keeps the tuple free lists flat; see above)
         den = lcm(*[a.denominator for a in coeffs.values()])
-        nums = [(mu, a.numerator * (den // a.denominator)) for mu, a in coeffs.items()]
-        for lam in partitions_of(w):
-            c = sum(character(lam, mu) * x for mu, x in nums)
+        nums = [a.numerator * (den // a.denominator) for a in coeffs.values()]
+        # zip(*columns) gives each lambda's row of characters at tau's mu
+        rows = zip(*[_character_column(mu) for mu in coeffs])
+        for lam, row in zip(partitions_of(w), rows):
+            c = sum(map(mul, row, nums))
             if c:
                 out[lam] = Fraction(c, den)
     return out
@@ -197,32 +216,65 @@ def schur_expand(tau: TruncSeries) -> dict[Partition, Fraction]:
 
 # -- KP residuals ---------------------------------------------------------------
 
+#: Each equation as (weight drop, scale, linear, bilinear): scale D^2 times the
+#: residual is sum_v a_v D G_v + sum_(u, v) b_uv G_u G_v over its rows v -> a_v
+#: and (u, v) -> b_uv, where G_v is the derivative of G = D F by p_v1 ... p_vk.
+_KP1 = (4, 12, {(2, 2): 12, (3, 1): -12, (1, 1, 1, 1): 1}, {((1, 1), (1, 1)): 6})
+_KP2 = (5, 6, {(3, 2): 6, (4, 1): -6, (2, 1, 1, 1): 1}, {((1, 1), (2, 1)): 6})
+
+
+def _derivative(G: dict, v: Partition, order: int) -> list[dict]:
+    """The pieces of weight 0..order of d/dp_v1 ... d/dp_vk G, keyed by
+    partitions, each coefficient looked up in G (see the module docstring)."""
+    times = [(i, v.count(i)) for i in set(v)]
+    pieces = [{} for _ in range(order + 1)]
+    for w, piece in enumerate(pieces):
+        for mu in partitions_of(w):
+            x = G.get(tuple(sorted(mu + v, reverse=True)))
+            if x:
+                for i, t in times:
+                    x *= perm(mu.count(i) + t, t)
+                piece[mu] = x
+    return pieces
+
+
+def _residual(F: TruncSeries, name: str, drop: int, scale: int, linear: dict,
+              bilinear: dict) -> TruncSeries:
+    """The residual of one KP equation given as a row (see ``_KP1``), of order
+    F.order - drop: each term reads coefficients of F of weight at most F.order."""
+    if F.var != "p":
+        raise ValueError("KP residuals expect a series in p-variables")
+    if F.order < drop:
+        raise ValueError(f"{name} KP equation needs order >= {drop}, got {F.order}")
+    order = F.order - drop
+    den = lcm(*[c.denominator for c in F.terms.values()])
+    G = {_partition(m): c.numerator * (den // c.denominator) for m, c in F.terms.items()}
+    acc: dict[Partition, int] = {}
+    for v, a in linear.items():
+        a *= den
+        for piece in _derivative(G, v, order):
+            for mu, x in piece.items():
+                acc[mu] = acc.get(mu, 0) + a * x
+    for (u, v), b in bilinear.items():
+        left = _derivative(G, u, order)
+        right = left if u == v else _derivative(G, v, order)
+        product: dict[Partition, int] = {}
+        for w, piece in enumerate(left):
+            for y in right[:order - w + 1]:
+                _add_product(product, piece, y)
+        for mu, x in product.items():
+            acc[mu] = acc.get(mu, 0) + b * x
+    den = scale * den * den
+    return TruncSeries._raw(order, "p", {_monomial(mu): Fraction(c, den)
+                                         for mu, c in acc.items() if c})
+
 
 def kp1_residual(F: TruncSeries) -> TruncSeries:
     """Residual of the first KP equation; its order is the weight through
     which a zero residual is actually certified (F.order - 4)."""
-    if F.var != "p":
-        raise ValueError("KP residuals expect a series in p-variables")
-    if F.order < 4:
-        raise ValueError(f"first KP equation needs order >= 4, got {F.order}")
-    m = F.order - 4
-    d22 = partial(F, 2, 2).truncate(m)
-    d13 = partial(partial(F, 1), 3).truncate(m)
-    d11 = partial(F, 1, 2).truncate(m)
-    d1111 = partial(F, 1, 4).truncate(m)
-    return d22 - d13 + (d11 * d11) * Fraction(1, 2) + d1111 * Fraction(1, 12)
+    return _residual(F, "first", *_KP1)
 
 
 def kp2_residual(F: TruncSeries) -> TruncSeries:
     """Residual of the second KP equation, reliable through F.order - 5."""
-    if F.var != "p":
-        raise ValueError("KP residuals expect a series in p-variables")
-    if F.order < 5:
-        raise ValueError(f"second KP equation needs order >= 5, got {F.order}")
-    m = F.order - 5
-    d23 = partial(partial(F, 2), 3).truncate(m)
-    d14 = partial(partial(F, 1), 4).truncate(m)
-    d11 = partial(F, 1, 2).truncate(m)
-    d12 = partial(partial(F, 1), 2).truncate(m)
-    d1112 = partial(partial(F, 1, 3), 2).truncate(m)
-    return d23 - d14 + d11 * d12 + d1112 * Fraction(1, 6)
+    return _residual(F, "second", *_KP2)

@@ -8,6 +8,11 @@ coefficients.  All arithmetic is exact; floats are rejected outright.  The
 products, exp and log run on integer numerators: with D the lcm of the
 denominators, weight w is scaled by D^w (D^(w+1) in a product, where constant
 terms may be fractions) and each result term is divided once at the end.
+Inside those kernels a monomial is keyed by its partition (each variable
+index repeated by its exponent, largest first), so a monomial product is one
+merge of two sorted tuples; :attr:`TruncSeries.terms` keeps the
+``(variable, exponent)`` monomials below, converted once on the way in and
+once on the way out.
 
 A monomial is a tuple of ``(variable index, exponent)`` pairs sorted by
 variable index, with zero exponents never stored; the empty tuple is the
@@ -222,7 +227,7 @@ class TruncSeries:
             for y in right[:self.order - w + 1]:
                 _add_product(out, piece, y)
         return TruncSeries._raw(self.order, self.var, {
-            m: Fraction(c, den ** (mono_weight(m) + 2)) for m, c in out.items() if c})
+            _monomial(mu): Fraction(c, den ** (sum(mu) + 2)) for mu, c in out.items() if c})
 
     __rmul__ = __mul__
 
@@ -314,26 +319,39 @@ class TruncSeries:
 # -- calculus ---------------------------------------------------------------
 
 
+def _partition(m: Monomial) -> tuple[int, ...]:
+    """The partition of a monomial: each variable index repeated by its
+    exponent, largest first; the constant monomial gives ()."""
+    parts: list[int] = []
+    for var, exp in reversed(m):
+        parts += [var] * exp
+    return tuple(parts)
+
+
+def _monomial(mu: tuple[int, ...]) -> Monomial:
+    """Inverse of :func:`_partition`: (part, multiplicity) pairs by increasing part."""
+    return tuple([(part, mu.count(part)) for part in sorted(set(mu))])
+
+
 def _graded(shift: int, *series: TruncSeries) -> tuple[int, list]:
     """D, the lcm of every denominator, and each series' pieces by weight
-    0..order, piece w as the integers D^(w + shift) A_w."""
+    0..order, piece w as the integers D^(w + shift) A_w keyed by partitions."""
     den = lcm(*[c.denominator for a in series for c in a.terms.values()])
     graded = [[{} for _ in range(a.order + 1)] for a in series]
     for a, pieces in zip(series, graded):
         for m, c in a.terms.items():
-            w = mono_weight(m)
-            pieces[w][m] = c.numerator * den ** (w + shift) // c.denominator
+            mu = _partition(m)
+            w = sum(mu)
+            pieces[w][mu] = c.numerator * den ** (w + shift) // c.denominator
     return den, graded
 
 
 def _add_product(acc: dict, x: dict, y: dict) -> None:
-    """acc += x * y for homogeneous pieces x and y (zeros may be left in acc)."""
+    """acc += x * y for pieces keyed by partitions (zeros may be left in acc):
+    the product of two monomials is the merge of their partitions."""
     for m1, c1 in x.items():
         for m2, c2 in y.items():
-            e = dict(m1)
-            for var, exp in m2:
-                e[var] = e.get(var, 0) + exp
-            key = tuple(sorted(e.items()))
+            key = tuple(sorted(m1 + m2, reverse=True))
             acc[key] = acc.get(key, 0) + c1 * c2
 
 
@@ -349,16 +367,16 @@ def exp(a: TruncSeries) -> TruncSeries:
     if a.constant_term:
         raise ValueError("exp requires a zero constant term")
     den, (pieces,) = _graded(0, a)
-    out = [{UNIT: 1}]  # e_n
+    out = [{(): 1}]  # e_n, keyed by partitions
     for n in range(1, a.order + 1):
         acc = {}
         for k in range(1, n + 1):
             f = k * perm(n - 1, k - 1)
             _add_product(acc, {m: f * c for m, c in pieces[k].items()}, out[n - k])
         out.append({m: c for m, c in acc.items() if c})
-    return TruncSeries._raw(a.order, a.var, {m: Fraction(c, factorial(n) * den ** n)
+    return TruncSeries._raw(a.order, a.var, {_monomial(mu): Fraction(c, factorial(n) * den ** n)
                                              for n, piece in enumerate(out)
-                                             for m, c in piece.items()})
+                                             for mu, c in piece.items()})
 
 
 def log(a: TruncSeries) -> TruncSeries:
@@ -379,9 +397,9 @@ def log(a: TruncSeries) -> TruncSeries:
         for k in range(1, n):
             _add_product(acc, out[k], pieces[n - k])
         out.append({m: -c for m, c in acc.items() if c})
-    return TruncSeries._raw(a.order, a.var, {m: Fraction(c, n * den ** n)
+    return TruncSeries._raw(a.order, a.var, {_monomial(mu): Fraction(c, n * den ** n)
                                              for n, piece in enumerate(out)
-                                             for m, c in piece.items()})
+                                             for mu, c in piece.items()})
 
 
 def partial(a: TruncSeries, var_index: int, times: int = 1) -> TruncSeries:

@@ -4,8 +4,9 @@ the package computes one way, kept here only to check it.
 * Builders and generators: small graph families, a polynomial text parser
   for frozen expected values, random series and graph6 strategies.
 * Series kernel oracles: the product, exp, log and partial derivative with
-  one Fraction operation per coefficient step, the oracles for the kernels
-  that run on integer numerators over a common denominator.
+  one Fraction operation per coefficient step and their own dict-merge
+  monomial product, the oracles for the kernels that run on integer
+  numerators over a common denominator and key products by partitions.
 * Per-graph oracles for the umbral assembly: the edge-subset expansion of W,
   the spanning-forest sum of A, deletion-contraction of W on vertex-weighted
   graphs, and brute-force proper colorings.
@@ -18,7 +19,11 @@ the package computes one way, kept here only to check it.
   K_k and the sums over isomorphism classes.
 * Schur oracles for the character-based Schur functions and Schur
   expansion: the one-part sum over p_mu / z_mu, the Jacobi-Trudi
-  determinant, and an exact linear solve over it."""
+  determinant, an exact linear solve over it, and the expansion by one
+  character lookup per (lambda, mu) pair.
+* KP residual oracles: the two equations by differentiating the whole
+  series with ``partial``, then truncating, the oracles for the
+  coefficient-lookup residuals."""
 
 from __future__ import annotations
 
@@ -27,7 +32,7 @@ from collections import Counter, namedtuple
 from fractions import Fraction
 from functools import cache
 from itertools import combinations, permutations, product
-from math import factorial, prod
+from math import factorial, lcm, prod
 from typing import Iterator
 
 from hypothesis import strategies as st
@@ -38,9 +43,9 @@ from graphkp.graphs import (MAX_VERTICES, SLOT_ENDPOINTS, Graph, _bit_indices,
                             edge_slot, emit_graph6, set_partitions)
 from graphkp.hopf import GraphSum
 from graphkp.invariants import INVARIANTS
-from graphkp.schurkp import _p_monomial, _z, partitions_of
-from graphkp.series import (DEFAULT_ORDER, TruncSeries, _add_product, exp, mono,
-                            mono_weight)
+from graphkp.schurkp import _z, character, partitions_of
+from graphkp.series import (DEFAULT_ORDER, TruncSeries, _partition, exp, mono, mono_weight,
+                            partial)
 
 
 def path_graph(n: int) -> Graph:
@@ -137,6 +142,18 @@ def random_rational(rng: random.Random, lo: int = -9, hi: int = 9,
 # -- series kernel oracles ------------------------------------------------------
 
 
+def _merge_product(acc: dict, x: dict, y: dict) -> None:
+    """acc += x * y for homogeneous pieces keyed by (variable, exponent)
+    monomials, merging the exponents of each pair in a dict."""
+    for m1, c1 in x.items():
+        for m2, c2 in y.items():
+            e = dict(m1)
+            for var, power in m2:
+                e[var] = e.get(var, 0) + power
+            key = tuple(sorted(e.items()))
+            acc[key] = acc.get(key, 0) + c1 * c2
+
+
 def _fraction_graded(a: TruncSeries) -> list[dict]:
     pieces = [{} for _ in range(a.order + 1)]
     for m, c in a.terms.items():
@@ -151,7 +168,7 @@ def fraction_mul(a: TruncSeries, b: TruncSeries) -> TruncSeries:
     out = {}
     for w, piece in enumerate(_fraction_graded(a)):
         for y in right[:a.order - w + 1]:
-            _add_product(out, piece, y)
+            _merge_product(out, piece, y)
     return TruncSeries(a.order, a.var, out)
 
 
@@ -164,7 +181,7 @@ def fraction_exp(a: TruncSeries) -> TruncSeries:
     for n in range(1, a.order + 1):
         acc = {}
         for k in range(1, n + 1):
-            _add_product(acc, scaled[k], out[n - k])
+            _merge_product(acc, scaled[k], out[n - k])
         out.append({m: c / n for m, c in acc.items() if c})
     return TruncSeries(a.order, a.var, {m: c for piece in out for m, c in piece.items()})
 
@@ -178,7 +195,7 @@ def fraction_log(a: TruncSeries) -> TruncSeries:
     for n in range(1, a.order + 1):
         acc = {m: n * c for m, c in pieces[n].items()}
         for k in range(1, n):
-            _add_product(acc, scaled[k], minus[n - k])
+            _merge_product(acc, scaled[k], minus[n - k])
         scaled.append({m: c for m, c in acc.items() if c})
     return TruncSeries(a.order, a.var, {m: c / n for n, piece in enumerate(scaled)
                                         for m, c in piece.items()})
@@ -608,7 +625,7 @@ def schur_one_part(n: int, order: int = DEFAULT_ORDER) -> TruncSeries:
     if n > order:
         raise ValueError(f"s_{n} does not fit truncation order {order}")
     return TruncSeries(order, "p", {m: Fraction(1, _z(m))
-                                    for m in map(_p_monomial, partitions_of(n))})
+                                    for m in (mono(Counter(mu)) for mu in partitions_of(n))})
 
 
 @cache
@@ -692,6 +709,28 @@ def elimination_expand(tau: TruncSeries) -> dict:
     return out
 
 
+def pairwise_schur_expand(tau: TruncSeries) -> dict:
+    """Schur coefficients c_lambda = sum_mu chi^lambda_mu [p_mu] tau, one
+    ``character`` lookup per (lambda, mu) pair that tau has a term at."""
+    if tau.var != "p":
+        raise ValueError("Schur expansion expects a series in p-variables")
+    by_weight: list[dict] = [{} for _ in range(tau.order + 1)]
+    for m, c in tau.terms.items():
+        mu = _partition(m)
+        by_weight[sum(mu)][mu] = c
+    out: dict = {}
+    for w, coeffs in enumerate(by_weight):
+        if not coeffs:
+            continue
+        den = lcm(*[a.denominator for a in coeffs.values()])
+        nums = [(mu, a.numerator * (den // a.denominator)) for mu, a in coeffs.items()]
+        for lam in partitions_of(w):
+            c = sum(character(lam, mu) * x for mu, x in nums)
+            if c:
+                out[lam] = Fraction(c, den)
+    return out
+
+
 def hook_length_count(lam) -> int:
     """f^lambda, the number of standard Young tableaux of shape lambda, by
     the hook length formula n! / prod of the hook lengths."""
@@ -699,3 +738,37 @@ def hook_length_count(lam) -> int:
     hooks = prod(lam[i] - j + conjugate[j] - i - 1
                  for i in range(len(lam)) for j in range(lam[i]))
     return factorial(sum(lam)) // hooks
+
+
+# -- KP residual oracles -----------------------------------------------------------
+
+
+def partial_kp1_residual(F: TruncSeries) -> TruncSeries:
+    """F_{2,2} - F_{1,3} + 1/2 (F_{1,1})^2 + 1/12 F_{1,1,1,1}, each
+    derivative of the whole series by ``partial``, truncated at F.order - 4."""
+    if F.var != "p":
+        raise ValueError("KP residuals expect a series in p-variables")
+    if F.order < 4:
+        raise ValueError(f"first KP equation needs order >= 4, got {F.order}")
+    m = F.order - 4
+    d22 = partial(F, 2, 2).truncate(m)
+    d13 = partial(partial(F, 1), 3).truncate(m)
+    d11 = partial(F, 1, 2).truncate(m)
+    d1111 = partial(F, 1, 4).truncate(m)
+    return d22 - d13 + (d11 * d11) * Fraction(1, 2) + d1111 * Fraction(1, 12)
+
+
+def partial_kp2_residual(F: TruncSeries) -> TruncSeries:
+    """F_{2,3} - F_{1,4} + F_{1,1} F_{1,2} + 1/6 F_{1,1,1,2} by ``partial``,
+    truncated at F.order - 5."""
+    if F.var != "p":
+        raise ValueError("KP residuals expect a series in p-variables")
+    if F.order < 5:
+        raise ValueError(f"second KP equation needs order >= 5, got {F.order}")
+    m = F.order - 5
+    d23 = partial(partial(F, 2), 3).truncate(m)
+    d14 = partial(partial(F, 1), 4).truncate(m)
+    d11 = partial(F, 1, 2).truncate(m)
+    d12 = partial(partial(F, 1), 2).truncate(m)
+    d1112 = partial(partial(F, 1, 3), 2).truncate(m)
+    return d23 - d14 + d11 * d12 + d1112 * Fraction(1, 6)

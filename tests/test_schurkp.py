@@ -1,16 +1,20 @@
 """Schur machinery and the residual operators for the first two KP equations."""
 
+from collections import Counter
 from fractions import Fraction
 from math import factorial, prod
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from graphkp import series
-from graphkp.schurkp import (character, kp1_residual, kp2_residual,
+from graphkp.schurkp import (_derivative, character, kp1_residual, kp2_residual,
                              partitions_of, schur_combination, schur_expand,
                              schur_polynomial, target_series)
-from graphkp.series import TruncSeries, partial
-from helpers import (elimination_expand, hook_length_count, parse_poly,
+from graphkp.series import MAX_ORDER, TruncSeries, mono, partial
+from helpers import (elimination_expand, hook_length_count, pairwise_schur_expand,
+                     parse_poly, partial_kp1_residual, partial_kp2_residual,
                      random_rational, schur_jacobi_trudi, schur_one_part)
 
 
@@ -200,3 +204,61 @@ class TestKPResiduals:
             if kp1_residual(f) or kp2_residual(f):
                 hits += 1
         assert hits == 4
+
+
+_RATIONALS = st.builds(Fraction, st.integers(-9, 9), st.integers(1, 9))
+
+
+@st.composite
+def perturbed_logs(draw):
+    """log of a random one-part tau-function 1 + sum c_n s_n, exact through
+    a weight of at most 9, at a drawn order in 4..MAX_ORDER, with one to
+    three coefficients of weight at most that order perturbed."""
+    order = draw(st.integers(4, MAX_ORDER))
+    exact = draw(st.integers(4, min(order, 9)))
+    coeffs = {(n,) if n else (): draw(_RATIONALS) if n else 1 for n in range(exact + 1)}
+    terms = dict(series.log(schur_combination(coeffs, exact)).terms)
+    for _ in range(draw(st.integers(1, 3))):
+        mu = draw(st.sampled_from(partitions_of(draw(st.integers(1, order)))))
+        m = mono(Counter(mu))
+        terms[m] = terms.get(m, 0) + draw(_RATIONALS.filter(bool))
+    return TruncSeries(order, "p", terms)
+
+
+class TestKernelsMatchOracles:
+    """The coefficient-lookup residuals and the column-wise Schur expansion
+    equal the partial-derivative and per-pair oracles exactly."""
+
+    @staticmethod
+    def _same(got, want):
+        assert (got.order, got.var, got.terms) == (want.order, want.var, want.terms)
+        assert bool(got) == bool(want)
+
+    @settings(max_examples=60, deadline=None)
+    @given(F=perturbed_logs())
+    def test_residuals_and_expansion(self, F):
+        self._same(kp1_residual(F), partial_kp1_residual(F))
+        if F.order >= 5:
+            self._same(kp2_residual(F), partial_kp2_residual(F))
+        else:
+            with pytest.raises(ValueError):
+                kp2_residual(F)
+        expansion = schur_expand(F)
+        assert list(expansion.items()) == list(pairwise_schur_expand(F).items())
+
+    @pytest.mark.parametrize("monomial, v, mu, value", [
+        ((2, 1, 1, 1), (1, 1), (2, 1), 6),         # d^2/dp1^2 p1^3 p2 = 6 p1 p2
+        ((3, 3, 2, 1), (3, 2), (3, 1), 2),         # d/dp3 d/dp2 p3^2 p2 p1 = 2 p3 p1
+        ((2, 2, 2, 1, 1), (2, 1), (2, 2, 1), 6),   # d/dp2 d/dp1 p2^3 p1^2 = 6 p2^2 p1
+        ((1, 1, 1, 1), (1, 1, 1, 1), (), 24),      # d^4/dp1^4 p1^4 = 24
+        ((4, 1), (2,), None, 0),                   # no p2 to differentiate
+    ])
+    def test_derivative_lookup(self, monomial, v, mu, value):
+        weight = sum(monomial) - sum(v)
+        pieces = _derivative({monomial: 1}, v, weight)
+        assert [w for w, piece in enumerate(pieces) if piece] == ([weight] if value else [])
+        assert pieces[weight] == ({mu: value} if value else {})
+        d = TruncSeries(sum(monomial), "p", {mono(Counter(monomial)): 1})
+        for i, t in Counter(v).items():
+            d = partial(d, i, t)
+        assert d.terms == ({mono(Counter(mu)): value} if value else {})
