@@ -131,7 +131,7 @@ def _cmd_invariant(args) -> int:
 def _cmd_series(args) -> int:
     order = check_limit("order", args.order, low=1)
     full = ensemble.full_series(args.which, order)
-    out = ensemble.connected_part(full) if args.sum == "connected" else full
+    out = series.log(full) if args.sum == "connected" else full
     if args.rescaled:
         out = series.substitute(out, _plan(args.which, order))
     _emit_series(out, args.format)

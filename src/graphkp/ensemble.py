@@ -125,13 +125,9 @@ def full_series(which: str, order: int = DEFAULT_ORDER) -> TruncSeries:
     return total
 
 
-def connected_part(full: TruncSeries) -> TruncSeries:
-    """Connected-graphs generating function: the log of the all-graphs one."""
-    return series.log(full)
-
-
 def connected_series(which: str, order: int = DEFAULT_ORDER) -> TruncSeries:
-    return connected_part(full_series(which, order))
+    """Connected-graphs generating function: the log of the all-graphs one."""
+    return series.log(full_series(which, order))
 
 
 # -- rescale plans -------------------------------------------------------------

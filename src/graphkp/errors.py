@@ -37,8 +37,6 @@ LIMITS = {
     "primitive_projection": Limit(10, "vertex count for hopf --op primitive"),
     # 9 vertices: 0.35 s (21,147 lines); 10: 2.1 s
     "expand_in_primitives": Limit(9, "vertex count for hopf --op expand"),
-    # 11 vertices: 0.58 s; 12: 1.9 s
-    "umbral_from_b": Limit(11, "vertex count for umbral_from_b"),
 }
 
 

@@ -300,12 +300,12 @@ def induced_forms(g: Graph) -> list[Graph]:
             for s in range(1 << g.n)]
 
 
-def assemble_partitions(labels: Sequence, weights: Sequence) -> dict[tuple, object]:
+def assemble_partitions(labels: Sequence, weights: Sequence[int]) -> dict[tuple, int]:
     """Sum over the set partitions of V of the product of weights[B] over the
     blocks B, grouped by the sorted tuple of the blocks' labels.
 
-    ``labels`` and ``weights`` are indexed by vertex bitmask and have 2**n
-    entries each, V being the full mask.  Blocks of zero weight are skipped
+    ``labels`` and the integer ``weights`` are indexed by vertex bitmask and
+    have 2**n entries each, V being the full mask.  Blocks of zero weight are skipped
     and keys whose sum is zero dropped.  Splitting off the block that holds
     top(S), the highest vertex of S, gives the subset recursion
 

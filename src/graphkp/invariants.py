@@ -28,6 +28,10 @@ b indexed by vertex bitmask S:
 * :func:`umbral_from_b`: b(S) looked up from a table for canonical graphs,
   one lookup per entry of :func:`graphkp.graphs.induced_forms`.
 
+Every b-table is assembled as integers over D, the lcm of its denominators
+(1 for W and A): the assembly runs on D b(S), and each coefficient with k
+blocks is divided once by D^k.
+
 The independent checks, deletion-contraction on vertex-weighted graphs and
 brute-force colorings ((-1)^n W_G(q_j = -k) = #colorings with k colors),
 share no code with the assembly and live in ``tests/helpers.py``.
@@ -37,6 +41,7 @@ from __future__ import annotations
 
 from collections import Counter
 from fractions import Fraction
+from math import lcm
 from typing import NamedTuple
 
 from graphkp.errors import check_limit
@@ -46,10 +51,14 @@ from graphkp.series import DEFAULT_ORDER, TruncSeries, mono
 
 
 def _assemble(b, order: int) -> TruncSeries:
-    """sum over set partitions of V of prod over blocks B of b[B] q_|B|."""
+    """sum over set partitions of V of prod over blocks B of b[B] q_|B|, on
+    the integers D b[B], D the lcm of the denominators: a key with k blocks
+    sums D^k times its coefficient."""
+    den = lcm(*[x.denominator for x in b])
+    scaled = [x.numerator * (den // x.denominator) for x in b]
     sizes = [s.bit_count() for s in range(len(b))]
-    return TruncSeries(order, "q", {mono(Counter(key)): val
-                                    for key, val in assemble_partitions(sizes, b).items()})
+    return TruncSeries(order, "q", {mono(Counter(key)): Fraction(val, den ** len(key))
+                                    for key, val in assemble_partitions(sizes, scaled).items()})
 
 
 def _b_chromatic(g: Graph) -> list[int]:
@@ -167,6 +176,5 @@ def umbral_from_b(g: Graph, coeffs: UmbralCoefficients,
                   order: int = DEFAULT_ORDER) -> TruncSeries:
     """Reconstruct an umbral invariant from primitive coefficients by the set
     partition assembly; partitions with a disconnected block contribute 0."""
-    check_limit("umbral_from_b", g.n)
     check_limit("order", order, low=g.n)
     return _assemble([coeffs.lookup(h) for h in induced_forms(g)], order)

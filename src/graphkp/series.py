@@ -20,11 +20,6 @@ constant monomial.  The canonical term order is graded (by weighted degree),
 then lexicographic on dense exponent vectors with higher powers of x_1 first.
 Rendering follows that order, which makes printed output byte-stable.
 
-Derivatives shrink the truncation order: differentiating a series of order N
-with respect to x_i leaves terms that are only reliable through weight N - i,
-and the returned series carries that reduced order.  Nothing in this module
-ever pads a series back up to a higher order.
-
 Series are never mutated after construction; every operation returns a fresh
 value, so results can be shared freely across threads and summed in any
 association order.
@@ -400,28 +395,6 @@ def log(a: TruncSeries) -> TruncSeries:
     return TruncSeries._raw(a.order, a.var, {_monomial(mu): Fraction(c, n * den ** n)
                                              for n, piece in enumerate(out)
                                              for mu, c in piece.items()})
-
-
-def partial(a: TruncSeries, var_index: int, times: int = 1) -> TruncSeries:
-    """Iterated formal derivative d^times/d(x_var_index)^times.
-
-    The result's order is the weight through which it is reliable,
-    ``a.order - times * var_index`` (floored at 0).
-    """
-    if var_index < 1:
-        raise ValueError(f"variable index must be >= 1, got {var_index}")
-    if times < 1:
-        raise ValueError(f"derivative count must be >= 1, got {times}")
-    new_order = max(0, a.order - times * var_index)
-    out: dict[Monomial, Fraction] = {}
-    for m, c in a.terms.items():
-        for j, (var, e) in enumerate(m):
-            if var == var_index and e >= times:
-                f = perm(e, times)
-                # repeating the pair False times drops it: zero exponents are never stored
-                key = m[:j] + ((var, e - times),) * (e > times) + m[j + 1:]
-                out[key] = c * f if f > 1 else c
-    return TruncSeries._raw(new_order, a.var, out)
 
 
 def substitute(a: TruncSeries, factors, var: str = "p") -> TruncSeries:

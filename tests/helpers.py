@@ -6,11 +6,13 @@ the package computes one way, kept here only to check it.
 * Series kernel oracles: the product, exp, log and partial derivative with
   one Fraction operation per coefficient step and their own dict-merge
   monomial product, the oracles for the kernels that run on integer
-  numerators over a common denominator and key products by partitions.
+  numerators over a common denominator and key products by partitions, and
+  for the coefficient-lookup derivative of the KP residuals.
 * Per-graph oracles for the umbral assembly: the edge-subset expansion of W,
   the spanning-forest sum of A, deletion-contraction of W on vertex-weighted
   graphs, and brute-force proper colorings.
-* The set-partition sum, the oracle for the primitive projection.
+* Set-partition sums by their definitions: the oracles for the primitive
+  projection and for the umbral assembly of b-tables of any denominator.
 * Isomorphism by brute force: a backtracker over vertex images, the oracle
   for the automorphism count; the minimum over all relabelings, the oracle
   for the canonical-form search; and the orbit sweep over all labeled
@@ -22,7 +24,7 @@ the package computes one way, kept here only to check it.
   determinant, an exact linear solve over it, and the expansion by one
   character lookup per (lambda, mu) pair.
 * KP residual oracles: the two equations by differentiating the whole
-  series with ``partial``, then truncating, the oracles for the
+  series with ``fraction_partial``, then truncating, the oracles for the
   coefficient-lookup residuals."""
 
 from __future__ import annotations
@@ -44,8 +46,7 @@ from graphkp.graphs import (MAX_VERTICES, SLOT_ENDPOINTS, Graph, _bit_indices,
 from graphkp.hopf import GraphSum
 from graphkp.invariants import INVARIANTS
 from graphkp.schurkp import _z, character, partitions_of
-from graphkp.series import (DEFAULT_ORDER, TruncSeries, _partition, exp, mono, mono_weight,
-                            partial)
+from graphkp.series import DEFAULT_ORDER, TruncSeries, _partition, exp, mono, mono_weight
 
 
 def path_graph(n: int) -> Graph:
@@ -411,6 +412,21 @@ def partition_primitive(g: Graph) -> GraphSum:
     return GraphSum(terms)
 
 
+def partition_umbral(g: Graph, values: dict[Graph, Fraction], order: int) -> TruncSeries:
+    """U_G by its definition: sum over the set partitions of V(G) of the
+    product over blocks B of b(G[B]) q_|B|, with b read from ``values`` by
+    canonical form and zero on disconnected blocks.  Walks all Bell(n)
+    partitions with one Fraction product per block."""
+    terms: Counter = Counter()
+    for blocks in set_partitions(g.n):
+        coeff = Fraction(1)
+        for block in blocks:
+            h = g.induced(block)
+            coeff *= values.get(canonical_form(h), 0) if len(components(h)) == 1 else 0
+        terms[mono(Counter(len(block) for block in blocks))] += coeff
+    return TruncSeries(order, "q", terms)
+
+
 def brute_aut_order(g: Graph) -> int:
     """Order of the automorphism group, by backtracking over vertex images
     with degree pruning."""
@@ -743,32 +759,37 @@ def hook_length_count(lam) -> int:
 # -- KP residual oracles -----------------------------------------------------------
 
 
+def _cut(a: TruncSeries, order: int) -> TruncSeries:
+    return TruncSeries(order, a.var, {m: c for m, c in a.terms.items() if mono_weight(m) <= order})
+
+
 def partial_kp1_residual(F: TruncSeries) -> TruncSeries:
     """F_{2,2} - F_{1,3} + 1/2 (F_{1,1})^2 + 1/12 F_{1,1,1,1}, each
-    derivative of the whole series by ``partial``, truncated at F.order - 4."""
+    derivative of the whole series by ``fraction_partial``, truncated at
+    F.order - 4, the square by ``fraction_mul``."""
     if F.var != "p":
         raise ValueError("KP residuals expect a series in p-variables")
     if F.order < 4:
         raise ValueError(f"first KP equation needs order >= 4, got {F.order}")
     m = F.order - 4
-    d22 = partial(F, 2, 2).truncate(m)
-    d13 = partial(partial(F, 1), 3).truncate(m)
-    d11 = partial(F, 1, 2).truncate(m)
-    d1111 = partial(F, 1, 4).truncate(m)
-    return d22 - d13 + (d11 * d11) * Fraction(1, 2) + d1111 * Fraction(1, 12)
+    d22 = _cut(fraction_partial(F, 2, 2), m)
+    d13 = _cut(fraction_partial(fraction_partial(F, 1), 3), m)
+    d11 = _cut(fraction_partial(F, 1, 2), m)
+    d1111 = _cut(fraction_partial(F, 1, 4), m)
+    return d22 - d13 + fraction_mul(d11, d11) * Fraction(1, 2) + d1111 * Fraction(1, 12)
 
 
 def partial_kp2_residual(F: TruncSeries) -> TruncSeries:
-    """F_{2,3} - F_{1,4} + F_{1,1} F_{1,2} + 1/6 F_{1,1,1,2} by ``partial``,
-    truncated at F.order - 5."""
+    """F_{2,3} - F_{1,4} + F_{1,1} F_{1,2} + 1/6 F_{1,1,1,2} by
+    ``fraction_partial`` and ``fraction_mul``, truncated at F.order - 5."""
     if F.var != "p":
         raise ValueError("KP residuals expect a series in p-variables")
     if F.order < 5:
         raise ValueError(f"second KP equation needs order >= 5, got {F.order}")
     m = F.order - 5
-    d23 = partial(partial(F, 2), 3).truncate(m)
-    d14 = partial(partial(F, 1), 4).truncate(m)
-    d11 = partial(F, 1, 2).truncate(m)
-    d12 = partial(partial(F, 1), 2).truncate(m)
-    d1112 = partial(partial(F, 1, 3), 2).truncate(m)
-    return d23 - d14 + d11 * d12 + d1112 * Fraction(1, 6)
+    d23 = _cut(fraction_partial(fraction_partial(F, 2), 3), m)
+    d14 = _cut(fraction_partial(fraction_partial(F, 1), 4), m)
+    d11 = _cut(fraction_partial(F, 1, 2), m)
+    d12 = _cut(fraction_partial(fraction_partial(F, 1), 2), m)
+    d1112 = _cut(fraction_partial(fraction_partial(F, 1, 3), 2), m)
+    return d23 - d14 + fraction_mul(d11, d12) + d1112 * Fraction(1, 6)

@@ -7,8 +7,8 @@ from fractions import Fraction
 import pytest
 
 from graphkp import series
-from graphkp.ensemble import (abel_constants, c_recursion, connected_part,
-                              connected_series, ensemble_a, ensemble_w,
+from graphkp.ensemble import (abel_constants, c_recursion, connected_series,
+                              ensemble_a, ensemble_w,
                               full_series, make_plan, rescale_constants)
 from graphkp.errors import SizeLimitError
 from graphkp.schurkp import kp1_residual, kp2_residual, target_series
@@ -28,7 +28,7 @@ class TestPieces:
         assert ensemble_w(4, 4) == expected
 
     def test_connected_a_parts(self):
-        a = connected_part(full_series("A", 4))
+        a = series.log(full_series("A", 4))
         assert a.homogeneous_part(3) == parse_poly(
             "2/3 q1^3 + 3 q1 q2 + 3 q3", 4)
         assert a.homogeneous_part(4) == parse_poly(
@@ -50,7 +50,7 @@ class TestPieces:
             ensemble_w(5, 4)
 
     def test_log_of_one_is_zero(self):
-        assert not connected_part(TruncSeries.one(4))
+        assert not series.log(TruncSeries.one(4))
 
 
 class TestDoubleCounting:

@@ -6,6 +6,8 @@ from fractions import Fraction
 from math import factorial
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from graphkp.errors import SizeLimitError
 from graphkp.graphs import (Graph, all_graphs, canonical_form, complete_graph,
@@ -14,8 +16,8 @@ from graphkp.invariants import (INVARIANTS, UmbralCoefficients, abel, extract_b,
                                 umbral_from_b, weighted_chromatic)
 from graphkp.series import evaluate, mono
 from helpers import (WeightedGraph, chromatic_oracle, cycle_graph, forest_a,
-                     parse_poly, path_graph, random_graph, random_rational,
-                     star_graph, subset_w, weighted_chromatic_dc)
+                     parse_poly, partition_umbral, path_graph, random_graph,
+                     random_rational, star_graph, subset_w, weighted_chromatic_dc)
 
 EDGE = Graph.from_edges(2, [(0, 1)])
 
@@ -240,13 +242,34 @@ class TestUmbral:
             for g in all_graphs(n):
                 assert umbral_from_b(g, coeffs, 5) == fn(g, 5), g
 
-    def test_reconstruction_on_ten_vertices(self, rng):
+    @staticmethod
+    def _reconstructs(g):
         # b of every connected induced subgraph, read off by extract_b
-        g = random_graph(rng, 10, 0.5)
         forms = {h for h in induced_forms(g) if h.n and is_connected(h)}
         for which, fn in INVARIANTS.items():
             coeffs = UmbralCoefficients({h: extract_b(which, h) for h in forms})
-            assert umbral_from_b(g, coeffs, 10) == fn(g, 10), which
+            assert umbral_from_b(g, coeffs, g.n) == fn(g, g.n), which
+
+    def test_reconstruction_on_ten_vertices(self, rng):
+        self._reconstructs(random_graph(rng, 10, 0.5))
+
+    @pytest.mark.parametrize("graph", ["K12", "G(12, 1/2)"])
+    def test_reconstruction_on_twelve_vertices(self, graph, rng):
+        self._reconstructs(complete_graph(12) if graph == "K12" else random_graph(rng, 12, 0.5))
+
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data())
+    def test_rational_b_matches_partition_sum(self, data):
+        # b drawn on every graph through n vertices, disconnected ones too,
+        # which the reconstruction must read as zero
+        n = data.draw(st.integers(0, 6))
+        g = data.draw(st.sampled_from(all_graphs(n)))
+        rational = st.builds(Fraction, st.integers(-99, 99), st.integers(1, 99))
+        values = data.draw(st.fixed_dictionaries(
+            {h: rational for k in range(1, n + 1) for h in all_graphs(k)}))
+        order = data.draw(st.integers(n, n + 2))
+        coeffs = UmbralCoefficients(values)
+        assert umbral_from_b(g, coeffs, order) == partition_umbral(g, values, order)
 
     def test_reconstruction_matches_primitive_expansion(self):
         # pushing each expansion factor H to b_H * q_{|V(H)|} evaluates the

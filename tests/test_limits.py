@@ -1,5 +1,5 @@
 """The size-cap table: every entry's cap is the largest accepted value,
-``--help`` prints the table, and no cap is checked outside it."""
+``--help`` and the README print the table, and no cap is checked outside it."""
 
 import ast
 import re
@@ -12,7 +12,6 @@ from graphkp.cli import main
 from graphkp.errors import LIMITS, SizeLimitError
 from graphkp.graphs import Graph, all_graphs, complete_graph
 from graphkp.hopf import expand_in_primitives, primitive_projection
-from graphkp.invariants import UmbralCoefficients, umbral_from_b
 from graphkp.series import TruncSeries
 
 
@@ -23,7 +22,6 @@ PROBES = {
     "all_graphs": all_graphs,
     "primitive_projection": lambda n: primitive_projection(Graph(n)),
     "expand_in_primitives": lambda n: expand_in_primitives(complete_graph(n)),
-    "umbral_from_b": lambda n: umbral_from_b(Graph(n), UmbralCoefficients({Graph(1): 1}), n),
 }
 
 #: entry -> the CLI arguments that take the entry's value
@@ -52,6 +50,13 @@ def test_help_lists_the_table(capsys):
     assert exc.value.code == 0
     rows = re.findall(r"^  (\S+) +(\d+)  (.+)$", capsys.readouterr().out.split("size caps")[1], re.M)
     assert rows == [(name, str(cap), what) for name, (cap, what) in LIMITS.items()]
+
+
+def test_readme_lists_the_table():
+    readme = Path(__file__).parents[1] / "README.md"
+    section = readme.read_text().split("### Size caps")[1].split("\n#")[0]
+    rows = re.findall(r"^\| `(\w+)` \| (\d+) \|", section, re.M)
+    assert rows == [(name, str(cap)) for name, (cap, _) in LIMITS.items()]
 
 
 def _size_limit_raises():

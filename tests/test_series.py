@@ -5,8 +5,7 @@ from fractions import Fraction
 import pytest
 
 from graphkp.schurkp import schur_combination
-from graphkp.series import (MAX_ORDER, TruncSeries, evaluate, exp, log, mono,
-                            partial, substitute)
+from graphkp.series import MAX_ORDER, TruncSeries, evaluate, exp, log, mono, substitute
 from helpers import (fraction_exp, fraction_log, fraction_mul, fraction_partial,
                      parse_poly, random_rational, random_series)
 
@@ -148,19 +147,6 @@ class TestSubstitute:
             substitute(q(2, 4), {2: Fraction(0)})
 
 
-class TestPartial:
-    def test_first_derivative(self):
-        assert partial(parse_poly("p1^2", 4, "p"), 1) == parse_poly("2 p1", 3, "p")
-
-    def test_second_derivative_order_bookkeeping(self):
-        d = partial(parse_poly("p2^2", 4, "p"), 2, 2)
-        assert d == 2
-        assert d.order == 0  # reliable weight N - times*wt = 4 - 4
-
-    def test_derivative_of_missing_variable(self):
-        assert not partial(parse_poly("p1^3", 4, "p"), 2)
-
-
 class TestCoefficient:
     def test_stored_and_absent_monomials(self):
         w_k4 = parse_poly("q1^4 + 6 q1^2 q2 + 3 q2^2 + 8 q1 q3 + 6 q4", 4)
@@ -215,9 +201,10 @@ class TestRingLaws:
             a = random_series(rng, order)
             b = random_series(rng, order)
             v = rng.randint(1, order)
-            lhs = partial(a * b, v)
+            lhs = fraction_partial(a * b, v)
             cut = lhs.order
-            rhs = partial(a, v) * b.truncate(cut) + a.truncate(cut) * partial(b, v)
+            rhs = (fraction_partial(a, v) * b.truncate(cut)
+                   + a.truncate(cut) * fraction_partial(b, v))
             assert lhs == rhs
 
     def test_results_stay_canonical_fractions(self, rng):
@@ -256,9 +243,6 @@ class TestKernelsMatchFractionOracles:
                 shifted = a - a.constant_term
                 self._same(exp(shifted), fraction_exp(shifted))
                 self._same(log(shifted + 1), fraction_log(shifted + 1))
-                for v in range(1, 5):
-                    for times in range(1, 4):
-                        self._same(partial(a, v, times), fraction_partial(a, v, times))
 
 
 class TestRendering:
