@@ -47,7 +47,7 @@ from math import comb, factorial
 from graphkp import series
 from graphkp.errors import check_limit
 from graphkp.schurkp import partitions_of
-from graphkp.series import DEFAULT_ORDER, TruncSeries, mono
+from graphkp.series import DEFAULT_ORDER, TruncSeries
 
 # -- rescaling constants -------------------------------------------------------
 
@@ -89,6 +89,7 @@ _CONSTANTS = {"W": c_recursion, "A": abel_constants}
 
 def _piece(which: str, k: int, order: int) -> TruncSeries:
     check_limit("order", k, low=1)
+    check_limit("order", order)
     if k > order:
         raise ValueError(f"weight-{k} piece does not fit truncation order {order}")
     consts = _CONSTANTS[which](k)
@@ -102,8 +103,8 @@ def _piece(which: str, k: int, order: int) -> TruncSeries:
             den *= factorial(part)
         for count in mult.values():
             den *= factorial(count)
-        terms[mono(mult)] = Fraction(num, den)
-    return TruncSeries(order, "q", terms)
+        terms[lam] = Fraction(num, den)
+    return TruncSeries._raw(order, "q", terms)
 
 
 def ensemble_w(k: int, order: int = DEFAULT_ORDER) -> TruncSeries:

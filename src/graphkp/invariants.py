@@ -39,7 +39,6 @@ share no code with the assembly and live in ``tests/helpers.py``.
 
 from __future__ import annotations
 
-from collections import Counter
 from fractions import Fraction
 from math import lcm
 from typing import NamedTuple
@@ -47,18 +46,19 @@ from typing import NamedTuple
 from graphkp.errors import check_limit
 from graphkp.graphs import (Graph, assemble_partitions, connected_graphs,
                             induced_forms, is_connected)
-from graphkp.series import DEFAULT_ORDER, TruncSeries, mono
+from graphkp.series import DEFAULT_ORDER, TruncSeries
 
 
 def _assemble(b, order: int) -> TruncSeries:
     """sum over set partitions of V of prod over blocks B of b[B] q_|B|, on
     the integers D b[B], D the lcm of the denominators: a key with k blocks
-    sums D^k times its coefficient."""
+    sums D^k times its coefficient.  Keys come sorted up; reversed, each is
+    the partition of its monomial."""
     den = lcm(*[x.denominator for x in b])
     scaled = [x.numerator * (den // x.denominator) for x in b]
     sizes = [s.bit_count() for s in range(len(b))]
-    return TruncSeries(order, "q", {mono(Counter(key)): Fraction(val, den ** len(key))
-                                    for key, val in assemble_partitions(sizes, scaled).items()})
+    return TruncSeries._raw(order, "q", {key[::-1]: Fraction(val, den ** len(key))
+                                        for key, val in assemble_partitions(sizes, scaled).items()})
 
 
 def _b_chromatic(g: Graph) -> list[int]:
@@ -97,19 +97,16 @@ def _det_psd(m: list[list[int]]) -> int:
     return prev
 
 
-def _b_abel(g: Graph) -> list[int]:
-    """b[S] = |S| * tau(G[S]) for every vertex bitmask S, tau by the
-    matrix-tree theorem: the determinant of the Laplacian of G[S] with the
-    row and column of its last vertex removed."""
-    masks = g.adjacency_masks()
-    b = [0] * (1 << g.n)
-    for s in range(1, 1 << g.n):
-        vs = [v for v in range(g.n) if s >> v & 1]
-        kept = vs[:-1]
-        lap = [[(masks[u] & s).bit_count() if u == v else -(masks[u] >> v & 1)
-                for v in kept] for u in kept]
-        b[s] = len(vs) * _det_psd(lap)
-    return b
+def _abel_entry(masks: list[int], s: int) -> int:
+    """b[S] = |S| * tau(G[S]) for the vertex bitmask S of a graph with these
+    adjacency masks, tau by the matrix-tree theorem: the determinant of the
+    Laplacian of G[S] with the row and column of its last vertex removed."""
+    vs = [v for v in range(len(masks)) if s >> v & 1]
+    kept = vs[:-1]
+    lap = [[(masks[u] & s).bit_count() if u == v else -(masks[u] >> v & 1)
+            for v in kept] for u in kept]
+    return len(vs) * _det_psd(lap)
+
 
 
 def weighted_chromatic(g: Graph, order: int = DEFAULT_ORDER) -> TruncSeries:
@@ -122,7 +119,8 @@ def abel(g: Graph, order: int = DEFAULT_ORDER) -> TruncSeries:
     """Abel polynomial: sum over spanning forests of prod (size * q_size),
     assembled from b = |S| * tau(G[S])."""
     check_limit("order", order, low=g.n)
-    return _assemble(_b_abel(g), order)
+    masks = g.adjacency_masks()
+    return _assemble([_abel_entry(masks, s) for s in range(1 << g.n)], order)
 
 
 INVARIANTS = {
@@ -130,20 +128,21 @@ INVARIANTS = {
     "A": abel,
 }
 
-_B_TABLES = {
-    "W": _b_chromatic,
-    "A": _b_abel,
+#: b of the full vertex set: W's recurrence needs every subset, A's one determinant.
+_B_FULL = {
+    "W": lambda g: _b_chromatic(g)[-1],
+    "A": lambda g: _abel_entry(g.adjacency_masks(), (1 << g.n) - 1),
 }
 
 
 def extract_b(which: str, g: Graph) -> Fraction:
     """Primitive coefficient of a connected graph: the coefficient of q_n in
     the invariant, which is b of the full vertex set."""
-    if which not in _B_TABLES:
-        raise ValueError(f"unknown invariant {which!r}, expected one of {sorted(_B_TABLES)}")
+    if which not in _B_FULL:
+        raise ValueError(f"unknown invariant {which!r}, expected one of {sorted(_B_FULL)}")
     if not is_connected(g):
         raise ValueError("primitive coefficients are defined for connected graphs only")
-    return Fraction(_B_TABLES[which](g)[-1])
+    return Fraction(_B_FULL[which](g))
 
 
 class UmbralCoefficients(NamedTuple):

@@ -67,13 +67,11 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from math import factorial, lcm, perm
+from math import factorial, lcm, perm, prod
 from operator import mul
 
-from graphkp.series import (DEFAULT_ORDER, Monomial, TruncSeries, _add_product, _fraction,
-                            _monomial, _partition)
-
-Partition = tuple[int, ...]
+from graphkp.errors import check_limit
+from graphkp.series import DEFAULT_ORDER, Partition, TruncSeries, _add_product, _fraction
 
 
 @lru_cache(maxsize=None)
@@ -128,13 +126,10 @@ def character(lam: Partition, mu: Partition) -> int:
 # lists, and the peak memory of a long run, grow with every call until full.
 
 
-def _z(m: Monomial) -> int:
+def _z(mu: Partition) -> int:
     """z_mu = prod_i i^(m_i) m_i!, the size of the centralizer of a
     permutation of cycle type mu."""
-    out = 1
-    for part, mult in m:
-        out *= part ** mult * factorial(mult)
-    return out
+    return prod(part ** mu.count(part) * factorial(mu.count(part)) for part in set(mu))
 
 
 def _validate_partition(lam) -> Partition:
@@ -148,7 +143,8 @@ def _validate_partition(lam) -> Partition:
 def schur_combination(coeffs, order: int = DEFAULT_ORDER) -> TruncSeries:
     """sum c_lambda s_lambda from a coefficient map {lambda: c_lambda}, with
     s_lambda = sum_mu chi^lambda_mu p_mu / z_mu."""
-    terms: dict[Monomial, Fraction] = {}
+    check_limit("order", order)
+    terms: dict[Partition, Fraction] = {}
     for lam, c in coeffs.items():
         lam = _validate_partition(lam)
         weight = sum(lam)
@@ -158,9 +154,8 @@ def schur_combination(coeffs, order: int = DEFAULT_ORDER) -> TruncSeries:
         for mu in partitions_of(weight):
             chi = character(lam, mu)
             if chi and c:
-                m = _monomial(mu)
-                terms[m] = terms.get(m, 0) + c * Fraction(chi, _z(m))
-    return TruncSeries(order, "p", terms)
+                terms[mu] = terms.get(mu, 0) + c * Fraction(chi, _z(mu))
+    return TruncSeries._raw(order, "p", {mu: c for mu, c in terms.items() if c})
 
 
 def schur_polynomial(lam, order: int = DEFAULT_ORDER) -> TruncSeries:
@@ -194,8 +189,7 @@ def schur_expand(tau: TruncSeries) -> dict[Partition, Fraction]:
     if tau.var != "p":
         raise ValueError("Schur expansion expects a series in p-variables")
     by_weight: list[dict[Partition, Fraction]] = [{} for _ in range(tau.order + 1)]
-    for m, c in tau.terms.items():
-        mu = _partition(m)
+    for mu, c in tau._terms.items():
         by_weight[sum(mu)][mu] = c
     out: dict[Partition, Fraction] = {}
     for w, coeffs in enumerate(by_weight):
@@ -247,8 +241,8 @@ def _residual(F: TruncSeries, name: str, drop: int, scale: int, linear: dict,
     if F.order < drop:
         raise ValueError(f"{name} KP equation needs order >= {drop}, got {F.order}")
     order = F.order - drop
-    den = lcm(*[c.denominator for c in F.terms.values()])
-    G = {_partition(m): c.numerator * (den // c.denominator) for m, c in F.terms.items()}
+    den = lcm(*[c.denominator for c in F._terms.values()])
+    G = {mu: c.numerator * (den // c.denominator) for mu, c in F._terms.items()}
     acc: dict[Partition, int] = {}
     for v, a in linear.items():
         a *= den
@@ -265,8 +259,7 @@ def _residual(F: TruncSeries, name: str, drop: int, scale: int, linear: dict,
         for mu, x in product.items():
             acc[mu] = acc.get(mu, 0) + b * x
     den = scale * den * den
-    return TruncSeries._raw(order, "p", {_monomial(mu): Fraction(c, den)
-                                         for mu, c in acc.items() if c})
+    return TruncSeries._raw(order, "p", {mu: Fraction(c, den) for mu, c in acc.items() if c})
 
 
 def kp1_residual(F: TruncSeries) -> TruncSeries:

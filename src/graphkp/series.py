@@ -3,22 +3,23 @@
 Series live in Q[x_1, x_2, ...] where the variable x_i carries weight i; they
 are printed as ``q1, q2, ...`` or ``p1, p2, ...`` depending on the series'
 variable family.  A :class:`TruncSeries` keeps the terms of weighted degree at
-most ``order`` as a sparse map from monomials to ``fractions.Fraction``
-coefficients.  All arithmetic is exact; floats are rejected outright.  The
-products, exp and log run on integer numerators: with D the lcm of the
-denominators, weight w is scaled by D^w (D^(w+1) in a product, where constant
-terms may be fractions) and each result term is divided once at the end.
-Inside those kernels a monomial is keyed by its partition (each variable
-index repeated by its exponent, largest first), so a monomial product is one
-merge of two sorted tuples; :attr:`TruncSeries.terms` keeps the
-``(variable, exponent)`` monomials below, converted once on the way in and
-once on the way out.
+most ``order`` as a sparse map from partitions to ``fractions.Fraction``
+coefficients: a monomial is stored as its partition, each variable index
+repeated by its exponent, largest first (x_1^2 x_3 is (3, 1, 1), the
+constant is ()), so p_mu is keyed by mu itself, its weight is sum(mu), and a
+monomial product is one merge of two sorted tuples.  All arithmetic is
+exact; floats are rejected outright.  The products, exp and log run on
+integer numerators: with D the lcm of the denominators, weight w is scaled
+by D^w (D^(w+1) in a product, where constant terms may be fractions) and
+each result term is divided once at the end.
 
-A monomial is a tuple of ``(variable index, exponent)`` pairs sorted by
-variable index, with zero exponents never stored; the empty tuple is the
-constant monomial.  The canonical term order is graded (by weighted degree),
-then lexicographic on dense exponent vectors with higher powers of x_1 first.
-Rendering follows that order, which makes printed output byte-stable.
+The public API speaks monomials: tuples of ``(variable index, exponent)``
+pairs sorted by index, zero exponents omitted, () the constant.  The
+constructor and :meth:`TruncSeries.coefficient` accept the pairs in any
+order, or a {variable index: exponent} map; :attr:`TruncSeries.terms` is a
+fresh dict keyed that way on every access.  Rendering is graded (by weighted
+degree), then lexicographic on dense exponent vectors with higher powers of
+x_1 first, which makes printed output byte-stable.
 
 Series are never mutated after construction; every operation returns a fresh
 value, so results can be shared freely across threads and summed in any
@@ -37,8 +38,9 @@ MAX_ORDER = LIMITS["order"].cap
 DEFAULT_ORDER = 7
 
 Monomial = tuple[tuple[int, int], ...]
+Partition = tuple[int, ...]
 
-#: The constant monomial.
+#: The constant monomial, and the empty partition that stores it.
 UNIT: Monomial = ()
 
 
@@ -55,20 +57,31 @@ def _json_int(value, what: str) -> int:
     return value
 
 
+def _partition(m) -> Partition:
+    """The stored key of a monomial given as (variable index, exponent) pairs
+    in any order or as a {variable index: exponent} map: each index repeated
+    by its exponent, largest first.  Zero exponents vanish; an index below 1
+    or a negative exponent raises ValueError."""
+    if not isinstance(m, tuple) and isinstance(m, Mapping):
+        m = m.items()
+    parts: list[int] = []
+    for var, exp in m:
+        if var < 1 or exp < 0:
+            raise ValueError(f"monomial needs variable index >= 1 and exponent >= 0, "
+                             f"got x{var}^{exp}")
+        parts += [var] * exp
+    parts.sort(reverse=True)
+    return tuple(parts)
+
+
+def _monomial(mu: Partition) -> Monomial:
+    """Inverse of :func:`_partition`: (part, multiplicity) pairs by increasing part."""
+    return tuple([(part, mu.count(part)) for part in sorted(set(mu))])
+
+
 def mono(exponents: Mapping[int, int] | Iterable[tuple[int, int]]) -> Monomial:
     """Build a canonical monomial from {variable index: exponent} pairs."""
-    items = exponents.items() if isinstance(exponents, Mapping) else exponents
-    out = []
-    for var, exp in sorted(items):
-        var = int(var)
-        exp = int(exp)
-        if var < 1:
-            raise ValueError(f"variable index must be >= 1, got {var}")
-        if exp < 0:
-            raise ValueError(f"negative exponent on variable {var}")
-        if exp:
-            out.append((var, exp))
-    return tuple(out)
+    return _monomial(_partition(exponents))
 
 
 def mono_weight(m: Monomial) -> int:
@@ -91,7 +104,7 @@ def _mono_text(m: Monomial, var: str) -> str:
 class TruncSeries:
     """Sparse exact multivariate series truncated at a weighted degree."""
 
-    __slots__ = ("order", "var", "terms")
+    __slots__ = ("order", "var", "_terms")
 
     def __init__(self, order: int = DEFAULT_ORDER, var: str = "q", terms=None):
         if order < 0:
@@ -99,25 +112,28 @@ class TruncSeries:
         check_limit("order", order)
         if var not in ("q", "p"):
             raise ValueError(f"variable family must be 'q' or 'p', got {var!r}")
-        clean: dict[Monomial, Fraction] = {}
+        clean: dict[Partition, Fraction] = {}
         if terms:
             for m, c in terms.items():
-                if not isinstance(m, tuple):
-                    m = mono(m)
+                mu = _partition(m)
                 c = _fraction(c)
-                if c and mono_weight(m) <= order:
-                    clean[m] = c
+                if c and sum(mu) <= order:
+                    if mu in clean:  # two spellings of one monomial
+                        c += clean.pop(mu)
+                    if c:
+                        clean[mu] = c
         self.order = order
         self.var = var
-        self.terms = clean
+        self._terms = clean
 
     @classmethod
     def _raw(cls, order: int, var: str, terms: dict) -> "TruncSeries":
-        # internal fast path: terms must already be clean (no zeros, weights <= order)
+        # internal fast path: terms must already be clean (keyed by partitions,
+        # no zeros, weights <= order)
         s = object.__new__(cls)
         s.order = order
         s.var = var
-        s.terms = terms
+        s._terms = terms
         return s
 
     @classmethod
@@ -134,37 +150,31 @@ class TruncSeries:
 
     @classmethod
     def variable(cls, index: int, order: int = DEFAULT_ORDER, var: str = "q") -> "TruncSeries":
-        return cls(order, var, {mono({index: 1}): Fraction(1)})
+        return cls(order, var, {((index, 1),): Fraction(1)})
 
     # -- structure ---------------------------------------------------------
 
     @property
+    def terms(self) -> dict[Monomial, Fraction]:
+        """The terms as a fresh {(variable, exponent) monomial: coefficient} dict."""
+        return {_monomial(mu): c for mu, c in self._terms.items()}
+
+    @property
     def constant_term(self) -> Fraction:
-        return self.terms.get(UNIT, Fraction(0))
+        return self._terms.get(UNIT, Fraction(0))
 
     def coefficient(self, m) -> Fraction:
         """Coefficient of a monomial; querying beyond the order is an error."""
-        if not isinstance(m, tuple):
-            m = mono(m)
-        w = mono_weight(m)
+        mu = _partition(m)
+        w = sum(mu)
         if w > self.order:
             raise ValueError(f"monomial weight {w} exceeds truncation order {self.order}")
-        return self.terms.get(m, Fraction(0))
+        return self._terms.get(mu, Fraction(0))
 
     def homogeneous_part(self, weight: int) -> "TruncSeries":
         return TruncSeries._raw(
             self.order, self.var,
-            {m: c for m, c in self.terms.items() if mono_weight(m) == weight})
-
-    def truncate(self, order: int) -> "TruncSeries":
-        """Lower the truncation order, dropping heavier terms.  Never raises it."""
-        if order > self.order:
-            raise ValueError(f"cannot raise truncation order {self.order} to {order}")
-        if order == self.order:
-            return self
-        return TruncSeries._raw(
-            order, self.var,
-            {m: c for m, c in self.terms.items() if mono_weight(m) <= order})
+            {mu: c for mu, c in self._terms.items() if sum(mu) == weight})
 
     # -- ring operations ---------------------------------------------------
 
@@ -181,20 +191,20 @@ class TruncSeries:
         elif not isinstance(other, TruncSeries):
             return NotImplemented
         self._check_compatible(other)
-        out = dict(self.terms)
-        for m, c in other.terms.items():
-            s = out.get(m, 0) + c
+        out = dict(self._terms)
+        for mu, c in other._terms.items():
+            s = out.get(mu, 0) + c
             if s:
-                out[m] = s
-            elif m in out:
-                del out[m]
+                out[mu] = s
+            elif mu in out:
+                del out[mu]
         return TruncSeries._raw(self.order, self.var, out)
 
     __radd__ = __add__
 
     def __neg__(self):
         return TruncSeries._raw(self.order, self.var,
-                                {m: -c for m, c in self.terms.items()})
+                                {mu: -c for mu, c in self._terms.items()})
 
     def __sub__(self, other):
         if isinstance(other, (int, Fraction)):
@@ -212,7 +222,7 @@ class TruncSeries:
             if not c:
                 return TruncSeries._raw(self.order, self.var, {})
             return TruncSeries._raw(self.order, self.var,
-                                    {m: c * v for m, v in self.terms.items()})
+                                    {mu: c * v for mu, v in self._terms.items()})
         if not isinstance(other, TruncSeries):
             return NotImplemented
         self._check_compatible(other)
@@ -222,31 +232,32 @@ class TruncSeries:
             for y in right[:self.order - w + 1]:
                 _add_product(out, piece, y)
         return TruncSeries._raw(self.order, self.var, {
-            _monomial(mu): Fraction(c, den ** (sum(mu) + 2)) for mu, c in out.items() if c})
+            mu: Fraction(c, den ** (sum(mu) + 2)) for mu, c in out.items() if c})
 
     __rmul__ = __mul__
 
     def __eq__(self, other):
         if isinstance(other, (int, Fraction)):
             c = _fraction(other)
-            return self.terms == ({UNIT: c} if c else {})
+            return self._terms == ({UNIT: c} if c else {})
         if not isinstance(other, TruncSeries):
             return NotImplemented
         return (self.order == other.order and self.var == other.var
-                and self.terms == other.terms)
+                and self._terms == other._terms)
 
     def __bool__(self):
-        return bool(self.terms)
+        return bool(self._terms)
 
     # -- rendering ---------------------------------------------------------
 
     def text(self) -> str:
         """Canonical plain-text rendering, e.g. ``q1^3 + 3 q1 q2 + 2 q3``."""
-        if not self.terms:
+        if not self._terms:
             return "0"
+        terms = self.terms
         pieces = []
-        for m in sorted(self.terms, key=mono_key):
-            c = self.terms[m]
+        for m in sorted(terms, key=mono_key):
+            c = terms[m]
             body = _mono_text(m, self.var)
             mag = abs(c)
             if body and mag == 1:
@@ -263,15 +274,16 @@ class TruncSeries:
         return out
 
     def to_json_obj(self) -> dict:
-        terms = []
-        for m in sorted(self.terms, key=mono_key):
-            c = self.terms[m]
-            terms.append({
+        terms = self.terms
+        out = []
+        for m in sorted(terms, key=mono_key):
+            c = terms[m]
+            out.append({
                 "exponents": {str(var): exp for var, exp in m},
                 "numerator": c.numerator,
                 "denominator": c.denominator,
             })
-        return {"var": self.var, "order": self.order, "terms": terms}
+        return {"var": self.var, "order": self.order, "terms": out}
 
     @classmethod
     def from_json_obj(cls, obj: Mapping) -> "TruncSeries":
@@ -314,28 +326,13 @@ class TruncSeries:
 # -- calculus ---------------------------------------------------------------
 
 
-def _partition(m: Monomial) -> tuple[int, ...]:
-    """The partition of a monomial: each variable index repeated by its
-    exponent, largest first; the constant monomial gives ()."""
-    parts: list[int] = []
-    for var, exp in reversed(m):
-        parts += [var] * exp
-    return tuple(parts)
-
-
-def _monomial(mu: tuple[int, ...]) -> Monomial:
-    """Inverse of :func:`_partition`: (part, multiplicity) pairs by increasing part."""
-    return tuple([(part, mu.count(part)) for part in sorted(set(mu))])
-
-
 def _graded(shift: int, *series: TruncSeries) -> tuple[int, list]:
     """D, the lcm of every denominator, and each series' pieces by weight
     0..order, piece w as the integers D^(w + shift) A_w keyed by partitions."""
-    den = lcm(*[c.denominator for a in series for c in a.terms.values()])
+    den = lcm(*[c.denominator for a in series for c in a._terms.values()])
     graded = [[{} for _ in range(a.order + 1)] for a in series]
     for a, pieces in zip(series, graded):
-        for m, c in a.terms.items():
-            mu = _partition(m)
+        for mu, c in a._terms.items():
             w = sum(mu)
             pieces[w][mu] = c.numerator * den ** (w + shift) // c.denominator
     return den, graded
@@ -369,7 +366,7 @@ def exp(a: TruncSeries) -> TruncSeries:
             f = k * perm(n - 1, k - 1)
             _add_product(acc, {m: f * c for m, c in pieces[k].items()}, out[n - k])
         out.append({m: c for m, c in acc.items() if c})
-    return TruncSeries._raw(a.order, a.var, {_monomial(mu): Fraction(c, factorial(n) * den ** n)
+    return TruncSeries._raw(a.order, a.var, {mu: Fraction(c, factorial(n) * den ** n)
                                              for n, piece in enumerate(out)
                                              for mu, c in piece.items()})
 
@@ -392,7 +389,7 @@ def log(a: TruncSeries) -> TruncSeries:
         for k in range(1, n):
             _add_product(acc, out[k], pieces[n - k])
         out.append({m: -c for m, c in acc.items() if c})
-    return TruncSeries._raw(a.order, a.var, {_monomial(mu): Fraction(c, n * den ** n)
+    return TruncSeries._raw(a.order, a.var, {mu: Fraction(c, n * den ** n)
                                              for n, piece in enumerate(out)
                                              for mu, c in piece.items()})
 
@@ -403,24 +400,24 @@ def substitute(a: TruncSeries, factors, var: str = "p") -> TruncSeries:
     ``factors`` maps variable indices to nonzero rationals, as a rescaling
     plan does.  Every variable appearing in ``a`` must have a factor.
     """
-    out: dict[Monomial, Fraction] = {}
-    for m, c in a.terms.items():
-        for i, e in m:
+    out: dict[Partition, Fraction] = {}
+    for mu, c in a._terms.items():
+        for i, e in _monomial(mu):
             f = factors.get(i)
             if f is None or f == 0:
                 raise ValueError(f"no nonzero rescale factor for variable {i}")
             c = c * _fraction(f) ** e
-        out[m] = c
+        out[mu] = c
     return TruncSeries._raw(a.order, var, out)
 
 
 def evaluate(a: TruncSeries, values: Mapping[int, Fraction]) -> Fraction:
     """Evaluate at a rational point; every variable present needs a value."""
     total = Fraction(0)
-    for m, c in a.terms.items():
-        for i, e in m:
+    for mu, c in a._terms.items():
+        for i in mu:
             if i not in values:
                 raise ValueError(f"no value supplied for variable {i}")
-            c = c * _fraction(values[i]) ** e
+            c = c * _fraction(values[i])
         total += c
     return total

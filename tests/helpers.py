@@ -640,8 +640,8 @@ def schur_one_part(n: int, order: int = DEFAULT_ORDER) -> TruncSeries:
     """s_n = sum_{mu |- n} p_mu / z_mu in power-sum variables."""
     if n > order:
         raise ValueError(f"s_{n} does not fit truncation order {order}")
-    return TruncSeries(order, "p", {m: Fraction(1, _z(m))
-                                    for m in (mono(Counter(mu)) for mu in partitions_of(n))})
+    return TruncSeries(order, "p", {mono(Counter(mu)): Fraction(1, _z(mu))
+                                    for mu in partitions_of(n)})
 
 
 @cache

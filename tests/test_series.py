@@ -1,9 +1,12 @@
 """Truncated-series arithmetic: frozen examples and randomized ring laws."""
 
+import ast
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
+import graphkp
 from graphkp.schurkp import schur_combination
 from graphkp.series import MAX_ORDER, TruncSeries, evaluate, exp, log, mono, substitute
 from helpers import (fraction_exp, fraction_log, fraction_mul, fraction_partial,
@@ -47,6 +50,54 @@ class TestConstruction:
             mono({0: 1})
         with pytest.raises(ValueError):
             mono({1: -1})
+
+    def test_keys_are_canonical(self):
+        swapped = TruncSeries(4, "q", {((2, 1), (1, 1)): 1})
+        assert swapped == TruncSeries(4, "q", {((1, 1), (2, 1)): 1})
+        assert swapped.terms == {((1, 1), (2, 1)): 1}
+        assert swapped.text() == "q1 q2"
+        assert swapped.coefficient(((2, 1), (1, 1))) == 1
+        power_zero = TruncSeries(4, "q", {((1, 0),): 1})
+        assert power_zero == 1
+        assert power_zero.text() == "1"
+        assert power_zero.terms == {(): 1}
+
+    def test_spellings_of_one_monomial_are_summed(self):
+        assert TruncSeries(4, "q", {((2, 1), (1, 1)): 1, ((1, 1), (2, 1)): 2}) == \
+            parse_poly("3 q1 q2", 4)
+        assert TruncSeries(4, "q", {((2, 1), (1, 1)): 1, ((1, 1), (2, 1)): -1}).terms == {}
+
+    @pytest.mark.parametrize("key", [((0, 1),), ((1, -1),), ((2, 1), (0, 0))])
+    def test_bad_keys_rejected(self, key):
+        with pytest.raises(ValueError):
+            TruncSeries(4, "q", {key: 1})
+        with pytest.raises(ValueError):
+            TruncSeries.one(4).coefficient(key)
+
+    def test_terms_view_cannot_mutate_the_series(self):
+        s = TruncSeries.one(4)
+        s.terms[()] = Fraction(2)
+        assert s == 1
+        assert s.text() == "1"
+        w = parse_poly("q1^2 + 1/2 q2", 4)
+        w.terms.clear()
+        assert w == parse_poly("q1^2 + 1/2 q2", 4)
+        assert w.text() == "q1^2 + 1/2 q2"
+
+
+def test_key_format_stays_in_series():
+    # the (variable, exponent) monomial is series' boundary format; every
+    # other module reads and builds partition keys.  The package __init__
+    # re-exports the public mono.
+    hidden = {"_partition", "_monomial", "mono", "Monomial"}
+    leaks = []
+    for path in sorted(Path(graphkp.__file__).parent.glob("*.py")):
+        if path.name in ("series.py", "__init__.py"):
+            continue
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.ImportFrom):
+                leaks += [(path.name, a.name) for a in node.names if a.name in hidden]
+    assert leaks == []
 
 
 class TestAdd:
@@ -203,8 +254,8 @@ class TestRingLaws:
             v = rng.randint(1, order)
             lhs = fraction_partial(a * b, v)
             cut = lhs.order
-            rhs = (fraction_partial(a, v) * b.truncate(cut)
-                   + a.truncate(cut) * fraction_partial(b, v))
+            rhs = (fraction_partial(a, v) * TruncSeries(cut, b.var, b.terms)
+                   + TruncSeries(cut, a.var, a.terms) * fraction_partial(b, v))
             assert lhs == rhs
 
     def test_results_stay_canonical_fractions(self, rng):
