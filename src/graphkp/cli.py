@@ -20,7 +20,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from fractions import Fraction
 
 from graphkp import ensemble, schurkp, series
 from graphkp.errors import LIMITS, Graph6ParseError, SizeLimitError, check_limit
@@ -106,8 +105,8 @@ def _emit_series(s: TruncSeries, fmt: str) -> None:
         print(s.text())
 
 
-def _plan(which: str, order: int) -> dict[int, Fraction]:
-    return ensemble.make_plan(ensemble.rescale_constants(which, order))
+def _rescale(s: TruncSeries, which: str, order: int) -> TruncSeries:
+    return series.substitute(s, ensemble.make_plan(ensemble.rescale_constants(which, order)))
 
 
 def _cmd_invariant(args) -> int:
@@ -133,7 +132,7 @@ def _cmd_series(args) -> int:
     full = ensemble.full_series(args.which, order)
     out = series.log(full) if args.sum == "connected" else full
     if args.rescaled:
-        out = series.substitute(out, _plan(args.which, order))
+        out = _rescale(out, args.which, order)
     _emit_series(out, args.format)
     return EXIT_OK
 
@@ -154,13 +153,11 @@ def _cmd_constants(args) -> int:
 
 def _cmd_rescale(args) -> int:
     order = check_limit("order", args.order, low=1)
-    plan = _plan(args.which, order)
     if args.graph6 is not None:
-        poly = INVARIANTS[args.which](parse_graph6(args.graph6), order)
-        _emit_series(series.substitute(poly, plan), args.format)
+        source = INVARIANTS[args.which](parse_graph6(args.graph6), order)
     else:
-        out = ensemble.connected_series(args.which, order)
-        _emit_series(series.substitute(out, plan), args.format)
+        source = ensemble.connected_series(args.which, order)
+    _emit_series(_rescale(source, args.which, order), args.format)
     return EXIT_OK
 
 
@@ -181,8 +178,7 @@ def _cmd_kp_check(args) -> int:
         label = "log of the one-part Schur reference series"
     else:
         which = args.series_name
-        F = series.substitute(ensemble.connected_series(which, order),
-                              _plan(which, order))
+        F = _rescale(ensemble.connected_series(which, order), which, order)
         label = f"rescaled connected {which} series"
     if F.order < 4:
         raise ValueError(f"kp-check needs order >= 4 to certify any residual, got {F.order}")

@@ -71,7 +71,7 @@ from math import factorial, lcm, perm, prod
 from operator import mul
 
 from graphkp.errors import check_limit
-from graphkp.series import DEFAULT_ORDER, Partition, TruncSeries, _add_product, _fraction
+from graphkp.series import DEFAULT_ORDER, Partition, TruncSeries, _fraction, _graded_product
 
 
 @lru_cache(maxsize=None)
@@ -252,11 +252,7 @@ def _residual(F: TruncSeries, name: str, drop: int, scale: int, linear: dict,
     for (u, v), b in bilinear.items():
         left = _derivative(G, u, order)
         right = left if u == v else _derivative(G, v, order)
-        product: dict[Partition, int] = {}
-        for w, piece in enumerate(left):
-            for y in right[:order - w + 1]:
-                _add_product(product, piece, y)
-        for mu, x in product.items():
+        for mu, x in _graded_product(left, right, order).items():
             acc[mu] = acc.get(mu, 0) + b * x
     den = scale * den * den
     return TruncSeries._raw(order, "p", {mu: Fraction(c, den) for mu, c in acc.items() if c})

@@ -11,15 +11,20 @@ monomial product is one merge of two sorted tuples.  All arithmetic is
 exact; floats are rejected outright.  The products, exp and log run on
 integer numerators: with D the lcm of the denominators, weight w is scaled
 by D^w (D^(w+1) in a product, where constant terms may be fractions) and
-each result term is divided once at the end.
+each result term is divided once at the end.  :func:`substitute` (whose
+result is always a p series) and :func:`evaluate` multiply each term's
+integer numerator and denominator by the factor of each of its parts and
+build one Fraction per term.
 
 The public API speaks monomials: tuples of ``(variable index, exponent)``
 pairs sorted by index, zero exponents omitted, () the constant.  The
 constructor and :meth:`TruncSeries.coefficient` accept the pairs in any
-order, or a {variable index: exponent} map; :attr:`TruncSeries.terms` is a
-fresh dict keyed that way on every access.  Rendering is graded (by weighted
-degree), then lexicographic on dense exponent vectors with higher powers of
-x_1 first, which makes printed output byte-stable.
+order, or a {variable index: exponent} map of ints; one heavier than the
+order is dropped by the constructor and refused by ``coefficient`` before
+it is expanded.  :attr:`TruncSeries.terms` is a fresh dict keyed that way
+on every access.  Rendering is graded (by weighted degree), then
+lexicographic on dense exponent vectors with higher powers of x_1 first,
+which makes printed output byte-stable.
 
 Series are never mutated after construction; every operation returns a fresh
 value, so results can be shared freely across threads and summed in any
@@ -57,19 +62,24 @@ def _json_int(value, what: str) -> int:
     return value
 
 
-def _partition(m) -> Partition:
+def _partition(m, order: int) -> Partition | None:
     """The stored key of a monomial given as (variable index, exponent) pairs
     in any order or as a {variable index: exponent} map: each index repeated
-    by its exponent, largest first.  Zero exponents vanish; an index below 1
-    or a negative exponent raises ValueError."""
+    by its exponent, largest first, or None if its weight exceeds ``order``
+    (parts are built only while the weight fits).  A non-int, an index below
+    1 or a negative exponent raises ValueError."""
     if not isinstance(m, tuple) and isinstance(m, Mapping):
         m = m.items()
+    weight = 0
     parts: list[int] = []
     for var, exp in m:
-        if var < 1 or exp < 0:
-            raise ValueError(f"monomial needs variable index >= 1 and exponent >= 0, "
-                             f"got x{var}^{exp}")
-        parts += [var] * exp
+        if type(var) is not int or type(exp) is not int or var < 1 or exp < 0:
+            raise ValueError(f"bad monomial x{var!r}^{exp!r}: needs int index >= 1, exponent >= 0")
+        weight += var * exp
+        if weight <= order:
+            parts += [var] * exp
+    if weight > order:
+        return None
     parts.sort(reverse=True)
     return tuple(parts)
 
@@ -81,7 +91,10 @@ def _monomial(mu: Partition) -> Monomial:
 
 def mono(exponents: Mapping[int, int] | Iterable[tuple[int, int]]) -> Monomial:
     """Build a canonical monomial from {variable index: exponent} pairs."""
-    return _monomial(_partition(exponents))
+    mu = _partition(exponents, MAX_ORDER)
+    if mu is None:
+        raise ValueError(f"monomial weight exceeds the largest order {MAX_ORDER}")
+    return _monomial(mu)
 
 
 def mono_weight(m: Monomial) -> int:
@@ -115,9 +128,9 @@ class TruncSeries:
         clean: dict[Partition, Fraction] = {}
         if terms:
             for m, c in terms.items():
-                mu = _partition(m)
+                mu = _partition(m, order)
                 c = _fraction(c)
-                if c and sum(mu) <= order:
+                if c and mu is not None:
                     if mu in clean:  # two spellings of one monomial
                         c += clean.pop(mu)
                     if c:
@@ -165,10 +178,9 @@ class TruncSeries:
 
     def coefficient(self, m) -> Fraction:
         """Coefficient of a monomial; querying beyond the order is an error."""
-        mu = _partition(m)
-        w = sum(mu)
-        if w > self.order:
-            raise ValueError(f"monomial weight {w} exceeds truncation order {self.order}")
+        mu = _partition(m, self.order)
+        if mu is None:
+            raise ValueError(f"monomial weight exceeds truncation order {self.order}")
         return self._terms.get(mu, Fraction(0))
 
     def homogeneous_part(self, weight: int) -> "TruncSeries":
@@ -207,10 +219,6 @@ class TruncSeries:
                                 {mu: -c for mu, c in self._terms.items()})
 
     def __sub__(self, other):
-        if isinstance(other, (int, Fraction)):
-            other = TruncSeries.constant(other, self.order, self.var)
-        elif not isinstance(other, TruncSeries):
-            return NotImplemented
         return self + (-other)
 
     def __rsub__(self, other):
@@ -218,19 +226,13 @@ class TruncSeries:
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
-            c = _fraction(other)
-            if not c:
-                return TruncSeries._raw(self.order, self.var, {})
             return TruncSeries._raw(self.order, self.var,
-                                    {mu: c * v for mu, v in self._terms.items()})
+                                    {mu: other * v for mu, v in self._terms.items() if other})
         if not isinstance(other, TruncSeries):
             return NotImplemented
         self._check_compatible(other)
         den, (left, right) = _graded(1, self, other)
-        out = {}
-        for w, piece in enumerate(left):
-            for y in right[:self.order - w + 1]:
-                _add_product(out, piece, y)
+        out = _graded_product(left, right, self.order)
         return TruncSeries._raw(self.order, self.var, {
             mu: Fraction(c, den ** (sum(mu) + 2)) for mu, c in out.items() if c})
 
@@ -238,8 +240,7 @@ class TruncSeries:
 
     def __eq__(self, other):
         if isinstance(other, (int, Fraction)):
-            c = _fraction(other)
-            return self._terms == ({UNIT: c} if c else {})
+            return self._terms == ({UNIT: other} if other else {})
         if not isinstance(other, TruncSeries):
             return NotImplemented
         return (self.order == other.order and self.var == other.var
@@ -275,15 +276,10 @@ class TruncSeries:
 
     def to_json_obj(self) -> dict:
         terms = self.terms
-        out = []
-        for m in sorted(terms, key=mono_key):
-            c = terms[m]
-            out.append({
-                "exponents": {str(var): exp for var, exp in m},
-                "numerator": c.numerator,
-                "denominator": c.denominator,
-            })
-        return {"var": self.var, "order": self.order, "terms": out}
+        return {"var": self.var, "order": self.order, "terms": [
+            {"exponents": {str(var): exp for var, exp in m},
+             "numerator": terms[m].numerator, "denominator": terms[m].denominator}
+            for m in sorted(terms, key=mono_key)]}
 
     @classmethod
     def from_json_obj(cls, obj: Mapping) -> "TruncSeries":
@@ -306,7 +302,7 @@ class TruncSeries:
                 for key in exps:
                     if not (isinstance(key, str) and key.isascii() and key.isdigit()):
                         raise ValueError(f"malformed series object: exponent key {key!r}")
-                m = mono({int(k): _json_int(v, "exponent") for k, v in exps.items()})
+                m = tuple({int(k): _json_int(v, "exponent") for k, v in exps.items()}.items())
                 den = _json_int(t["denominator"], "denominator")
                 if not den:
                     raise ValueError("malformed series object: zero denominator")
@@ -345,6 +341,16 @@ def _add_product(acc: dict, x: dict, y: dict) -> None:
         for m2, c2 in y.items():
             key = tuple(sorted(m1 + m2, reverse=True))
             acc[key] = acc.get(key, 0) + c1 * c2
+
+
+def _graded_product(left: list[dict], right: list[dict], order: int) -> dict:
+    """The product, through weight ``order``, of two series given as pieces
+    by weight keyed by partitions (zeros may be left in the result)."""
+    out: dict[Partition, int] = {}
+    for w, piece in enumerate(left):
+        for y in right[:order - w + 1]:
+            _add_product(out, piece, y)
+    return out
 
 
 def exp(a: TruncSeries) -> TruncSeries:
@@ -394,30 +400,31 @@ def log(a: TruncSeries) -> TruncSeries:
                                              for mu, c in piece.items()})
 
 
-def substitute(a: TruncSeries, factors, var: str = "p") -> TruncSeries:
-    """Rescale variables, x_i -> factor_i * y_i, keeping weights unchanged.
+def _rescaled(a: TruncSeries, values: Mapping, missing: str):
+    """Each term of ``a`` as (partition, coefficient times values[i] for every
+    part i), on integers; ``missing`` describes a part without a value."""
+    ratios = {i: _fraction(v).as_integer_ratio() for i, v in values.items()}
+    for mu, c in a._terms.items():
+        num, den = c.numerator, c.denominator
+        for i in mu:
+            if i not in ratios:
+                raise ValueError(f"{missing} for variable {i}")
+            n, d = ratios[i]
+            num *= n
+            den *= d
+        yield mu, Fraction(num, den)
+
+
+def substitute(a: TruncSeries, factors) -> TruncSeries:
+    """Rescale variables, x_i -> factor_i * p_i, keeping weights unchanged.
 
     ``factors`` maps variable indices to nonzero rationals, as a rescaling
     plan does.  Every variable appearing in ``a`` must have a factor.
     """
-    out: dict[Partition, Fraction] = {}
-    for mu, c in a._terms.items():
-        for i, e in _monomial(mu):
-            f = factors.get(i)
-            if f is None or f == 0:
-                raise ValueError(f"no nonzero rescale factor for variable {i}")
-            c = c * _fraction(f) ** e
-        out[mu] = c
-    return TruncSeries._raw(a.order, var, out)
+    nonzero = {i: f for i, f in factors.items() if f}
+    return TruncSeries._raw(a.order, "p", dict(_rescaled(a, nonzero, "no nonzero rescale factor")))
 
 
 def evaluate(a: TruncSeries, values: Mapping[int, Fraction]) -> Fraction:
     """Evaluate at a rational point; every variable present needs a value."""
-    total = Fraction(0)
-    for mu, c in a._terms.items():
-        for i in mu:
-            if i not in values:
-                raise ValueError(f"no value supplied for variable {i}")
-            c = c * _fraction(values[i])
-        total += c
-    return total
+    return sum([c for _, c in _rescaled(a, values, "no value supplied")], Fraction(0))

@@ -3,11 +3,11 @@ the package computes one way, kept here only to check it.
 
 * Builders and generators: small graph families, a polynomial text parser
   for frozen expected values, random series and graph6 strategies.
-* Series kernel oracles: the product, exp, log and partial derivative with
-  one Fraction operation per coefficient step and their own dict-merge
-  monomial product, the oracles for the kernels that run on integer
-  numerators over a common denominator and key products by partitions, and
-  for the coefficient-lookup derivative of the KP residuals.
+* Series kernel oracles: the product, exp, log, rescaling and partial
+  derivative with one Fraction operation per coefficient step and their own
+  dict-merge monomial product, the oracles for the kernels that run on
+  integer numerators over a common denominator and key products by
+  partitions, and for the coefficient-lookup derivative of the KP residuals.
 * Per-graph oracles for the umbral assembly: the edge-subset expansion of W,
   the spanning-forest sum of A, deletion-contraction of W on vertex-weighted
   graphs, and brute-force proper colorings.
@@ -200,6 +200,20 @@ def fraction_log(a: TruncSeries) -> TruncSeries:
         scaled.append({m: c for m, c in acc.items() if c})
     return TruncSeries(a.order, a.var, {m: c / n for n, piece in enumerate(scaled)
                                         for m, c in piece.items()})
+
+
+def fraction_substitute(a: TruncSeries, factors) -> TruncSeries:
+    """x_i -> factor_i * p_i with one Fraction power and one Fraction
+    product per (variable, exponent) run of every term."""
+    out = {}
+    for m, c in a.terms.items():
+        for i, e in m:
+            f = factors.get(i)
+            if f is None or f == 0:
+                raise ValueError(f"no nonzero rescale factor for variable {i}")
+            c = c * Fraction(f) ** e
+        out[m] = c
+    return TruncSeries(a.order, "p", out)
 
 
 def fraction_partial(a: TruncSeries, var_index: int, times: int = 1) -> TruncSeries:
@@ -732,7 +746,7 @@ def pairwise_schur_expand(tau: TruncSeries) -> dict:
         raise ValueError("Schur expansion expects a series in p-variables")
     by_weight: list[dict] = [{} for _ in range(tau.order + 1)]
     for m, c in tau.terms.items():
-        mu = _partition(m)
+        mu = _partition(m, tau.order)
         by_weight[sum(mu)][mu] = c
     out: dict = {}
     for w, coeffs in enumerate(by_weight):

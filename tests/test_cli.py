@@ -136,6 +136,20 @@ class TestExitCodes:
         assert "kp1: residual zero through weight 2" in out
         assert "kp2: residual zero through weight 1" in out
 
+    def test_kp_check_drops_a_term_of_huge_exponent(self, tmp_path, capsys):
+        # the term's weight is above the order, so it is dropped unexpanded
+        from graphkp import series
+        from graphkp.schurkp import target_series
+        good = series.log(target_series(6)).to_json_obj()
+        path = tmp_path / "series.json"
+        path.write_text(json.dumps(good))
+        assert main(["kp-check", "--input", str(path)]) == 0
+        want = capsys.readouterr().out
+        good["terms"].append({"exponents": {"1": 2 ** 64}, "numerator": 1, "denominator": 1})
+        path.write_text(json.dumps(good))
+        assert main(["kp-check", "--input", str(path)]) == 0
+        assert capsys.readouterr().out == want
+
     def test_deeply_nested_json_exits_2(self, tmp_path, capsys):
         path = tmp_path / "deep.json"
         path.write_text("[" * 100_000 + "]" * 100_000)

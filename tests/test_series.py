@@ -1,16 +1,19 @@
 """Truncated-series arithmetic: frozen examples and randomized ring laws."""
 
 import ast
+from collections import Counter
 from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import graphkp
-from graphkp.schurkp import schur_combination
+from graphkp.schurkp import partitions_of, schur_combination
 from graphkp.series import MAX_ORDER, TruncSeries, evaluate, exp, log, mono, substitute
 from helpers import (fraction_exp, fraction_log, fraction_mul, fraction_partial,
-                     parse_poly, random_rational, random_series)
+                     fraction_substitute, parse_poly, random_rational, random_series)
 
 
 def q(i, order=7):
@@ -67,12 +70,25 @@ class TestConstruction:
             parse_poly("3 q1 q2", 4)
         assert TruncSeries(4, "q", {((2, 1), (1, 1)): 1, ((1, 1), (2, 1)): -1}).terms == {}
 
-    @pytest.mark.parametrize("key", [((0, 1),), ((1, -1),), ((2, 1), (0, 0))])
+    @pytest.mark.parametrize("key", [((0, 1),), ((1, -1),), ((2, 1), (0, 0)),
+                                     ((True, 2),), ((1.5, 1),), ((1, 2.0),), ((1, True),)])
     def test_bad_keys_rejected(self, key):
         with pytest.raises(ValueError):
             TruncSeries(4, "q", {key: 1})
         with pytest.raises(ValueError):
             TruncSeries.one(4).coefficient(key)
+        with pytest.raises(ValueError):
+            mono(key)
+
+    @pytest.mark.parametrize("key", [((1, 2 ** 63),), ((1, 2 ** 64), (2, 1)), ((2 ** 64, 1),)])
+    def test_heavy_keys_weighed_before_expansion(self, key):
+        # a monomial above the order is dropped by the constructor and
+        # refused by coefficient and mono, without building its parts
+        assert TruncSeries(8, "p", {key: 1, ((2, 1),): 3}) == parse_poly("3 p2", 8, "p")
+        with pytest.raises(ValueError):
+            TruncSeries.one(8).coefficient(key)
+        with pytest.raises(ValueError):
+            mono(key)
 
     def test_terms_view_cannot_mutate_the_series(self):
         s = TruncSeries.one(4)
@@ -89,7 +105,8 @@ def test_key_format_stays_in_series():
     # the (variable, exponent) monomial is series' boundary format; every
     # other module reads and builds partition keys.  The package __init__
     # re-exports the public mono.
-    hidden = {"_partition", "_monomial", "mono", "Monomial"}
+    # _add_product, the monomial product, stays behind _graded_product.
+    hidden = {"_partition", "_monomial", "mono", "Monomial", "_add_product"}
     leaks = []
     for path in sorted(Path(graphkp.__file__).parent.glob("*.py")):
         if path.name in ("series.py", "__init__.py"):
@@ -196,6 +213,38 @@ class TestSubstitute:
     def test_zero_factor_raises(self):
         with pytest.raises(ValueError):
             substitute(q(2, 4), {2: Fraction(0)})
+
+
+_NONZERO = st.builds(Fraction, st.integers(-30, 30).filter(bool), st.integers(1, 12))
+
+
+@st.composite
+def q_series(draw):
+    """A q series of a drawn order in 0..MAX_ORDER with up to ten terms of
+    any weight it holds and nonzero rational coefficients."""
+    order = draw(st.integers(0, MAX_ORDER))
+    terms = {}
+    for _ in range(draw(st.integers(0, 10))):
+        mu = draw(st.sampled_from(partitions_of(draw(st.integers(0, order)))))
+        terms[mono(Counter(mu))] = draw(_NONZERO)
+    return TruncSeries(order, "q", terms)
+
+
+@settings(max_examples=80, deadline=None)
+@given(a=q_series(), values=st.lists(_NONZERO, min_size=MAX_ORDER, max_size=MAX_ORDER),
+       zeros=st.sets(st.integers(1, MAX_ORDER), max_size=3))
+def test_rescaling_matches_fraction_oracle(a, values, zeros):
+    """substitute equals the Fraction-power oracle term for term; evaluate
+    is the sum of the oracle's terms, and at a point with zeros the terms
+    through a zero-valued variable vanish."""
+    factors = dict(enumerate(values, start=1))
+    got, want = substitute(a, factors), fraction_substitute(a, factors)
+    assert (got.order, got.var, got.terms) == (want.order, want.var, want.terms)
+    assert evaluate(a, factors) == sum(want.terms.values())
+    live = TruncSeries(a.order, "q", {m: c for m, c in a.terms.items()
+                                      if not any(i in zeros for i, _ in m)})
+    point = {i: 0 if i in zeros else f for i, f in factors.items()}
+    assert evaluate(a, point) == sum(fraction_substitute(live, factors).terms.values())
 
 
 class TestCoefficient:
