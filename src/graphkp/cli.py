@@ -78,6 +78,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("kp-check", help="KP residuals of a series")
     add_common(p, which=False, fmt=None)
+    p.set_defaults(order=None)  # --input takes the file's order
     src = p.add_mutually_exclusive_group(required=True)
     src.add_argument("--series", dest="series_name", choices=("W", "A", "S"),
                      help="built-in: rescaled W/A generating function, or the "
@@ -162,7 +163,9 @@ def _cmd_rescale(args) -> int:
 
 
 def _cmd_kp_check(args) -> int:
-    order = check_limit("order", args.order, low=1)
+    if args.input is not None and args.order is not None:
+        raise ValueError("kp-check --input takes the file's order, not --order")
+    order = check_limit("order", series.DEFAULT_ORDER if args.order is None else args.order, low=1)
     if args.input is not None:
         with open(args.input, encoding="ascii") as handle:
             try:

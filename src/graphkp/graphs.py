@@ -95,6 +95,8 @@ class Graph(namedtuple("Graph", "n edges")):
 
     def relabel(self, perm: Sequence[int]) -> "Graph":
         """Image under the vertex permutation v -> perm[v]."""
+        if sorted(perm) != list(range(self.n)):
+            raise ValueError(f"relabel needs a permutation of 0..{self.n - 1}, got {list(perm)}")
         bits = 0
         for u, v in self.edge_list():
             bits |= 1 << edge_slot(perm[u], perm[v])
@@ -161,28 +163,21 @@ SetPartition = tuple[tuple[int, ...], ...]
 
 
 def set_partitions(n: int) -> Iterator[SetPartition]:
-    """All set partitions of {0..n-1}, blocks ordered by minimum element.
-
-    Enumeration follows restricted growth strings, so the count is Bell(n).
+    """All Bell(n) set partitions of {0..n-1}, blocks ordered by minimum
+    element.  Vertex v joins each existing block in turn, then opens its own,
+    so the partitions come in lexicographic order of restricted growth strings.
     """
     check_limit("vertices", n)
-    if n == 0:
-        yield ()
-        return
-    rgs = [0] * n
 
-    def rec(i: int, top: int) -> Iterator[SetPartition]:
-        if i == n:
-            blocks: list[list[int]] = [[] for _ in range(top + 1)]
-            for v, b in enumerate(rgs):
-                blocks[b].append(v)
-            yield tuple(tuple(b) for b in blocks)
+    def grow(v: int, blocks: SetPartition) -> Iterator[SetPartition]:
+        if v == n:
+            yield blocks
             return
-        for b in range(top + 2):
-            rgs[i] = b
-            yield from rec(i + 1, max(top, b))
+        for i, block in enumerate(blocks):
+            yield from grow(v + 1, (*blocks[:i], (*block, v), *blocks[i + 1:]))
+        yield from grow(v + 1, (*blocks, (v,)))
 
-    yield from rec(1, 0)
+    return grow(0, ())
 
 
 # -- isomorphism: canonical forms and automorphism counts --------------------

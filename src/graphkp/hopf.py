@@ -25,7 +25,7 @@ from __future__ import annotations
 
 from collections import Counter
 from fractions import Fraction
-from functools import lru_cache, reduce
+from functools import reduce
 from itertools import chain
 from math import factorial
 
@@ -71,16 +71,13 @@ class _LinearSum:
         return self._raw({key: -c for key, c in self.terms.items()})
 
     def __sub__(self, other):
-        if not isinstance(other, type(self)):
-            return NotImplemented
         return self + (-other)
 
     def __mul__(self, other):
         """Scalar multiple."""
         if not isinstance(other, (int, Fraction)):
             return NotImplemented
-        c = _fraction(other)
-        return self._raw({key: c * v for key, v in self.terms.items()} if c else {})
+        return self._raw({key: other * v for key, v in self.terms.items()} if other else {})
 
     __rmul__ = __mul__
 
@@ -137,11 +134,8 @@ class TensorSum(_LinearSum):
 
 
 def tensor(a: GraphSum, b: GraphSum) -> TensorSum:
-    out = {}
-    for g1, c1 in a.terms.items():
-        for g2, c2 in b.terms.items():
-            out[(g1, g2)] = c1 * c2
-    return TensorSum._raw(out)
+    return TensorSum._raw({(g1, g2): c1 * c2 for g1, c1 in a.terms.items()
+                           for g2, c2 in b.terms.items()})
 
 
 # -- the three structural operations ------------------------------------------
@@ -160,7 +154,6 @@ def coproduct_sum(gs: GraphSum) -> TensorSum:
                                       for pair, m in coproduct(g).terms.items()))
 
 
-@lru_cache(maxsize=None)
 def primitive_projection(g: Graph) -> GraphSum:
     """Projection onto the primitive subspace along the decomposables."""
     check_limit("primitive_projection", g.n)
@@ -189,11 +182,11 @@ def expand_in_primitives(g: Graph) -> tuple[tuple[Graph, ...], ...]:
 
 
 def flatten_expansion(expansion) -> GraphSum:
-    """Substitute ``primitive_projection`` into an expansion and multiply out."""
+    """Substitute ``primitive_projection`` into an expansion and multiply out,
+    projecting each distinct factor once."""
+    pis = {h: primitive_projection(h) for h in set(chain.from_iterable(expansion))}
     total = GraphSum()
     for factors in expansion:
-        prod = GraphSum.from_graph(UNIT_GRAPH)
-        for h in factors:
-            prod = prod * primitive_projection(h)
-        total = total + prod
+        total = total + reduce(GraphSum.__mul__, [pis[h] for h in factors],
+                               GraphSum.from_graph(UNIT_GRAPH))
     return total

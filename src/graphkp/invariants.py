@@ -25,8 +25,8 @@ b indexed by vertex bitmask S:
   size * q_size over their trees): b(S) = |S| * tau(G[S]), tau the number
   of spanning trees by the matrix-tree theorem;
 
-* :func:`umbral_from_b`: b(S) looked up from a table for canonical graphs,
-  one lookup per entry of :func:`graphkp.graphs.induced_forms`.
+* :func:`umbral_from_b`: b(S) read from a map over connected canonical
+  graphs, once per distinct form in :func:`graphkp.graphs.induced_forms`.
 
 Every b-table is assembled as integers over D, the lcm of its denominators
 (1 for W and A): the assembly runs on D b(S), and each coefficient with k
@@ -39,14 +39,13 @@ share no code with the assembly and live in ``tests/helpers.py``.
 
 from __future__ import annotations
 
+from collections.abc import Mapping
 from fractions import Fraction
 from math import lcm
-from typing import NamedTuple
 
 from graphkp.errors import check_limit
-from graphkp.graphs import (Graph, assemble_partitions, connected_graphs,
-                            induced_forms, is_connected)
-from graphkp.series import DEFAULT_ORDER, TruncSeries
+from graphkp.graphs import Graph, assemble_partitions, induced_forms, is_connected
+from graphkp.series import DEFAULT_ORDER, TruncSeries, _fraction
 
 
 def _assemble(b, order: int) -> TruncSeries:
@@ -145,35 +144,22 @@ def extract_b(which: str, g: Graph) -> Fraction:
     return Fraction(_B_FULL[which](g))
 
 
-class UmbralCoefficients(NamedTuple):
-    """Primitive coefficients b_G for connected canonical graphs; by
-    convention b is zero on disconnected graphs."""
-
-    values: dict[Graph, Fraction]
-
-    @classmethod
-    def from_invariant(cls, which: str, bound: int) -> "UmbralCoefficients":
-        values = {}
-        for n in range(1, bound + 1):
-            for g in connected_graphs(n):
-                values[g] = extract_b(which, g)
-        return cls(values)
-
-    def lookup(self, g: Graph) -> Fraction:
-        """b for a canonical connected graph; zero if disconnected."""
-        if g.n == 0 or not is_connected(g):
-            return Fraction(0)
-        try:
-            return self.values[g]
-        except KeyError:
-            raise ValueError(
-                f"no primitive coefficient for a connected graph on {g.n} vertices"
-            ) from None
+def _primitive(b: Mapping[Graph, Fraction], h: Graph) -> Fraction:
+    """b[h] for a canonical graph h; zero, unread, if h is empty or disconnected."""
+    if not h.n or not is_connected(h):
+        return Fraction(0)
+    if h not in b:
+        raise ValueError(f"no primitive coefficient for a connected graph on {h.n} vertices")
+    return _fraction(b[h])
 
 
-def umbral_from_b(g: Graph, coeffs: UmbralCoefficients,
+def umbral_from_b(g: Graph, b: Mapping[Graph, Fraction],
                   order: int = DEFAULT_ORDER) -> TruncSeries:
-    """Reconstruct an umbral invariant from primitive coefficients by the set
-    partition assembly; partitions with a disconnected block contribute 0."""
+    """Reconstruct an umbral invariant by the set partition assembly from its
+    primitive coefficients ``b``, a map over connected canonical graphs.  Each
+    distinct induced form is read once; partitions with a disconnected block
+    contribute 0."""
     check_limit("order", order, low=g.n)
-    return _assemble([coeffs.lookup(h) for h in induced_forms(g)], order)
+    forms = induced_forms(g)
+    values = {h: _primitive(b, h) for h in set(forms)}
+    return _assemble([values[h] for h in forms], order)

@@ -18,8 +18,8 @@ from graphkp.graphs import (Graph, all_graphs, aut_order, canonical_form,
 from graphkp.hopf import (GraphSum, UNIT_GRAPH, coproduct_sum,
                           expand_in_primitives, flatten_expansion,
                           primitive_projection, tensor)
-from graphkp.invariants import (INVARIANTS, UmbralCoefficients, abel,
-                                umbral_from_b, weighted_chromatic)
+from graphkp.invariants import (INVARIANTS, abel, extract_b, umbral_from_b,
+                                weighted_chromatic)
 from graphkp.schurkp import (kp1_residual, kp2_residual, schur_combination,
                              target_series)
 from graphkp.series import TruncSeries, evaluate
@@ -228,12 +228,12 @@ def test_criterion_09_hopf_suite():
         for n in range(0, 6):
             for g in all_graphs(n):
                 assert flatten_expansion(expand_in_primitives(g)) == GraphSum.from_graph(g), g
-        coeffs = {which: UmbralCoefficients.from_invariant(which, 6)
-                  for which in ("W", "A")}
+        b = {which: {h: extract_b(which, h) for n in range(1, 7) for h in connected_graphs(n)}
+             for which in ("W", "A")}
         for n in range(1, 7):
             for g in all_graphs(n):
-                assert umbral_from_b(g, coeffs["W"], 6) == weighted_chromatic_dc(g, 6), g
-                assert umbral_from_b(g, coeffs["A"], 6) == forest_a(g, 6), g
+                assert umbral_from_b(g, b["W"], 6) == weighted_chromatic_dc(g, 6), g
+                assert umbral_from_b(g, b["A"], 6) == forest_a(g, 6), g
 
 
 def test_criterion_10_oracle_suite():

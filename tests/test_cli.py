@@ -182,6 +182,28 @@ class TestExitCodes:
         assert captured.out == ""
         assert ("size cap" in captured.err) == (code == 3)
 
+    @pytest.mark.parametrize("argv", [["--input", "F", "--order", str(MAX_ORDER + 8)],
+                                      ["--order", "5", "--input", "F"]],
+                             ids=["above_cap", "before_input"])
+    def test_kp_check_input_rejects_order(self, argv, tmp_path, capsys):
+        # the file fixes the order, so an explicit --order is malformed
+        from graphkp import series
+        from graphkp.schurkp import target_series
+        path = tmp_path / "series.json"
+        path.write_text(json.dumps(series.log(target_series(6)).to_json_obj()))
+        argv = [str(path) if arg == "F" else arg for arg in argv]
+        assert main(["kp-check", *argv]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "--order" in captured.err
+
+    def test_kp_check_series_order_defaults_to_7(self, capsys):
+        assert main(["kp-check", "--series", "S"]) == 0
+        out = capsys.readouterr().out
+        assert out.startswith("checking log of the one-part Schur reference series at order 7\n")
+        assert main(["kp-check", "--series", "S", "--order", "7"]) == 0
+        assert capsys.readouterr().out == out
+
     def test_missing_input_file_exits_2(self, capsys):
         assert main(["kp-check", "--input", "/nonexistent.json"]) == 2
         capsys.readouterr()

@@ -2,6 +2,7 @@
 automorphisms, canonical forms and isomorphism classes, graph6; and the
 spanning-forest and edge-contraction helpers the oracles use."""
 
+import itertools
 import math
 from collections import Counter
 
@@ -65,6 +66,13 @@ class TestSlots:
     def test_loop_rejected(self):
         with pytest.raises(ValueError):
             edge_slot(2, 2)
+
+    @pytest.mark.parametrize("perm", [[0, 2, 2], [0, 1], [0, 0, 1]])
+    def test_relabel_needs_a_permutation(self, perm):
+        # a repeat would merge edges, a short list index out of range, and
+        # [0, 0, 1] would report a loop
+        with pytest.raises(ValueError, match="permutation"):
+            Graph.from_edges(3, [(0, 1), (0, 2)]).relabel(perm)
 
     def test_from_edges_bitset(self):
         assert Graph.from_edges(4, [(0, 1)]).edges == 1
@@ -130,6 +138,18 @@ class TestSetPartitions:
         assert list(set_partitions(0)) == [()]
 
     @pytest.mark.parametrize("n", range(8))
+    def test_order_is_restricted_growth_lex(self, n):
+        # hopf --op expand prints in this order.  The oracle filters the
+        # strings s with s[v] <= v, in lex order, down to the restricted
+        # growth strings (each entry at most one above every one before it)
+        # and reads block b off as the vertices v with s[v] == b.
+        rgs = [s for s in itertools.product(*(range(v + 1) for v in range(n)))
+               if all(b <= max(s[:v], default=-1) + 1 for v, b in enumerate(s))]
+        expected = [tuple(tuple(v for v in range(n) if s[v] == b)
+                          for b in range(max(s, default=-1) + 1)) for s in rgs]
+        assert list(set_partitions(n)) == expected
+
+    @pytest.mark.parametrize("n", range(8))
     def test_assembly_counts_partitions_by_block_sizes(self, n):
         # n! / (prod lambda_i! prod m_j!) set partitions have block sizes lambda
         sizes = [s.bit_count() for s in range(1 << n)]
@@ -161,7 +181,6 @@ class TestAutomorphisms:
             for _ in range(4):
                 bits = rng.randrange(1 << (n * (n - 1) // 2))
                 g = Graph(n, bits)
-                import itertools
                 orbit = {g.relabel(p).edges for p in itertools.permutations(range(n))}
                 assert len(orbit) * aut_order(g) == math.factorial(n)
 

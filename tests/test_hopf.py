@@ -1,9 +1,13 @@
 """Hopf-algebra structure: coproduct, primitive projection, reconstruction."""
 
+import ast
 import random
 from fractions import Fraction
 from itertools import chain
+from pathlib import Path
 
+import graphkp
+from graphkp import graphs, schurkp
 from graphkp.graphs import Graph, all_graphs, canonical_form, connected_graphs
 from graphkp.hopf import (GraphSum, TensorSum, UNIT_GRAPH, coproduct,
                           coproduct_sum, expand_in_primitives,
@@ -94,6 +98,14 @@ class TestPrimitiveProjection:
             pi = primitive_projection(g)
             assert coproduct_sum(pi) == tensor(pi, one) + tensor(one, pi), g
 
+    def test_returned_projection_is_not_shared(self):
+        # each call builds its own sum: clearing one leaves the next call,
+        # and the flattening that projects its factors, intact
+        primitive_projection(EDGE).terms.clear()
+        assert primitive_projection(EDGE) == gs((1, EDGE), (-1, TWO_POINTS))
+        p3 = path_graph(3)
+        assert flatten_expansion(expand_in_primitives(p3)) == GraphSum.from_graph(p3)
+
     def test_p3_projection_is_primitive(self):
         pi = primitive_projection(path_graph(3))
         # weight-1 coefficient on the path itself, plus corrections
@@ -146,3 +158,28 @@ class TestGraphSumAlgebra:
     def test_text_rendering_deterministic(self):
         s = gs((1, EDGE), (-1, TWO_POINTS))
         assert s.text() == "-1 A? + 1 A_"
+
+
+#: every lru_cache in the package, with a sample call
+CACHED = {
+    "canonical_form": lambda: graphs.canonical_form(path_graph(3)),
+    "all_graphs": lambda: graphs.all_graphs(3),
+    "partitions_of": lambda: schurkp.partitions_of(4),
+    "character": lambda: schurkp.character((2, 1), (1, 1, 1)),
+    "_character_column": lambda: schurkp._character_column((2, 1)),
+}
+
+
+def test_caches_hand_out_immutable_values():
+    # a cache hands one value to every caller, so the value must not be
+    # mutable: the cached functions are exactly these, and each returns a
+    # hashable value
+    cached = []
+    for path in sorted(Path(graphkp.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.FunctionDef) and any(
+                    "lru_cache" in ast.unparse(d) for d in node.decorator_list):
+                cached.append(node.name)
+    assert sorted(cached) == sorted(CACHED)
+    for call in CACHED.values():
+        hash(call())
