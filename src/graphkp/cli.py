@@ -20,6 +20,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from itertools import chain
 
 from graphkp import ensemble, schurkp, series
 from graphkp.errors import LIMITS, Graph6ParseError, SizeLimitError, check_limit
@@ -225,8 +226,10 @@ def _cmd_hopf(args) -> int:
     elif args.op == "primitive":
         print(primitive_projection(g).text())
     else:
-        for factors in expand_in_primitives(g):
-            print(" * ".join(f"pi({emit_graph6(h)})" for h in factors))
+        expansion = expand_in_primitives(g)
+        label = {h: f"pi({emit_graph6(h)})" for h in set(chain.from_iterable(expansion))}
+        for factors in expansion:
+            print(" * ".join([label[h] for h in factors]))
     return EXIT_OK
 
 

@@ -24,18 +24,18 @@ class Limit(NamedTuple):
 #: size more takes over 1 s, or a representation fixes it.  Beside each: the slowest of K_n,
 #: edgeless and seeded random graphs at the cap and one above (Python 3.11, 2-core Xeon).
 LIMITS = {
-    # the edge-slot table ends at K_12; W or A on 12 vertices: 0.26 s
+    # W 0.24 s, A 0.30-0.34 s; 13 vertices: W 0.84 s, A 1.01-1.04 s
     "vertices": Limit(12, "vertex count"),
-    # kp-check --series W|A|S, series --rescaled, rescale: at most 0.67 s; 23: up to
-    # 0.93 s (series --which W --rescaled, runs to 1.03 s); 24: 1.1-1.5 s
-    "order": Limit(22, "truncation order"),
+    # kp-check --series W|A|S, series --rescaled, rescale: at most 0.75 s; 26: up to
+    # 0.98 s (series --which W|A --rescaled --format json)
+    "order": Limit(25, "truncation order"),
     # n = 7: 0.60 s; n = 8: 10.2 s
     "all_graphs": Limit(7, "vertex count for all_graphs"),
     # --max-n 6: 0.23 s; 7: 2.8 s
     "tables": Limit(6, "tables --max-n"),
     # 10 vertices: 0.34 s; 11: 1.7 s
     "primitive_projection": Limit(10, "vertex count for hopf --op primitive"),
-    # 9 vertices: 0.35 s (21,147 lines); 10: 2.1 s
+    # 9 vertices: 0.23 s (21,147 lines); 10: 0.8-1.2 s
     "expand_in_primitives": Limit(9, "vertex count for hopf --op expand"),
 }
 

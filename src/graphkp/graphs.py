@@ -106,10 +106,6 @@ class Graph(namedtuple("Graph", "n edges")):
         return emit_graph6(self)
 
 
-def complete_graph(n: int) -> Graph:
-    return Graph(n, (1 << (n * (n - 1) // 2)) - 1)
-
-
 def disjoint_union(a: Graph, b: Graph) -> Graph:
     """Disjoint union; left factor keeps its labels, right factor shifts up."""
     bits = a.edges

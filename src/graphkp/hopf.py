@@ -133,11 +133,6 @@ class TensorSum(_LinearSum):
         return f"{emit_graph6(pair[0])}|{emit_graph6(pair[1])}"
 
 
-def tensor(a: GraphSum, b: GraphSum) -> TensorSum:
-    return TensorSum._raw({(g1, g2): c1 * c2 for g1, c1 in a.terms.items()
-                           for g2, c2 in b.terms.items()})
-
-
 # -- the three structural operations ------------------------------------------
 
 
@@ -146,12 +141,6 @@ def coproduct(g: Graph) -> TensorSum:
     forms = induced_forms(g)
     full = len(forms) - 1
     return TensorSum(Counter((forms[s], forms[full ^ s]) for s in range(len(forms))))
-
-
-def coproduct_sum(gs: GraphSum) -> TensorSum:
-    """Linear extension of the coproduct to a GraphSum."""
-    return TensorSum._raw(_accumulate((pair, c * m) for g, c in gs.terms.items()
-                                      for pair, m in coproduct(g).terms.items()))
 
 
 def primitive_projection(g: Graph) -> GraphSum:
@@ -171,22 +160,11 @@ def expand_in_primitives(g: Graph) -> tuple[tuple[Graph, ...], ...]:
     primitive projections.
 
     Each entry is one partition's factor list: the canonical induced subgraphs
-    of its blocks, sorted.  Flattening with :func:`flatten_expansion` recovers
-    the graph; pushing each factor H through an umbral invariant as b_H *
-    q_{|V(H)|} evaluates the invariant on ``g``.
+    of its blocks, sorted.  Replacing each factor H by pi(H) and multiplying
+    out recovers the graph; pushing each factor H through an umbral invariant
+    as b_H * q_{|V(H)|} evaluates the invariant on ``g``.
     """
     check_limit("expand_in_primitives", g.n)
     forms = induced_forms(g)
     return tuple(tuple(sorted(forms[sum(1 << v for v in block)] for block in blocks))
                  for blocks in set_partitions(g.n))
-
-
-def flatten_expansion(expansion) -> GraphSum:
-    """Substitute ``primitive_projection`` into an expansion and multiply out,
-    projecting each distinct factor once."""
-    pis = {h: primitive_projection(h) for h in set(chain.from_iterable(expansion))}
-    total = GraphSum()
-    for factors in expansion:
-        total = total + reduce(GraphSum.__mul__, [pis[h] for h in factors],
-                               GraphSum.from_graph(UNIT_GRAPH))
-    return total

@@ -46,46 +46,29 @@ weight by exactly 4 and every term of kp2 by exactly 5, so the residual of
 an order-N series is reliable through weight N - 4 resp. N - 5; the
 returned residual carries that reduced order and never claims more.
 
-The residuals never differentiate the whole series.  With D the lcm of F's
-denominators, they run on the integer series G = D F, and look up each
-coefficient of a derivative of G instead of differentiating term by term:
+The residuals never differentiate the whole series.  On G = D F, D the lcm
+of F's denominators, :func:`graphkp.series._derivative_form` reads each
+coefficient of a derivative by one lookup,
 
-    [p_mu] d/dp_v1 ... d/dp_vk G
-        = [p_mu p_v1 ... p_vk] G * prod_i (m_i + 1) ... (m_i + t_i),
+    [p_mu] d/dp_v1 ... d/dp_vk G = [p_mu p_v] G * prod_i (m_i + 1) ... (m_i + t_i),
 
-with m_i the multiplicity of i in mu and t_i that of i among v1 ... vk; for
-example d^2/dp_1^2 (p_1^3 p_2) = 6 p_1 p_2.  So each residual reads only the
-coefficients it certifies, all of weight at most F.order.  On the integers,
+m_i and t_i the multiplicities of i in mu and v (d^2/dp_1^2 p_1^3 p_2 =
+6 p_1 p_2), with [p_mu p_v] G read at the prime key key(mu) key(v).  So
 
     12 D^2 kp1 = 12 D G_{2,2} - 12 D G_{1,3} + 6 (G_{1,1})^2 + D G_{1,1,1,1},
-     6 D^2 kp2 =  6 D G_{2,3} -  6 D G_{1,4} + 6 G_{1,1} G_{1,2} + D G_{1,1,1,2},
-
-and one Fraction is built per nonzero residual term.
+     6 D^2 kp2 =  6 D G_{2,3} -  6 D G_{1,4} + 6 G_{1,1} G_{1,2} + D G_{1,1,1,2}.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from math import factorial, lcm, perm, prod
+from math import factorial, lcm, prod
 from operator import mul
 
 from graphkp.errors import check_limit
-from graphkp.series import DEFAULT_ORDER, Partition, TruncSeries, _fraction, _graded_product
-
-
-@lru_cache(maxsize=None)
-def partitions_of(w: int, max_part: int | None = None) -> tuple[Partition, ...]:
-    """Weakly decreasing partitions of w, largest first part first."""
-    if w == 0:
-        return ((),)
-    if max_part is None:
-        max_part = w
-    out = []
-    for first in range(min(w, max_part), 0, -1):
-        for rest in partitions_of(w - first, first):
-            out.append((first,) + rest)
-    return tuple(out)
+from graphkp.series import (DEFAULT_ORDER, Partition, TruncSeries, _derivative_form, _fraction,
+                            partitions_of)
 
 
 @lru_cache(maxsize=None)
@@ -217,45 +200,15 @@ _KP1 = (4, 12, {(2, 2): 12, (3, 1): -12, (1, 1, 1, 1): 1}, {((1, 1), (1, 1)): 6}
 _KP2 = (5, 6, {(3, 2): 6, (4, 1): -6, (2, 1, 1, 1): 1}, {((1, 1), (2, 1)): 6})
 
 
-def _derivative(G: dict, v: Partition, order: int) -> list[dict]:
-    """The pieces of weight 0..order of d/dp_v1 ... d/dp_vk G, keyed by
-    partitions, each coefficient looked up in G (see the module docstring)."""
-    times = [(i, v.count(i)) for i in set(v)]
-    pieces = [{} for _ in range(order + 1)]
-    for w, piece in enumerate(pieces):
-        for mu in partitions_of(w):
-            x = G.get(tuple(sorted(mu + v, reverse=True)))
-            if x:
-                for i, t in times:
-                    x *= perm(mu.count(i) + t, t)
-                piece[mu] = x
-    return pieces
-
-
 def _residual(F: TruncSeries, name: str, drop: int, scale: int, linear: dict,
               bilinear: dict) -> TruncSeries:
-    """The residual of one KP equation given as a row (see ``_KP1``), of order
-    F.order - drop: each term reads coefficients of F of weight at most F.order."""
+    """The residual of one KP equation given as a row (see ``_KP1``), of
+    order F.order - drop."""
     if F.var != "p":
         raise ValueError("KP residuals expect a series in p-variables")
     if F.order < drop:
         raise ValueError(f"{name} KP equation needs order >= {drop}, got {F.order}")
-    order = F.order - drop
-    den = lcm(*[c.denominator for c in F._terms.values()])
-    G = {mu: c.numerator * (den // c.denominator) for mu, c in F._terms.items()}
-    acc: dict[Partition, int] = {}
-    for v, a in linear.items():
-        a *= den
-        for piece in _derivative(G, v, order):
-            for mu, x in piece.items():
-                acc[mu] = acc.get(mu, 0) + a * x
-    for (u, v), b in bilinear.items():
-        left = _derivative(G, u, order)
-        right = left if u == v else _derivative(G, v, order)
-        for mu, x in _graded_product(left, right, order).items():
-            acc[mu] = acc.get(mu, 0) + b * x
-    den = scale * den * den
-    return TruncSeries._raw(order, "p", {mu: Fraction(c, den) for mu, c in acc.items() if c})
+    return _derivative_form(F, F.order - drop, scale, linear, bilinear)
 
 
 def kp1_residual(F: TruncSeries) -> TruncSeries:

@@ -6,15 +6,16 @@ variable family.  A :class:`TruncSeries` keeps the terms of weighted degree at
 most ``order`` as a sparse map from partitions to ``fractions.Fraction``
 coefficients: a monomial is stored as its partition, each variable index
 repeated by its exponent, largest first (x_1^2 x_3 is (3, 1, 1), the
-constant is ()), so p_mu is keyed by mu itself, its weight is sum(mu), and a
-monomial product is one merge of two sorted tuples.  All arithmetic is
-exact; floats are rejected outright.  The products, exp and log run on
-integer numerators: with D the lcm of the denominators, weight w is scaled
-by D^w (D^(w+1) in a product, where constant terms may be fractions) and
-each result term is divided once at the end.  :func:`substitute` (whose
-result is always a p series) and :func:`evaluate` multiply each term's
-integer numerator and denominator by the factor of each of its parts and
-build one Fraction per term.
+constant is ()), so p_mu is keyed by mu itself and its weight is sum(mu).
+All arithmetic is exact; floats are rejected outright.  The product, exp
+and log run on integers in the exponential grading of :func:`_graded`,
+weight w held as w! E^w times its part (E is 1 for the all-graphs
+series), where exp and log are binomial convolutions (Stanley, *EC2* 5.1).
+There and in the KP residuals, p_mu is keyed by the integer
+prod_j prime(mu_j), so a monomial product is one integer product.  Each
+result term becomes one Fraction.  :func:`substitute` (a p series) and
+:func:`evaluate` scale each term's numerator and denominator by the factor
+of each of its parts.
 
 The public API speaks monomials: tuples of ``(variable index, exponent)``
 pairs sorted by index, zero exponents omitted, () the constant.  The
@@ -34,7 +35,8 @@ association order.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import factorial, lcm, perm
+from functools import lru_cache
+from math import comb, factorial, gcd, lcm, perm
 from typing import Iterable, Mapping
 
 from graphkp.errors import LIMITS, check_limit
@@ -47,6 +49,20 @@ Partition = tuple[int, ...]
 
 #: The constant monomial, and the empty partition that stores it.
 UNIT: Monomial = ()
+
+
+@lru_cache(maxsize=None)
+def partitions_of(w: int, max_part: int | None = None) -> tuple[Partition, ...]:
+    """Weakly decreasing partitions of w, largest first part first."""
+    if w == 0:
+        return ((),)
+    if max_part is None:
+        max_part = w
+    out = []
+    for first in range(min(w, max_part), 0, -1):
+        for rest in partitions_of(w - first, first):
+            out.append((first,) + rest)
+    return tuple(out)
 
 
 def _fraction(value) -> Fraction:
@@ -231,10 +247,14 @@ class TruncSeries:
         if not isinstance(other, TruncSeries):
             return NotImplemented
         self._check_compatible(other)
-        den, (left, right) = _graded(1, self, other)
-        out = _graded_product(left, right, self.order)
-        return TruncSeries._raw(self.order, self.var, {
-            mu: Fraction(c, den ** (sum(mu) + 2)) for mu, c in out.items() if c})
+        # shift 1 scales a fractional constant term to an integer, so the
+        # weight-n part of the product is held as n! E^(n + 2), E = scales[0]
+        scales, (left, right) = _graded(1, self, other)
+        out = [{} for _ in left]
+        for w, piece in enumerate(left):
+            for j, y in enumerate(right[:self.order - w + 1]):
+                _add_product(out[w + j], piece, y, comb(w + j, w))
+        return _ungraded(self.order, self.var, out, [scales[0] * s for s in scales])
 
     __rmul__ = __mul__
 
@@ -322,82 +342,153 @@ class TruncSeries:
 # -- calculus ---------------------------------------------------------------
 
 
-def _graded(shift: int, *series: TruncSeries) -> tuple[int, list]:
-    """D, the lcm of every denominator, and each series' pieces by weight
-    0..order, piece w as the integers D^(w + shift) A_w keyed by partitions."""
-    den = lcm(*[c.denominator for a in series for c in a._terms.values()])
-    graded = [[{} for _ in range(a.order + 1)] for a in series]
-    for a, pieces in zip(series, graded):
+@lru_cache(maxsize=None)
+def _prime_keys(order: int) -> tuple[tuple[tuple[Partition, int], ...], ...]:
+    """Per weight w <= order, each partition mu of w paired with its prime
+    key prod_j prime(mu_j), in the order of :func:`partitions_of`."""
+    primes: list[int] = []
+    p = 1
+    while len(primes) < order:
+        p += 1
+        if all(map(p.__mod__, primes)):
+            primes.append(p)
+    keys = {(): 1}
+    table = [(((), 1),)]
+    for w in range(1, order + 1):
+        pairs = []
+        for mu in partitions_of(w):
+            keys[mu] = k = primes[mu[0] - 1] * keys[mu[1:]]
+            pairs.append((mu, k))
+        table.append(tuple(pairs))
+    return tuple(table)
+
+
+def _graded(shift: int, *series: TruncSeries) -> tuple[list, list]:
+    """scales[w] = w! E^(w + shift) for w <= order, E the lcm of the
+    denominators of w! c over the terms c of weight w, and each series'
+    pieces by weight, piece w the integers scales[w] A_w by prime key."""
+    E = 1
+    for a in series:
         for mu, c in a._terms.items():
-            w = sum(mu)
-            pieces[w][mu] = c.numerator * den ** (w + shift) // c.denominator
-    return den, graded
+            E = lcm(E, c.denominator // gcd(c.denominator, factorial(sum(mu))))
+    scales = [factorial(w) * E ** (w + shift) for w in range(series[0].order + 1)]
+    graded = []
+    for a in series:
+        pieces = []
+        for scale, pairs in zip(scales, _prime_keys(a.order)):
+            piece = {}
+            for mu, k in pairs:
+                c = a._terms.get(mu)
+                if c:
+                    piece[k] = c.numerator * (scale // c.denominator)
+            pieces.append(piece)
+        graded.append(pieces)
+    return scales, graded
 
 
-def _add_product(acc: dict, x: dict, y: dict) -> None:
-    """acc += x * y for pieces keyed by partitions (zeros may be left in acc):
-    the product of two monomials is the merge of their partitions."""
-    for m1, c1 in x.items():
-        for m2, c2 in y.items():
-            key = tuple(sorted(m1 + m2, reverse=True))
-            acc[key] = acc.get(key, 0) + c1 * c2
+def _ungraded(order: int, var: str, pieces: list[dict], dens: list[int]) -> TruncSeries:
+    """The series whose weight-w part is pieces[w] / dens[w], its keys
+    decoded from prime keys to partitions."""
+    terms = {}
+    for piece, den, pairs in zip(pieces, dens, _prime_keys(order)):
+        if piece:
+            for mu, k in pairs:
+                c = piece.get(k)
+                if c:
+                    terms[mu] = Fraction(c, den)
+    return TruncSeries._raw(order, var, terms)
 
 
-def _graded_product(left: list[dict], right: list[dict], order: int) -> dict:
-    """The product, through weight ``order``, of two series given as pieces
-    by weight keyed by partitions (zeros may be left in the result)."""
-    out: dict[Partition, int] = {}
-    for w, piece in enumerate(left):
-        for y in right[:order - w + 1]:
-            _add_product(out, piece, y)
-    return out
+def _add_product(acc: dict, x: dict, y: dict, f: int = 1) -> None:
+    """acc += f x y for pieces keyed by prime keys (zeros may be left in
+    acc): the key of a product of monomials is the product of their keys."""
+    get = acc.get
+    for k1, c1 in x.items():
+        c1 *= f
+        for k2, c2 in y.items():
+            k = k1 * k2
+            acc[k] = get(k, 0) + c1 * c2
 
 
 def exp(a: TruncSeries) -> TruncSeries:
     """Exponential of a series with zero constant term.
 
-    Weight by weight from the Euler recurrence: applying the weight operator
-    to E = exp(A) gives n E_n = sum_{k=1}^{n} k A_k E_{n-k}, where X_n is
-    the weight-n part of X and E_0 = 1.  Each step multiplies homogeneous
-    pieces and builds only the terms of weight exactly n, on the integers
-    e_n = n! D^n E_n = sum_k k (n-1)!/(n-k)! a_k e_{n-k} with a_k = D^k A_k.
+    Weight by weight from the Euler recurrence n E_n = sum_k k A_k E_{n-k}
+    for E = exp(A), X_n the weight-n part of X: in the grading of
+    :func:`_graded`, e_n = sum_{k=1}^{n} C(n-1, k-1) a_k e_{n-k}.
     """
     if a.constant_term:
         raise ValueError("exp requires a zero constant term")
-    den, (pieces,) = _graded(0, a)
-    out = [{(): 1}]  # e_n, keyed by partitions
+    scales, (pieces,) = _graded(0, a)
+    out = [{1: 1}]
     for n in range(1, a.order + 1):
         acc = {}
         for k in range(1, n + 1):
-            f = k * perm(n - 1, k - 1)
-            _add_product(acc, {m: f * c for m, c in pieces[k].items()}, out[n - k])
-        out.append({m: c for m, c in acc.items() if c})
-    return TruncSeries._raw(a.order, a.var, {mu: Fraction(c, factorial(n) * den ** n)
-                                             for n, piece in enumerate(out)
-                                             for mu, c in piece.items()})
+            _add_product(acc, pieces[k], out[n - k], comb(n - 1, k - 1))
+        out.append(acc)
+    return _ungraded(a.order, a.var, out, scales)
 
 
 def log(a: TruncSeries) -> TruncSeries:
     """Logarithm of a series with constant term 1; inverse of :func:`exp`.
 
-    Weight by weight from the same recurrence solved for L = log(A):
-    n L_n = n A_n - sum_{k=1}^{n-1} k L_k A_{n-k}, with L_0 = 0.  Each step
-    multiplies homogeneous pieces and builds only the terms of weight
-    exactly n, on the integers l_n = D^n n L_n = n a_n - sum_{k<n} l_k a_{n-k}
-    with a_k = D^k A_k.
+    The same recurrence solved for L = log(A) is, in the same grading,
+    l_n = a_n - sum_{k=1}^{n-1} C(n-1, k-1) l_k a_{n-k}.
     """
     if a.constant_term != 1:
         raise ValueError("log requires constant term 1")
-    den, (pieces,) = _graded(0, a)
-    out = [{}]  # l_n, with l_0 = 0
+    scales, (pieces,) = _graded(0, a)
+    out = [{}]
     for n in range(1, a.order + 1):
-        acc = {m: -n * c for m, c in pieces[n].items()}  # -l_n
+        acc = dict(pieces[n])
         for k in range(1, n):
-            _add_product(acc, out[k], pieces[n - k])
-        out.append({m: -c for m, c in acc.items() if c})
-    return TruncSeries._raw(a.order, a.var, {mu: Fraction(c, n * den ** n)
-                                             for n, piece in enumerate(out)
-                                             for mu, c in piece.items()})
+            _add_product(acc, out[k], pieces[n - k], -comb(n - 1, k - 1))
+        out.append(acc)
+    return _ungraded(a.order, a.var, out, scales)
+
+
+def _derivative(G: dict, table: tuple, v: Partition, order: int) -> list[dict]:
+    """The pieces of weight 0..order of d/dp_v1 ... d/dp_vk G, keyed by prime
+    keys like G, each coefficient one lookup (see :mod:`graphkp.schurkp`)."""
+    kv = dict(table[sum(v)])[v]
+    times = [(i, v.count(i)) for i in set(v)]
+    pieces = []
+    for pairs in table[:order + 1]:
+        piece = {}
+        for mu, k in pairs:
+            x = G.get(k * kv)
+            if x:
+                for i, t in times:
+                    x *= perm(mu.count(i) + t, t)
+                piece[k] = x
+        pieces.append(piece)
+    return pieces
+
+
+def _derivative_form(F: TruncSeries, order: int, scale: int, linear: dict,
+                     bilinear: dict) -> TruncSeries:
+    """(sum_v a_v D G_v + sum_(u, v) b_uv G_u G_v) / (scale D^2) through
+    weight ``order``, for G = D F, D the lcm of F's denominators, G_v the
+    derivative of G by p_v1 ... p_vk, and rows v -> a_v, (u, v) -> b_uv."""
+    table = _prime_keys(F.order)
+    den = lcm(*[c.denominator for c in F._terms.values()])
+    G = {}
+    for pairs in table:
+        for mu, k in pairs:
+            c = F._terms.get(mu)
+            if c:
+                G[k] = c.numerator * (den // c.denominator)
+    out = [{} for _ in range(order + 1)]
+    for v, a in linear.items():
+        for acc, piece in zip(out, _derivative(G, table, v, order)):
+            _add_product(acc, {1: a * den}, piece)  # times the constant a_v D
+    for (u, v), b in bilinear.items():
+        left = _derivative(G, table, u, order)
+        right = left if u == v else _derivative(G, table, v, order)
+        for w, piece in enumerate(left):
+            for j, y in enumerate(right[:order - w + 1]):
+                _add_product(out[w + j], piece, y, b)
+    return _ungraded(order, "p", out, [scale * den * den] * (order + 1))
 
 
 def _rescaled(a: TruncSeries, values: Mapping, missing: str):

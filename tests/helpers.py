@@ -5,9 +5,12 @@ the package computes one way, kept here only to check it.
   for frozen expected values, random series and graph6 strategies.
 * Series kernel oracles: the product, exp, log, rescaling and partial
   derivative with one Fraction operation per coefficient step and their own
-  dict-merge monomial product, the oracles for the kernels that run on
-  integer numerators over a common denominator and key products by
-  partitions, and for the coefficient-lookup derivative of the KP residuals.
+  dict-merge monomial product, the oracles for the integer kernels and for
+  the coefficient-lookup derivative of the KP residuals.
+* Tuple-merge kernel oracles: the product, exp, log and both KP residuals
+  with weight w scaled by D^w, D the lcm of every denominator, and monomial
+  products merged as sorted partitions, the oracles for the kernels in
+  exponential grading on prime keys.
 * Per-graph oracles for the umbral assembly: the edge-subset expansion of W,
   the spanning-forest sum of A, deletion-contraction of W on vertex-weighted
   graphs, and brute-force proper colorings.
@@ -17,6 +20,8 @@ the package computes one way, kept here only to check it.
   for the automorphism count; the minimum over all relabelings, the oracle
   for the canonical-form search; and the orbit sweep over all labeled
   graphs, the oracle for the class enumeration.
+* Hopf checks: the tensor product, the coproduct of a sum, and the
+  flattening of an expansion in primitives back to its graph.
 * Graph-level oracles for the ensemble pieces: the edge-subset sweep over
   K_k and the sums over isomorphism classes.
 * Schur oracles for the character-based Schur functions and Schur
@@ -32,9 +37,9 @@ from __future__ import annotations
 import random
 from collections import Counter, namedtuple
 from fractions import Fraction
-from functools import cache
-from itertools import combinations, permutations, product
-from math import factorial, lcm, prod
+from functools import cache, reduce
+from itertools import chain, combinations, permutations, product
+from math import factorial, lcm, perm, prod
 from typing import Iterator
 
 from hypothesis import strategies as st
@@ -43,10 +48,16 @@ from graphkp.errors import SizeLimitError
 from graphkp.graphs import (MAX_VERTICES, SLOT_ENDPOINTS, Graph, _bit_indices,
                             all_graphs, aut_order, canonical_form, components,
                             edge_slot, emit_graph6, set_partitions)
-from graphkp.hopf import GraphSum
+from graphkp.hopf import (UNIT_GRAPH, GraphSum, TensorSum, _accumulate, coproduct,
+                          primitive_projection)
 from graphkp.invariants import INVARIANTS
-from graphkp.schurkp import _z, character, partitions_of
-from graphkp.series import DEFAULT_ORDER, TruncSeries, _partition, exp, mono, mono_weight
+from graphkp.schurkp import _KP1, _KP2, _z, character, partitions_of
+from graphkp.series import (DEFAULT_ORDER, Partition, TruncSeries, _partition, exp, mono,
+                            mono_weight)
+
+
+def complete_graph(n: int) -> Graph:
+    return Graph(n, (1 << (n * (n - 1) // 2)) - 1)
 
 
 def path_graph(n: int) -> Graph:
@@ -232,6 +243,146 @@ def fraction_partial(a: TruncSeries, var_index: int, times: int = 1) -> TruncSer
             del exps[var_index]
         out[tuple(sorted(exps.items()))] = c
     return TruncSeries(max(0, a.order - times * var_index), a.var, out)
+
+
+# -- tuple-merge kernel oracles --------------------------------------------------
+
+
+def _graded(shift: int, *series: TruncSeries) -> tuple[int, list]:
+    """D, the lcm of every denominator, and each series' pieces by weight
+    0..order, piece w as the integers D^(w + shift) A_w keyed by partitions."""
+    den = lcm(*[c.denominator for a in series for c in a._terms.values()])
+    graded = [[{} for _ in range(a.order + 1)] for a in series]
+    for a, pieces in zip(series, graded):
+        for mu, c in a._terms.items():
+            w = sum(mu)
+            pieces[w][mu] = c.numerator * den ** (w + shift) // c.denominator
+    return den, graded
+
+
+def _add_product(acc: dict, x: dict, y: dict) -> None:
+    """acc += x * y for pieces keyed by partitions (zeros may be left in acc):
+    the product of two monomials is the merge of their partitions."""
+    for m1, c1 in x.items():
+        for m2, c2 in y.items():
+            key = tuple(sorted(m1 + m2, reverse=True))
+            acc[key] = acc.get(key, 0) + c1 * c2
+
+
+def _graded_product(left: list[dict], right: list[dict], order: int) -> dict:
+    """The product, through weight ``order``, of two series given as pieces
+    by weight keyed by partitions (zeros may be left in the result)."""
+    out: dict[Partition, int] = {}
+    for w, piece in enumerate(left):
+        for y in right[:order - w + 1]:
+            _add_product(out, piece, y)
+    return out
+
+
+def tuple_exp(a: TruncSeries) -> TruncSeries:
+    """Exponential of a series with zero constant term.
+
+    Weight by weight from the Euler recurrence: applying the weight operator
+    to E = exp(A) gives n E_n = sum_{k=1}^{n} k A_k E_{n-k}, where X_n is
+    the weight-n part of X and E_0 = 1.  Each step multiplies homogeneous
+    pieces and builds only the terms of weight exactly n, on the integers
+    e_n = n! D^n E_n = sum_k k (n-1)!/(n-k)! a_k e_{n-k} with a_k = D^k A_k.
+    """
+    if a.constant_term:
+        raise ValueError("exp requires a zero constant term")
+    den, (pieces,) = _graded(0, a)
+    out = [{(): 1}]  # e_n, keyed by partitions
+    for n in range(1, a.order + 1):
+        acc = {}
+        for k in range(1, n + 1):
+            f = k * perm(n - 1, k - 1)
+            _add_product(acc, {m: f * c for m, c in pieces[k].items()}, out[n - k])
+        out.append({m: c for m, c in acc.items() if c})
+    return TruncSeries._raw(a.order, a.var, {mu: Fraction(c, factorial(n) * den ** n)
+                                             for n, piece in enumerate(out)
+                                             for mu, c in piece.items()})
+
+
+def tuple_log(a: TruncSeries) -> TruncSeries:
+    """Logarithm of a series with constant term 1; inverse of :func:`tuple_exp`.
+
+    Weight by weight from the same recurrence solved for L = log(A):
+    n L_n = n A_n - sum_{k=1}^{n-1} k L_k A_{n-k}, with L_0 = 0.  Each step
+    multiplies homogeneous pieces and builds only the terms of weight
+    exactly n, on the integers l_n = D^n n L_n = n a_n - sum_{k<n} l_k a_{n-k}
+    with a_k = D^k A_k.
+    """
+    if a.constant_term != 1:
+        raise ValueError("log requires constant term 1")
+    den, (pieces,) = _graded(0, a)
+    out = [{}]  # l_n, with l_0 = 0
+    for n in range(1, a.order + 1):
+        acc = {m: -n * c for m, c in pieces[n].items()}  # -l_n
+        for k in range(1, n):
+            _add_product(acc, out[k], pieces[n - k])
+        out.append({m: -c for m, c in acc.items() if c})
+    return TruncSeries._raw(a.order, a.var, {mu: Fraction(c, n * den ** n)
+                                             for n, piece in enumerate(out)
+                                             for mu, c in piece.items()})
+
+
+def tuple_mul(a: TruncSeries, b: TruncSeries) -> TruncSeries:
+    """a * b with weight w scaled by D^(w + 1) and monomials multiplied by
+    merging their partitions."""
+    assert (a.order, a.var) == (b.order, b.var)
+    den, (left, right) = _graded(1, a, b)
+    out = _graded_product(left, right, a.order)
+    return TruncSeries._raw(a.order, a.var, {
+        mu: Fraction(c, den ** (sum(mu) + 2)) for mu, c in out.items() if c})
+
+
+def _derivative(G: dict, v: Partition, order: int) -> list[dict]:
+    """The pieces of weight 0..order of d/dp_v1 ... d/dp_vk G, keyed by
+    partitions, each coefficient looked up in G (see the module docstring)."""
+    times = [(i, v.count(i)) for i in set(v)]
+    pieces = [{} for _ in range(order + 1)]
+    for w, piece in enumerate(pieces):
+        for mu in partitions_of(w):
+            x = G.get(tuple(sorted(mu + v, reverse=True)))
+            if x:
+                for i, t in times:
+                    x *= perm(mu.count(i) + t, t)
+                piece[mu] = x
+    return pieces
+
+
+def _residual(F: TruncSeries, name: str, drop: int, scale: int, linear: dict,
+              bilinear: dict) -> TruncSeries:
+    """The residual of one KP equation given as a row (see ``_KP1``), of order
+    F.order - drop: each term reads coefficients of F of weight at most F.order."""
+    if F.var != "p":
+        raise ValueError("KP residuals expect a series in p-variables")
+    if F.order < drop:
+        raise ValueError(f"{name} KP equation needs order >= {drop}, got {F.order}")
+    order = F.order - drop
+    den = lcm(*[c.denominator for c in F._terms.values()])
+    G = {mu: c.numerator * (den // c.denominator) for mu, c in F._terms.items()}
+    acc: dict[Partition, int] = {}
+    for v, a in linear.items():
+        a *= den
+        for piece in _derivative(G, v, order):
+            for mu, x in piece.items():
+                acc[mu] = acc.get(mu, 0) + a * x
+    for (u, v), b in bilinear.items():
+        left = _derivative(G, u, order)
+        right = left if u == v else _derivative(G, v, order)
+        for mu, x in _graded_product(left, right, order).items():
+            acc[mu] = acc.get(mu, 0) + b * x
+    den = scale * den * den
+    return TruncSeries._raw(order, "p", {mu: Fraction(c, den) for mu, c in acc.items() if c})
+
+
+def tuple_kp1_residual(F: TruncSeries) -> TruncSeries:
+    return _residual(F, "first", *_KP1)
+
+
+def tuple_kp2_residual(F: TruncSeries) -> TruncSeries:
+    return _residual(F, "second", *_KP2)
 
 
 # -- per-graph oracles ----------------------------------------------------------
@@ -533,6 +684,31 @@ def random_graph(rng: random.Random, n: int, p: float) -> Graph:
     """Each of the C(n,2) edges present independently with probability p."""
     m = n * (n - 1) // 2
     return Graph(n, sum(1 << s for s in range(m) if rng.random() < p))
+
+
+# -- Hopf checks ----------------------------------------------------------------
+
+
+def tensor(a: GraphSum, b: GraphSum) -> TensorSum:
+    return TensorSum._raw({(g1, g2): c1 * c2 for g1, c1 in a.terms.items()
+                           for g2, c2 in b.terms.items()})
+
+
+def coproduct_sum(gs: GraphSum) -> TensorSum:
+    """Linear extension of the coproduct to a GraphSum."""
+    return TensorSum._raw(_accumulate((pair, c * m) for g, c in gs.terms.items()
+                                      for pair, m in coproduct(g).terms.items()))
+
+
+def flatten_expansion(expansion) -> GraphSum:
+    """Substitute ``primitive_projection`` into an expansion and multiply out,
+    projecting each distinct factor once."""
+    pis = {h: primitive_projection(h) for h in set(chain.from_iterable(expansion))}
+    total = GraphSum()
+    for factors in expansion:
+        total = total + reduce(GraphSum.__mul__, [pis[h] for h in factors],
+                               GraphSum.from_graph(UNIT_GRAPH))
+    return total
 
 
 # -- graph6 strategies -----------------------------------------------------------

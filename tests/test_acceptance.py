@@ -14,19 +14,17 @@ from graphkp import series
 from graphkp.ensemble import (abel_constants, c_recursion, ensemble_a,
                               ensemble_w, full_series, make_plan)
 from graphkp.graphs import (Graph, all_graphs, aut_order, canonical_form,
-                            complete_graph, connected_graphs, disjoint_union)
-from graphkp.hopf import (GraphSum, UNIT_GRAPH, coproduct_sum,
-                          expand_in_primitives, flatten_expansion,
-                          primitive_projection, tensor)
+                            connected_graphs, disjoint_union)
+from graphkp.hopf import GraphSum, UNIT_GRAPH, expand_in_primitives, primitive_projection
 from graphkp.invariants import (INVARIANTS, abel, extract_b, umbral_from_b,
                                 weighted_chromatic)
 from graphkp.schurkp import (kp1_residual, kp2_residual, schur_combination,
                              target_series)
 from graphkp.series import TruncSeries, evaluate
-from helpers import (chromatic_oracle, cycle_graph, forest_a, fraction_partial,
-                     isoclass_series, parse_poly, path_graph, random_rational, star_graph,
-                     subset_w, swept_constants, swept_piece,
-                     weighted_chromatic_dc)
+from helpers import (chromatic_oracle, complete_graph, coproduct_sum, cycle_graph,
+                     flatten_expansion, forest_a, fraction_partial, isoclass_series,
+                     parse_poly, path_graph, random_rational, star_graph, subset_w,
+                     swept_constants, swept_piece, tensor, weighted_chromatic_dc)
 
 ORDER = 7
 

@@ -12,12 +12,12 @@ from hypothesis import strategies as st
 
 from graphkp.errors import Graph6ParseError, SizeLimitError
 from graphkp.graphs import (Graph, all_graphs, assemble_partitions, aut_order,
-                            canonical_form, complete_graph, components,
+                            canonical_form, components,
                             connected_graphs, disjoint_union, edge_slot,
                             emit_graph6, is_connected, parse_graph6,
                             set_partitions)
 from helpers import (GRAPH6_TEXT, GRAPHS, WeightedGraph, brute_all_graphs,
-                     brute_aut_order, brute_canonical_form, contract_edge,
+                     brute_aut_order, brute_canonical_form, complete_graph, contract_edge,
                      cycle_graph, path_graph, random_graph, spanning_forests,
                      star_graph)
 

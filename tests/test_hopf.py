@@ -7,12 +7,12 @@ from itertools import chain
 from pathlib import Path
 
 import graphkp
-from graphkp import graphs, schurkp
+from graphkp import graphs, schurkp, series
 from graphkp.graphs import Graph, all_graphs, canonical_form, connected_graphs
-from graphkp.hopf import (GraphSum, TensorSum, UNIT_GRAPH, coproduct,
-                          coproduct_sum, expand_in_primitives,
-                          flatten_expansion, primitive_projection, tensor)
-from helpers import cycle_graph, partition_primitive, path_graph, random_graph
+from graphkp.hopf import (GraphSum, TensorSum, UNIT_GRAPH, coproduct, expand_in_primitives,
+                          primitive_projection)
+from helpers import (coproduct_sum, cycle_graph, flatten_expansion, partition_primitive,
+                     path_graph, random_graph, tensor)
 
 VERTEX = Graph(1)
 EDGE = Graph.from_edges(2, [(0, 1)])
@@ -165,6 +165,7 @@ CACHED = {
     "canonical_form": lambda: graphs.canonical_form(path_graph(3)),
     "all_graphs": lambda: graphs.all_graphs(3),
     "partitions_of": lambda: schurkp.partitions_of(4),
+    "_prime_keys": lambda: series._prime_keys(4),
     "character": lambda: schurkp.character((2, 1), (1, 1, 1)),
     "_character_column": lambda: schurkp._character_column((2, 1)),
 }

@@ -10,13 +10,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from graphkp.errors import SizeLimitError
-from graphkp.graphs import (Graph, all_graphs, canonical_form, complete_graph,
-                            connected_graphs, disjoint_union, induced_forms,
-                            is_connected)
+from graphkp.graphs import (Graph, all_graphs, canonical_form, connected_graphs,
+                            disjoint_union, induced_forms, is_connected)
 from graphkp.invariants import (INVARIANTS, abel, extract_b, umbral_from_b,
                                 weighted_chromatic)
 from graphkp.series import evaluate, mono
-from helpers import (WeightedGraph, chromatic_oracle, cycle_graph, forest_a,
+from helpers import (WeightedGraph, chromatic_oracle, complete_graph, cycle_graph, forest_a,
                      parse_poly, partition_umbral, path_graph, random_graph,
                      random_rational, star_graph, subset_w, weighted_chromatic_dc)
 

@@ -10,9 +10,10 @@ import pytest
 import graphkp
 from graphkp.cli import main
 from graphkp.errors import LIMITS, SizeLimitError
-from graphkp.graphs import Graph, all_graphs, complete_graph
+from graphkp.graphs import Graph, all_graphs
 from graphkp.hopf import expand_in_primitives, primitive_projection
 from graphkp.series import TruncSeries
+from helpers import complete_graph
 
 
 #: entry -> a call that takes the entry's value

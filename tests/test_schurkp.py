@@ -1,21 +1,26 @@
 """Schur machinery and the residual operators for the first two KP equations."""
 
+import sys
 from collections import Counter
 from fractions import Fraction
 from math import factorial, prod
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from graphkp import series
-from graphkp.schurkp import (_derivative, character, kp1_residual, kp2_residual,
-                             partitions_of, schur_combination, schur_expand,
-                             schur_polynomial, target_series)
+from graphkp import ensemble, series
+from graphkp.schurkp import (character, kp1_residual, kp2_residual, partitions_of,
+                             schur_combination, schur_expand, schur_polynomial, target_series)
 from graphkp.series import MAX_ORDER, TruncSeries, mono
-from helpers import (elimination_expand, fraction_partial, hook_length_count,
+from helpers import (_derivative, elimination_expand, fraction_partial, hook_length_count,
                      pairwise_schur_expand, parse_poly, partial_kp1_residual,
-                     partial_kp2_residual, random_rational, schur_jacobi_trudi, schur_one_part)
+                     partial_kp2_residual, random_rational, random_series, schur_jacobi_trudi,
+                     schur_one_part, tuple_kp1_residual, tuple_kp2_residual)
+
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "perfbench"))
+import gen  # noqa: E402  (the benchmark's seeded tau-function candidates)
 
 
 class TestOnePartSchur:
@@ -258,7 +263,46 @@ class TestKernelsMatchOracles:
         pieces = _derivative({monomial: 1}, v, weight)
         assert [w for w, piece in enumerate(pieces) if piece] == ([weight] if value else [])
         assert pieces[weight] == ({mu: value} if value else {})
+        # the prime-key kernel reads [p_mu p_v] G at key(mu) key(v)
+        table = series._prime_keys(sum(monomial))
+        key = {m: k for pairs in table for m, k in pairs}
+        pieces = series._derivative({key[monomial]: 1}, table, v, weight)
+        assert pieces == [{key[mu]: value} if value and w == weight else {}
+                          for w in range(weight + 1)]
         d = TruncSeries(sum(monomial), "p", {mono(Counter(monomial)): 1})
         for i, t in Counter(v).items():
             d = fraction_partial(d, i, t)
         assert d.terms == ({mono(Counter(mu)): value} if value else {})
+
+
+def _same_residuals(F):
+    for got, want in ((kp1_residual(F), tuple_kp1_residual(F)),
+                      (kp2_residual(F), tuple_kp2_residual(F))):
+        assert (got.order, got.var, got.terms) == (want.order, want.var, want.terms)
+
+
+class TestResidualsMatchTupleOracles:
+    """The prime-key residuals equal the tuple-merge residuals they replaced,
+    term for term."""
+
+    def test_random_series(self, rng):
+        for order in range(5, 15):
+            for _ in range(6):
+                _same_residuals(random_series(rng, order, "p", max_terms=12,
+                                              constant=random_rational(rng)))
+
+    @pytest.mark.parametrize("which", ["W", "A", "S"])
+    def test_generating_series_through_the_cap(self, which):
+        for order in range(20, MAX_ORDER + 1):
+            if which == "S":
+                F = series.log(target_series(order))
+            else:
+                plan = ensemble.make_plan(ensemble.rescale_constants(which, order))
+                F = series.substitute(ensemble.connected_series(which, order), plan)
+            _same_residuals(F)
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_tau_candidates(self, seed):
+        for terms, _, _ in gen.tau_candidates(seed):
+            _same_residuals(series.log(TruncSeries(gen.TAU_ORDER, "p", terms)))
+

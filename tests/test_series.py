@@ -1,8 +1,10 @@
 """Truncated-series arithmetic: frozen examples and randomized ring laws."""
 
 import ast
+import sys
 from collections import Counter
 from fractions import Fraction
+from math import prod
 from pathlib import Path
 
 import pytest
@@ -10,10 +12,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import graphkp
-from graphkp.schurkp import partitions_of, schur_combination
-from graphkp.series import MAX_ORDER, TruncSeries, evaluate, exp, log, mono, substitute
+from graphkp.ensemble import full_series
+from graphkp.schurkp import partitions_of, schur_combination, target_series
+from graphkp.series import (MAX_ORDER, TruncSeries, _prime_keys, _ungraded, evaluate, exp, log,
+                            mono, substitute)
 from helpers import (fraction_exp, fraction_log, fraction_mul, fraction_partial,
-                     fraction_substitute, parse_poly, random_rational, random_series)
+                     fraction_substitute, parse_poly, random_rational, random_series, tuple_exp,
+                     tuple_log, tuple_mul)
+
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "perfbench"))
+import gen  # noqa: E402  (the benchmark's seeded tau-function candidates)
 
 
 def q(i, order=7):
@@ -105,8 +113,10 @@ def test_key_format_stays_in_series():
     # the (variable, exponent) monomial is series' boundary format; every
     # other module reads and builds partition keys.  The package __init__
     # re-exports the public mono.
-    # _add_product, the monomial product, stays behind _graded_product.
-    hidden = {"_partition", "_monomial", "mono", "Monomial", "_add_product"}
+    # The kernels' prime keys stay inside series.py too: _prime_keys builds
+    # them, _graded encodes, _ungraded decodes and _add_product multiplies.
+    hidden = {"_partition", "_monomial", "mono", "Monomial", "_add_product", "_prime_keys",
+              "_graded", "_ungraded"}
     leaks = []
     for path in sorted(Path(graphkp.__file__).parent.glob("*.py")):
         if path.name in ("series.py", "__init__.py"):
@@ -315,6 +325,10 @@ class TestRingLaws:
             assert coeff.denominator > 0
 
 
+def _same(got, want):
+    assert (got.order, got.var, got.terms) == (want.order, want.var, want.terms)
+
+
 class TestKernelsMatchFractionOracles:
     """The integer-numerator kernels equal the per-term Fraction versions
     exactly, term for term and in their truncation order."""
@@ -329,20 +343,71 @@ class TestKernelsMatchFractionOracles:
             yield random_series(rng, order, var, max_terms=8,
                                 constant=random_rational(rng, nonzero=True))
 
-    @staticmethod
-    def _same(got, want):
-        assert (got.order, got.var, got.terms) == (want.order, want.var, want.terms)
-
     @pytest.mark.parametrize("var", ["q", "p"])
     def test_every_order(self, rng, var):
         for order in range(MAX_ORDER + 1):
             cases = list(self._cases(rng, order, var))
             for a in cases:
                 for b in cases:
-                    self._same(a * b, fraction_mul(a, b))
+                    _same(a * b, fraction_mul(a, b))
                 shifted = a - a.constant_term
-                self._same(exp(shifted), fraction_exp(shifted))
-                self._same(log(shifted + 1), fraction_log(shifted + 1))
+                _same(exp(shifted), fraction_exp(shifted))
+                _same(log(shifted + 1), fraction_log(shifted + 1))
+
+
+class TestKernelsMatchTupleOracles:
+    """The kernels in exponential grading on prime keys equal the tuple-merge
+    kernels they replaced (D^w grading, keys merged as sorted tuples), term
+    for term."""
+
+    def test_random_series(self, rng):
+        for order in range(15):
+            for _ in range(6):
+                # a fractional constant term for the product, zero for exp,
+                # one for log
+                a = random_series(rng, order, rng.choice("qp"), max_terms=10,
+                                  constant=random_rational(rng, nonzero=True))
+                b = random_series(rng, order, a.var, max_terms=10, constant=random_rational(rng))
+                _same(a * b, tuple_mul(a, b))
+                _same(a * a, tuple_mul(a, a))
+                shifted = a - a.constant_term
+                _same(exp(shifted), tuple_exp(shifted))
+                _same(log(shifted + 1), tuple_log(shifted + 1))
+
+    @pytest.mark.parametrize("which", ["W", "A", "S"])
+    def test_generating_series_through_the_cap(self, which):
+        for order in range(20, MAX_ORDER + 1):
+            tau = target_series(order) if which == "S" else full_series(which, order)
+            connected = log(tau)
+            _same(connected, tuple_log(tau))
+            if order in (20, MAX_ORDER):
+                _same(exp(connected), tuple_exp(connected))
+                _same(tau * tau, tuple_mul(tau, tau))
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_tau_candidates(self, seed):
+        for terms, _, _ in gen.tau_candidates(seed):
+            tau = TruncSeries(gen.TAU_ORDER, "p", terms)
+            connected = log(tau)
+            _same(connected, tuple_log(tau))
+            _same(exp(connected), tuple_exp(connected))
+            _same(tau * connected, tuple_mul(tau, connected))
+
+    def test_keys_decode_every_partition(self):
+        # key(mu) = prod_j prime(mu_j) is one distinct integer per partition,
+        # and decoding a piece reads every partition of its weight back
+        primes = [p for p in range(2, 200) if all(p % d for d in range(2, p))]
+        table = _prime_keys(MAX_ORDER)
+        assert [[mu for mu, _ in pairs] for pairs in table] == [
+            list(partitions_of(w)) for w in range(MAX_ORDER + 1)]
+        keys = [k for pairs in table for mu, k in pairs]
+        assert keys == [prod([primes[part - 1] for part in mu])
+                        for pairs in table for mu, _ in pairs]
+        assert len(set(keys)) == len(keys)
+        decoded = _ungraded(MAX_ORDER, "q", [{k: 1 for _, k in pairs} for pairs in table],
+                            [1] * len(table))
+        assert decoded.terms == {mono(Counter(mu)): 1 for w in range(MAX_ORDER + 1)
+                                 for mu in partitions_of(w)}
 
 
 class TestRendering:
