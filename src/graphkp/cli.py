@@ -163,6 +163,14 @@ def _cmd_rescale(args) -> int:
     return EXIT_OK
 
 
+def _unique_names(pairs):
+    # json.load keeps only the last value of a repeated name; refuse it instead
+    obj = dict(pairs)
+    if len(obj) < len(pairs):
+        raise ValueError("malformed series object: repeated object name")
+    return obj
+
+
 def _cmd_kp_check(args) -> int:
     if args.input is not None and args.order is not None:
         raise ValueError("kp-check --input takes the file's order, not --order")
@@ -170,7 +178,7 @@ def _cmd_kp_check(args) -> int:
     if args.input is not None:
         with open(args.input, encoding="ascii") as handle:
             try:
-                obj = json.load(handle)
+                obj = json.load(handle, object_pairs_hook=_unique_names)
             except RecursionError:
                 raise ValueError(f"{args.input}: JSON nested too deeply") from None
         F = TruncSeries.from_json_obj(obj)

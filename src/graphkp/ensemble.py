@@ -40,14 +40,12 @@ lambda_n = 2^(n(n-1)/2) * (n-1)! / i_n.
 
 from __future__ import annotations
 
-from collections import Counter
 from fractions import Fraction
 from math import comb, factorial
 
 from graphkp import series
 from graphkp.errors import check_limit
-from graphkp.schurkp import partitions_of
-from graphkp.series import DEFAULT_ORDER, TruncSeries
+from graphkp.series import DEFAULT_ORDER, TruncSeries, partitions_of
 
 # -- rescaling constants -------------------------------------------------------
 
@@ -87,24 +85,27 @@ _CONSTANTS = {"W": c_recursion, "A": abel_constants}
 # -- ensemble pieces -----------------------------------------------------------
 
 
+def _piece_terms(k: int, consts) -> dict:
+    """piece_k by partition, from i_1..i_k; the j-th of a run of equal parts
+    puts j in the denominator, so a run of m parts puts m! there."""
+    terms = {}
+    for lam in partitions_of(k):
+        num = 2 ** (comb(k, 2) - sum(comb(part, 2) for part in lam))
+        den = run = 1
+        for i, part in enumerate(lam):
+            run = run + 1 if i and part == lam[i - 1] else 1
+            num *= consts[part - 1]
+            den *= factorial(part) * run
+        terms[lam] = Fraction(num, den)
+    return terms
+
+
 def _piece(which: str, k: int, order: int) -> TruncSeries:
     check_limit("order", k, low=1)
     check_limit("order", order)
     if k > order:
         raise ValueError(f"weight-{k} piece does not fit truncation order {order}")
-    consts = _CONSTANTS[which](k)
-    terms = {}
-    for lam in partitions_of(k):
-        mult = Counter(lam)
-        num = 2 ** (comb(k, 2) - sum(comb(part, 2) for part in lam))
-        den = 1
-        for part in lam:
-            num *= consts[part - 1]
-            den *= factorial(part)
-        for count in mult.values():
-            den *= factorial(count)
-        terms[lam] = Fraction(num, den)
-    return TruncSeries._raw(order, "q", terms)
+    return TruncSeries._raw(order, "q", _piece_terms(k, _CONSTANTS[which](k)))
 
 
 def ensemble_w(k: int, order: int = DEFAULT_ORDER) -> TruncSeries:
@@ -118,12 +119,13 @@ def ensemble_a(k: int, order: int = DEFAULT_ORDER) -> TruncSeries:
 
 
 def full_series(which: str, order: int = DEFAULT_ORDER) -> TruncSeries:
-    """All-graphs generating function through the truncation order: constant
-    term 1 from the empty graph plus one homogeneous piece per weight."""
-    total = TruncSeries.one(order, "q")
-    for k in range(1, order + 1):
-        total = total + _piece(which, k, order)
-    return total
+    """All-graphs generating function through the truncation order, one
+    piece per weight, piece_0 = 1 from the empty graph, in one dict."""
+    consts = _CONSTANTS[which](check_limit("order", order))
+    terms = {}
+    for k in range(order + 1):
+        terms.update(_piece_terms(k, consts))
+    return TruncSeries._raw(order, "q", terms)
 
 
 def connected_series(which: str, order: int = DEFAULT_ORDER) -> TruncSeries:

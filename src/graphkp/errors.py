@@ -26,8 +26,8 @@ class Limit(NamedTuple):
 LIMITS = {
     # W 0.24 s, A 0.30-0.34 s; 13 vertices: W 0.84 s, A 1.01-1.04 s
     "vertices": Limit(12, "vertex count"),
-    # kp-check --series W|A|S, series --rescaled, rescale: at most 0.75 s; 26: up to
-    # 0.98 s (series --which W|A --rescaled --format json)
+    # kp-check --series W|A|S, series --rescaled, rescale: at most 0.63 s; 26: up to
+    # 0.78 s (rescale --format json, series --rescaled --format json, kp-check)
     "order": Limit(25, "truncation order"),
     # n = 7: 0.60 s; n = 8: 10.2 s
     "all_graphs": Limit(7, "vertex count for all_graphs"),
@@ -35,7 +35,7 @@ LIMITS = {
     "tables": Limit(6, "tables --max-n"),
     # 10 vertices: 0.34 s; 11: 1.7 s
     "primitive_projection": Limit(10, "vertex count for hopf --op primitive"),
-    # 9 vertices: 0.23 s (21,147 lines); 10: 0.8-1.2 s
+    # 9 vertices: 0.14 s (21,147 lines); 10: 0.36-0.66 s
     "expand_in_primitives": Limit(9, "vertex count for hopf --op expand"),
 }
 

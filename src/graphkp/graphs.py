@@ -1,8 +1,8 @@
 """Labeled simple graphs with bitset edge storage, plus the enumeration
-primitives the rest of the package consumes: connected components, set
-partitions, canonical forms, automorphism counts and the isomorphism
-classes built on them, the table of canonical induced subgraphs and the
-set-partition assembly over vertex subsets, and graph6 parsing/emission.
+primitives the rest of the package consumes: connected components,
+canonical forms, automorphism counts and the isomorphism classes built on
+them, the table of canonical induced subgraphs and the set-partition
+assembly over vertex subsets, and graph6 parsing/emission.
 
 Edge slots.  The vertex pairs (i, j) with i < j are numbered in colex order
 
@@ -150,30 +150,6 @@ def is_connected(g: Graph) -> bool:
     if g.n == 0:
         raise ValueError("connectivity of the empty graph is undefined here")
     return len(components(g)) == 1
-
-
-# -- enumeration --------------------------------------------------------------
-
-
-SetPartition = tuple[tuple[int, ...], ...]
-
-
-def set_partitions(n: int) -> Iterator[SetPartition]:
-    """All Bell(n) set partitions of {0..n-1}, blocks ordered by minimum
-    element.  Vertex v joins each existing block in turn, then opens its own,
-    so the partitions come in lexicographic order of restricted growth strings.
-    """
-    check_limit("vertices", n)
-
-    def grow(v: int, blocks: SetPartition) -> Iterator[SetPartition]:
-        if v == n:
-            yield blocks
-            return
-        for i, block in enumerate(blocks):
-            yield from grow(v + 1, (*blocks[:i], (*block, v), *blocks[i + 1:]))
-        yield from grow(v + 1, (*blocks, (v,)))
-
-    return grow(0, ())
 
 
 # -- isomorphism: canonical forms and automorphism counts --------------------

@@ -23,7 +23,6 @@ G = sum over partitions B of the product of pi(G(V_beta)).
 
 from __future__ import annotations
 
-from collections import Counter
 from fractions import Fraction
 from functools import reduce
 from itertools import chain
@@ -31,8 +30,7 @@ from math import factorial
 
 from graphkp.errors import check_limit
 from graphkp.graphs import (Graph, assemble_partitions, canonical_form,
-                            disjoint_union, emit_graph6, induced_forms,
-                            set_partitions)
+                            disjoint_union, emit_graph6, induced_forms)
 from graphkp.series import _fraction
 
 UNIT_GRAPH = Graph(0, 0)
@@ -140,7 +138,7 @@ def coproduct(g: Graph) -> TensorSum:
     """Sum of G(V1) (x) G(V2) over all 2**n ordered vertex splits."""
     forms = induced_forms(g)
     full = len(forms) - 1
-    return TensorSum(Counter((forms[s], forms[full ^ s]) for s in range(len(forms))))
+    return TensorSum(_accumulate(((forms[s], forms[full ^ s]), 1) for s in range(len(forms))))
 
 
 def primitive_projection(g: Graph) -> GraphSum:
@@ -148,10 +146,11 @@ def primitive_projection(g: Graph) -> GraphSum:
     check_limit("primitive_projection", g.n)
     if not g.n:
         return GraphSum()  # the unit is not primitive
-    out: Counter = Counter()
+    out: dict = {}
     for blocks, count in assemble_partitions(induced_forms(g), [1] * (1 << g.n)).items():
         k = len(blocks)
-        out[reduce(disjoint_union, blocks)] += (-1) ** (k - 1) * factorial(k - 1) * count
+        key = reduce(disjoint_union, blocks)
+        out[key] = out.get(key, 0) + (-1) ** (k - 1) * factorial(k - 1) * count
     return GraphSum(out)
 
 
@@ -163,8 +162,22 @@ def expand_in_primitives(g: Graph) -> tuple[tuple[Graph, ...], ...]:
     of its blocks, sorted.  Replacing each factor H by pi(H) and multiplying
     out recovers the graph; pushing each factor H through an umbral invariant
     as b_H * q_{|V(H)|} evaluates the invariant on ``g``.
+
+    Blocks are vertex bitmasks; vertex v joins each block in turn, then opens
+    its own, so the partitions come in lex order of restricted growth strings.
     """
     check_limit("expand_in_primitives", g.n)
     forms = induced_forms(g)
-    return tuple(tuple(sorted(forms[sum(1 << v for v in block)] for block in blocks))
-                 for blocks in set_partitions(g.n))
+    out = []
+
+    def grow(v, blocks):
+        if v == g.n:
+            out.append(tuple(sorted([forms[block] for block in blocks])))
+            return
+        bit = 1 << v
+        for i, block in enumerate(blocks):
+            grow(v + 1, (*blocks[:i], block | bit, *blocks[i + 1:]))
+        grow(v + 1, (*blocks, bit))
+
+    grow(0, ())
+    return tuple(out)

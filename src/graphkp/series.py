@@ -23,9 +23,10 @@ constructor and :meth:`TruncSeries.coefficient` accept the pairs in any
 order, or a {variable index: exponent} map of ints; one heavier than the
 order is dropped by the constructor and refused by ``coefficient`` before
 it is expanded.  :attr:`TruncSeries.terms` is a fresh dict keyed that way
-on every access.  Rendering is graded (by weighted degree), then
-lexicographic on dense exponent vectors with higher powers of x_1 first,
-which makes printed output byte-stable.
+on every access.  Rendering sorts the stored partitions mu by weight
+sum(mu), then lexicographically on mu read from its smallest part, which
+puts higher powers of x_1 first, then of x_2, and so on; each term's
+exponents are the run lengths of its equal parts.
 
 Series are never mutated after construction; every operation returns a fresh
 value, so results can be shared freely across threads and summed in any
@@ -101,8 +102,15 @@ def _partition(m, order: int) -> Partition | None:
 
 
 def _monomial(mu: Partition) -> Monomial:
-    """Inverse of :func:`_partition`: (part, multiplicity) pairs by increasing part."""
-    return tuple([(part, mu.count(part)) for part in sorted(set(mu))])
+    """Inverse of :func:`_partition`: (part, multiplicity) pairs by increasing
+    part, read off the runs of equal parts from the end of ``mu``."""
+    pairs = []
+    end = len(mu)
+    while end:
+        start = mu.index(mu[end - 1])
+        pairs.append((mu[end - 1], end - start))
+        end = start
+    return tuple(pairs)
 
 
 def mono(exponents: Mapping[int, int] | Iterable[tuple[int, int]]) -> Monomial:
@@ -113,17 +121,10 @@ def mono(exponents: Mapping[int, int] | Iterable[tuple[int, int]]) -> Monomial:
     return _monomial(mu)
 
 
-def mono_weight(m: Monomial) -> int:
-    return sum(var * exp for var, exp in m)
-
-
-def mono_key(m: Monomial):
-    """Canonical sort key: graded, then lex on dense exponents, x1-heavy first."""
-    top = m[-1][0] if m else 0
-    dense = [0] * top
-    for var, exp in m:
-        dense[var - 1] = -exp
-    return (mono_weight(m), dense)
+def _print_order(mu: Partition):
+    """Rendering sort key: by weight, then lex on the parts from the smallest,
+    which puts higher powers of x_1 first, then of x_2, and so on."""
+    return sum(mu), mu[::-1]
 
 
 def _mono_text(m: Monomial, var: str) -> str:
@@ -275,36 +276,28 @@ class TruncSeries:
         """Canonical plain-text rendering, e.g. ``q1^3 + 3 q1 q2 + 2 q3``."""
         if not self._terms:
             return "0"
-        terms = self.terms
-        pieces = []
-        for m in sorted(terms, key=mono_key):
-            c = terms[m]
-            body = _mono_text(m, self.var)
-            mag = abs(c)
-            if body and mag == 1:
-                term = body
-            elif body:
-                term = f"{mag} {body}"
-            else:
-                term = str(mag)
-            pieces.append(("-" if c < 0 else "+", term))
-        sign, first = pieces[0]
-        out = ("-" if sign == "-" else "") + first
-        for sign, term in pieces[1:]:
-            out += f" {sign} {term}"
-        return out
+        out = []
+        for mu in sorted(self._terms, key=_print_order):
+            coeff = str(self._terms[mu])
+            mag = coeff.lstrip("-")
+            body = _mono_text(_monomial(mu), self.var)
+            term = f"{mag} {body}" if body and mag != "1" else body or mag
+            out.append((" - " if coeff[0] == "-" else " + ") + term)
+        # every term carries its sign as " + " or " - "; the first keeps only "-"
+        text = "".join(out)
+        return text[3:] if text[1] == "+" else "-" + text[3:]
 
     def to_json_obj(self) -> dict:
-        terms = self.terms
         return {"var": self.var, "order": self.order, "terms": [
-            {"exponents": {str(var): exp for var, exp in m},
-             "numerator": terms[m].numerator, "denominator": terms[m].denominator}
-            for m in sorted(terms, key=mono_key)]}
+            {"exponents": {str(var): exp for var, exp in _monomial(mu)},
+             "numerator": self._terms[mu].numerator, "denominator": self._terms[mu].denominator}
+            for mu in sorted(self._terms, key=_print_order)]}
 
     @classmethod
     def from_json_obj(cls, obj: Mapping) -> "TruncSeries":
         """Inverse of :meth:`to_json_obj`.  Every number must be a JSON
-        integer and every exponent key a decimal integer string; anything
+        integer and every exponent key the canonical decimal spelling of an
+        integer ("1", not "01"), so no two keys name one variable; anything
         else raises ValueError rather than being coerced."""
         if not isinstance(obj, Mapping):
             raise ValueError("malformed series object: expected a JSON object")
@@ -320,7 +313,8 @@ class TruncSeries:
                 if not isinstance(exps, Mapping):
                     raise ValueError("malformed series object: 'exponents' must be an object")
                 for key in exps:
-                    if not (isinstance(key, str) and key.isascii() and key.isdigit()):
+                    if not (isinstance(key, str) and key.isascii() and key.isdigit()
+                            and str(int(key)) == key):
                         raise ValueError(f"malformed series object: exponent key {key!r}")
                 m = tuple({int(k): _json_int(v, "exponent") for k, v in exps.items()}.items())
                 den = _json_int(t["denominator"], "denominator")

@@ -3,6 +3,9 @@ the package computes one way, kept here only to check it.
 
 * Builders and generators: small graph families, a polynomial text parser
   for frozen expected values, random series and graph6 strategies.
+* Rendering oracles: ``text`` and ``to_json_obj`` from the ``.terms``
+  monomial view sorted on dense exponent vectors (``mono_key``), the
+  oracles for rendering straight from the stored partitions.
 * Series kernel oracles: the product, exp, log, rescaling and partial
   derivative with one Fraction operation per coefficient step and their own
   dict-merge monomial product, the oracles for the integer kernels and for
@@ -14,8 +17,10 @@ the package computes one way, kept here only to check it.
 * Per-graph oracles for the umbral assembly: the edge-subset expansion of W,
   the spanning-forest sum of A, deletion-contraction of W on vertex-weighted
   graphs, and brute-force proper colorings.
-* Set-partition sums by their definitions: the oracles for the primitive
-  projection and for the umbral assembly of b-tables of any denominator.
+* Set partitions as vertex tuples, the order oracle for the expansion in
+  primitives, and the expansion over them; set-partition sums by their
+  definitions: the oracles for the primitive projection and for the umbral
+  assembly of b-tables of any denominator.
 * Isomorphism by brute force: a backtracker over vertex images, the oracle
   for the automorphism count; the minimum over all relabelings, the oracle
   for the canonical-form search; and the orbit sweep over all labeled
@@ -23,7 +28,8 @@ the package computes one way, kept here only to check it.
 * Hopf checks: the tensor product, the coproduct of a sum, and the
   flattening of an expansion in primitives back to its graph.
 * Graph-level oracles for the ensemble pieces: the edge-subset sweep over
-  K_k and the sums over isomorphism classes.
+  K_k and the sums over isomorphism classes; and the all-graphs series
+  summed piece by piece, the oracle for its one-dict assembly.
 * Schur oracles for the character-based Schur functions and Schur
   expansion: the one-part sum over p_mu / z_mu, the Jacobi-Trudi
   determinant, an exact linear solve over it, and the expansion by one
@@ -39,21 +45,22 @@ from collections import Counter, namedtuple
 from fractions import Fraction
 from functools import cache, reduce
 from itertools import chain, combinations, permutations, product
-from math import factorial, lcm, perm, prod
+from math import comb, factorial, lcm, perm, prod
 from typing import Iterator
 
 from hypothesis import strategies as st
 
-from graphkp.errors import SizeLimitError
+from graphkp.ensemble import _CONSTANTS
+from graphkp.errors import SizeLimitError, check_limit
 from graphkp.graphs import (MAX_VERTICES, SLOT_ENDPOINTS, Graph, _bit_indices,
                             all_graphs, aut_order, canonical_form, components,
-                            edge_slot, emit_graph6, set_partitions)
+                            edge_slot, emit_graph6, induced_forms)
 from graphkp.hopf import (UNIT_GRAPH, GraphSum, TensorSum, _accumulate, coproduct,
                           primitive_projection)
 from graphkp.invariants import INVARIANTS
 from graphkp.schurkp import _KP1, _KP2, _z, character, partitions_of
-from graphkp.series import (DEFAULT_ORDER, Partition, TruncSeries, _partition, exp, mono,
-                            mono_weight)
+from graphkp.series import (DEFAULT_ORDER, Monomial, Partition, TruncSeries, _partition, exp,
+                            mono)
 
 
 def complete_graph(n: int) -> Graph:
@@ -149,6 +156,59 @@ def random_rational(rng: random.Random, lo: int = -9, hi: int = 9,
         value = Fraction(rng.randint(lo, hi), rng.randint(1, 9))
         if value or not nonzero:
             return value
+
+
+# -- rendering oracles: the monomial view sorted on dense exponents ---------------
+
+
+def mono_weight(m: Monomial) -> int:
+    return sum(var * exp for var, exp in m)
+
+
+def mono_key(m: Monomial):
+    """Canonical sort key: graded, then lex on dense exponents, x1-heavy first."""
+    top = m[-1][0] if m else 0
+    dense = [0] * top
+    for var, exp in m:
+        dense[var - 1] = -exp
+    return (mono_weight(m), dense)
+
+
+def _mono_text(m: Monomial, var: str) -> str:
+    return " ".join(f"{var}{i}" if e == 1 else f"{var}{i}^{e}" for i, e in m)
+
+
+def mono_key_text(self: TruncSeries) -> str:
+    """``TruncSeries.text`` from the ``.terms`` monomial view sorted by ``mono_key``."""
+    if not self._terms:
+        return "0"
+    terms = self.terms
+    pieces = []
+    for m in sorted(terms, key=mono_key):
+        c = terms[m]
+        body = _mono_text(m, self.var)
+        mag = abs(c)
+        if body and mag == 1:
+            term = body
+        elif body:
+            term = f"{mag} {body}"
+        else:
+            term = str(mag)
+        pieces.append(("-" if c < 0 else "+", term))
+    sign, first = pieces[0]
+    out = ("-" if sign == "-" else "") + first
+    for sign, term in pieces[1:]:
+        out += f" {sign} {term}"
+    return out
+
+
+def mono_key_json_obj(self: TruncSeries) -> dict:
+    """``TruncSeries.to_json_obj`` from the ``.terms`` monomial view sorted by ``mono_key``."""
+    terms = self.terms
+    return {"var": self.var, "order": self.order, "terms": [
+        {"exponents": {str(var): exp for var, exp in m},
+         "numerator": terms[m].numerator, "denominator": terms[m].denominator}
+        for m in sorted(terms, key=mono_key)]}
 
 
 # -- series kernel oracles ------------------------------------------------------
@@ -562,6 +622,36 @@ def chromatic_oracle(g: Graph, colors: int) -> int:
     return count
 
 
+SetPartition = tuple[tuple[int, ...], ...]
+
+
+def set_partitions(n: int) -> Iterator[SetPartition]:
+    """All Bell(n) set partitions of {0..n-1}, blocks ordered by minimum
+    element.  Vertex v joins each existing block in turn, then opens its own,
+    so the partitions come in lexicographic order of restricted growth strings.
+    """
+    check_limit("vertices", n)
+
+    def grow(v: int, blocks: SetPartition) -> Iterator[SetPartition]:
+        if v == n:
+            yield blocks
+            return
+        for i, block in enumerate(blocks):
+            yield from grow(v + 1, (*blocks[:i], (*block, v), *blocks[i + 1:]))
+        yield from grow(v + 1, (*blocks, (v,)))
+
+    return grow(0, ())
+
+
+def partition_expand(g: Graph) -> tuple[tuple[Graph, ...], ...]:
+    """``hopf.expand_in_primitives`` over the vertex tuples of
+    :func:`set_partitions`, each block's bitmask rebuilt from its vertices."""
+    check_limit("expand_in_primitives", g.n)
+    forms = induced_forms(g)
+    return tuple(tuple(sorted(forms[sum(1 << v for v in block)] for block in blocks))
+                 for blocks in set_partitions(g.n))
+
+
 def partition_primitive(g: Graph) -> GraphSum:
     """pi(G) by its definition: sum over the set partitions B of V(G) of
     (-1)^(|B|-1) (|B|-1)! times G with every edge between distinct blocks
@@ -780,6 +870,36 @@ def _sweep(k: int, forests_only: bool) -> dict[int, int]:
 def _key_counts(key: int, k: int) -> dict[int, int]:
     return {s: key >> 4 * (s - 1) & 0xF for s in range(1, k + 1)
             if key >> 4 * (s - 1) & 0xF}
+
+
+def counter_piece(which: str, k: int, order: int) -> TruncSeries:
+    """``ensemble_w``/``ensemble_a`` with the constants recomputed per weight
+    and the multiplicities counted by a ``Counter``."""
+    check_limit("order", k, low=1)
+    check_limit("order", order)
+    if k > order:
+        raise ValueError(f"weight-{k} piece does not fit truncation order {order}")
+    consts = _CONSTANTS[which](k)
+    terms = {}
+    for lam in partitions_of(k):
+        mult = Counter(lam)
+        num = 2 ** (comb(k, 2) - sum(comb(part, 2) for part in lam))
+        den = 1
+        for part in lam:
+            num *= consts[part - 1]
+            den *= factorial(part)
+        for count in mult.values():
+            den *= factorial(count)
+        terms[lam] = Fraction(num, den)
+    return TruncSeries._raw(order, "q", terms)
+
+
+def summed_full_series(which: str, order: int = DEFAULT_ORDER) -> TruncSeries:
+    """``ensemble.full_series`` as 1 plus the sum of the pieces, one ``+`` each."""
+    total = TruncSeries.one(order, "q")
+    for k in range(1, order + 1):
+        total = total + counter_piece(which, k, order)
+    return total
 
 
 def swept_piece(which: str, k: int, order: int) -> TruncSeries:

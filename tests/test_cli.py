@@ -125,6 +125,23 @@ class TestExitCodes:
         out = capsys.readouterr().out
         assert "NONZERO" in out
 
+    @pytest.mark.parametrize("exponents", ['{"1": 1, "01": 1}', '{"1": 1, "1": 1}'],
+                             ids=["aliased_key", "repeated_key"])
+    def test_two_keys_for_one_variable_exit_2(self, exponents, tmp_path, capsys):
+        # {"1": 2} is p1^2, whose kp1 residual is nonzero; two spellings of
+        # the exponent of p1 must not load as p1, whose residual is zero
+        doc = '{"var": "p", "order": 7, "terms": [{"exponents": %s, "numerator": 1, ' \
+              '"denominator": 1}]}'
+        path = tmp_path / "series.json"
+        path.write_text(doc % '{"1": 2}')
+        assert main(["kp-check", "--input", str(path)]) == 1
+        assert "kp1: residual NONZERO through weight 3: 2\n" in capsys.readouterr().out
+        path.write_text(doc % exponents)
+        assert main(["kp-check", "--input", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "malformed series object" in captured.err
+
     def test_kp_check_json_round_trip_ok(self, tmp_path, capsys):
         from graphkp import series
         from graphkp.schurkp import target_series

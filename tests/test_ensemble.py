@@ -13,7 +13,8 @@ from graphkp.ensemble import (abel_constants, c_recursion, connected_series,
 from graphkp.errors import SizeLimitError
 from graphkp.schurkp import kp1_residual, kp2_residual, target_series
 from graphkp.series import MAX_ORDER, TruncSeries, mono
-from helpers import isoclass_series, parse_poly, swept_constants, swept_piece
+from helpers import (isoclass_series, parse_poly, summed_full_series, swept_constants,
+                     swept_piece)
 
 
 class TestPieces:
@@ -51,6 +52,11 @@ class TestPieces:
 
     def test_log_of_one_is_zero(self):
         assert not series.log(TruncSeries.one(4))
+
+    @pytest.mark.parametrize("which", ["W", "A"])
+    @pytest.mark.parametrize("order", [*range(1, 13), MAX_ORDER])
+    def test_full_series_matches_summed_pieces(self, which, order):
+        assert full_series(which, order) == summed_full_series(which, order)
 
 
 class TestDoubleCounting:

@@ -14,12 +14,11 @@ from graphkp.errors import Graph6ParseError, SizeLimitError
 from graphkp.graphs import (Graph, all_graphs, assemble_partitions, aut_order,
                             canonical_form, components,
                             connected_graphs, disjoint_union, edge_slot,
-                            emit_graph6, is_connected, parse_graph6,
-                            set_partitions)
+                            emit_graph6, is_connected, parse_graph6)
 from helpers import (GRAPH6_TEXT, GRAPHS, WeightedGraph, brute_all_graphs,
                      brute_aut_order, brute_canonical_form, complete_graph, contract_edge,
-                     cycle_graph, path_graph, random_graph, spanning_forests,
-                     star_graph)
+                     cycle_graph, path_graph, random_graph, set_partitions,
+                     spanning_forests, star_graph)
 
 BELL = [1, 1, 2, 5, 15, 52, 203, 877]
 INTEGER_PARTITIONS = [1, 1, 2, 3, 5, 7, 11, 15]

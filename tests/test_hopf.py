@@ -6,13 +6,15 @@ from fractions import Fraction
 from itertools import chain
 from pathlib import Path
 
+import pytest
+
 import graphkp
 from graphkp import graphs, schurkp, series
 from graphkp.graphs import Graph, all_graphs, canonical_form, connected_graphs
 from graphkp.hopf import (GraphSum, TensorSum, UNIT_GRAPH, coproduct, expand_in_primitives,
                           primitive_projection)
-from helpers import (coproduct_sum, cycle_graph, flatten_expansion, partition_primitive,
-                     path_graph, random_graph, tensor)
+from helpers import (coproduct_sum, cycle_graph, flatten_expansion, partition_expand,
+                     partition_primitive, path_graph, random_graph, tensor)
 
 VERTEX = Graph(1)
 EDGE = Graph.from_edges(2, [(0, 1)])
@@ -136,6 +138,14 @@ class TestExpansion:
             for g in all_graphs(n):
                 flattened = flatten_expansion(expand_in_primitives(g))
                 assert flattened == GraphSum.from_graph(g), g
+
+    @pytest.mark.parametrize("density", [0.2, 0.5, 0.8])
+    def test_matches_vertex_tuple_oracle(self, density):
+        # same factor lists in the same partition order as set_partitions
+        rng = random.Random(int(density * 10))
+        for n in range(10):
+            g = random_graph(rng, n, density)
+            assert expand_in_primitives(g) == partition_expand(g), g
 
 
 class TestGraphSumAlgebra:

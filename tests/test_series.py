@@ -1,6 +1,8 @@
 """Truncated-series arithmetic: frozen examples and randomized ring laws."""
 
 import ast
+import json
+import random
 import sys
 from collections import Counter
 from fractions import Fraction
@@ -12,13 +14,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import graphkp
-from graphkp.ensemble import full_series
+from graphkp.ensemble import full_series, make_plan, rescale_constants
 from graphkp.schurkp import partitions_of, schur_combination, target_series
 from graphkp.series import (MAX_ORDER, TruncSeries, _prime_keys, _ungraded, evaluate, exp, log,
                             mono, substitute)
 from helpers import (fraction_exp, fraction_log, fraction_mul, fraction_partial,
-                     fraction_substitute, parse_poly, random_rational, random_series, tuple_exp,
-                     tuple_log, tuple_mul)
+                     fraction_substitute, mono_key_json_obj, mono_key_text, parse_poly,
+                     random_rational, random_series, tuple_exp, tuple_log, tuple_mul)
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "perfbench"))
 import gen  # noqa: E402  (the benchmark's seeded tau-function candidates)
@@ -427,6 +429,7 @@ class TestRendering:
         ("order", 4.0), ("order", "4"), ("order", True),
         ("exponents", {"1": 1.5}), ("exponents", {"1": "2"}), ("exponents", {"1": False}),
         ("exponents", {"1.0": 1}), ("exponents", {" 1": 1}), ("exponents", {"-1": 1}),
+        ("exponents", {"01": 1}), ("exponents", {"00": 1}),
         ("numerator", 1.5), ("numerator", "1"), ("numerator", True),
         ("denominator", 2.0), ("denominator", "2"), ("denominator", 0),
     ])
@@ -444,3 +447,45 @@ class TestRendering:
         assert evaluate(s, {1: Fraction(2), 2: Fraction(-3)}) == 1
         with pytest.raises(ValueError):
             evaluate(s, {1: Fraction(2)})
+
+
+def _renders_like_oracle(s: TruncSeries) -> None:
+    assert s.text() == mono_key_text(s)
+    assert json.dumps(s.to_json_obj()) == json.dumps(mono_key_json_obj(s))
+
+
+class TestRenderingMatchesMonoKeyOracle:
+    @pytest.mark.parametrize("var, offset", [("q", 0), ("p", 1)])
+    def test_every_partition_through_the_cap(self, var, offset):
+        # mixed signs, integer and fractional coefficients; the offset makes
+        # the p series open with a negative constant term
+        coeffs = [Fraction(1), Fraction(-1), Fraction(2), Fraction(-1, 2), Fraction(3, 7),
+                  Fraction(-5), Fraction(-12, 5)]
+        parts = [mu for w in range(MAX_ORDER + 1) for mu in partitions_of(w)]
+        terms = {mono(Counter(mu)): coeffs[(i + offset) % len(coeffs)]
+                 for i, mu in enumerate(parts)}
+        s = TruncSeries(MAX_ORDER, var, terms)
+        # the oracle reads the .terms view, so check the view against Counter
+        assert set(s.terms) == {tuple(sorted(Counter(mu).items())) for mu in parts}
+        _renders_like_oracle(s)
+
+    @pytest.mark.parametrize("var", ["q", "p"])
+    def test_random_and_zero_series(self, var):
+        rng = random.Random(var)
+        _renders_like_oracle(TruncSeries.zero(4, var))
+        for _ in range(60):
+            _renders_like_oracle(random_series(rng, rng.randint(0, MAX_ORDER), var, max_terms=12))
+
+    @pytest.mark.parametrize("order", [7, MAX_ORDER])
+    @pytest.mark.parametrize("which", ["W", "A", "S"])
+    def test_generating_series(self, which, order):
+        if which == "S":
+            tau = target_series(order)
+            shown = [tau, log(tau)]
+        else:
+            tau = full_series(which, order)
+            connected = log(tau)
+            plan = make_plan(rescale_constants(which, order))
+            shown = [tau, connected, substitute(connected, plan)]
+        for s in shown:
+            _renders_like_oracle(s)
