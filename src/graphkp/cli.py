@@ -13,20 +13,18 @@ Subcommands:
 Output is deterministic plain text by default; JSON and CSV sit behind
 ``--format``.  Exit codes: 0 success, 1 nonzero KP residual, 2 malformed
 input, 3 size cap exceeded.  ``--help`` lists the size caps.
+
+Each subcommand imports the graphkp modules it calls, and ``json`` only where
+it reads or writes JSON, so a run loads and compiles only what it uses.
 """
 
 from __future__ import annotations
 
 import argparse
-import json
 import sys
-from itertools import chain
 
-from graphkp import ensemble, schurkp, series
+from graphkp import series
 from graphkp.errors import LIMITS, Graph6ParseError, SizeLimitError, check_limit
-from graphkp.graphs import aut_order, connected_graphs, emit_graph6, parse_graph6
-from graphkp.hopf import (coproduct, expand_in_primitives, primitive_projection)
-from graphkp.invariants import INVARIANTS
 from graphkp.series import TruncSeries
 
 EXIT_OK = 0
@@ -102,16 +100,23 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def _emit_series(s: TruncSeries, fmt: str) -> None:
     if fmt == "json":
+        import json
+
         print(json.dumps(s.to_json_obj(), indent=2))
     else:
         print(s.text())
 
 
 def _rescale(s: TruncSeries, which: str, order: int) -> TruncSeries:
+    from graphkp import ensemble
+
     return series.substitute(s, ensemble.make_plan(ensemble.rescale_constants(which, order)))
 
 
 def _cmd_invariant(args) -> int:
+    from graphkp.graphs import parse_graph6
+    from graphkp.invariants import INVARIANTS
+
     order = check_limit("order", args.order, low=1)
     fn = INVARIANTS[args.which]
     if args.graph6 is not None:
@@ -121,6 +126,8 @@ def _cmd_invariant(args) -> int:
         graphs = [(line.strip(), parse_graph6(line))
                   for line in handle if line.strip()]
     if args.format == "json":
+        import json
+
         print(json.dumps([{"graph6": g6, "series": fn(g, order).to_json_obj()}
                           for g6, g in graphs], indent=2))
     else:
@@ -130,6 +137,8 @@ def _cmd_invariant(args) -> int:
 
 
 def _cmd_series(args) -> int:
+    from graphkp import ensemble
+
     order = check_limit("order", args.order, low=1)
     full = ensemble.full_series(args.which, order)
     out = series.log(full) if args.sum == "connected" else full
@@ -140,10 +149,14 @@ def _cmd_series(args) -> int:
 
 
 def _cmd_constants(args) -> int:
+    from graphkp import ensemble
+
     check_limit("order", args.max_n, low=1)
     constants = ensemble.rescale_constants(args.which, args.max_n)
     plan = ensemble.make_plan(constants)
     if args.format == "json":
+        import json
+
         print(json.dumps([{"n": n, "i_n": str(i_n), "lambda_n": str(plan[n])}
                           for n, i_n in enumerate(constants, start=1)], indent=2))
     else:
@@ -156,8 +169,13 @@ def _cmd_constants(args) -> int:
 def _cmd_rescale(args) -> int:
     order = check_limit("order", args.order, low=1)
     if args.graph6 is not None:
+        from graphkp.graphs import parse_graph6
+        from graphkp.invariants import INVARIANTS
+
         source = INVARIANTS[args.which](parse_graph6(args.graph6), order)
     else:
+        from graphkp import ensemble
+
         source = ensemble.connected_series(args.which, order)
     _emit_series(_rescale(source, args.which, order), args.format)
     return EXIT_OK
@@ -172,10 +190,14 @@ def _unique_names(pairs):
 
 
 def _cmd_kp_check(args) -> int:
+    from graphkp import schurkp
+
     if args.input is not None and args.order is not None:
         raise ValueError("kp-check --input takes the file's order, not --order")
     order = check_limit("order", series.DEFAULT_ORDER if args.order is None else args.order, low=1)
     if args.input is not None:
+        import json
+
         with open(args.input, encoding="ascii") as handle:
             try:
                 obj = json.load(handle, object_pairs_hook=_unique_names)
@@ -189,6 +211,8 @@ def _cmd_kp_check(args) -> int:
         F = series.log(schurkp.target_series(order))
         label = "log of the one-part Schur reference series"
     else:
+        from graphkp import ensemble
+
         which = args.series_name
         F = _rescale(ensemble.connected_series(which, order), which, order)
         label = f"rescaled connected {which} series"
@@ -211,6 +235,9 @@ def _cmd_kp_check(args) -> int:
 
 
 def _cmd_tables(args) -> int:
+    from graphkp.graphs import aut_order, connected_graphs, emit_graph6
+    from graphkp.invariants import INVARIANTS
+
     check_limit("tables", args.max_n, low=1)
     names = ("W", "A") if args.which == "both" else (args.which,)
     sep = "," if args.format == "csv" else "\t"
@@ -228,6 +255,11 @@ def _cmd_tables(args) -> int:
 
 
 def _cmd_hopf(args) -> int:
+    from itertools import chain
+
+    from graphkp.graphs import emit_graph6, parse_graph6
+    from graphkp.hopf import coproduct, expand_in_primitives, primitive_projection
+
     g = parse_graph6(args.graph6)
     if args.op == "coproduct":
         print(coproduct(g).text())

@@ -26,17 +26,17 @@ class Limit(NamedTuple):
 LIMITS = {
     # W 0.24 s, A 0.30-0.34 s; 13 vertices: W 0.84 s, A 1.01-1.04 s
     "vertices": Limit(12, "vertex count"),
-    # kp-check --series W|A|S, series --rescaled, rescale: at most 0.63 s; 26: up to
-    # 0.78 s (rescale --format json, series --rescaled --format json, kp-check)
-    "order": Limit(25, "truncation order"),
+    # kp-check --series W|A|S, series --rescaled, rescale: at most 0.97 s; 27: up to
+    # 1.28 s (rescale --format json 0.94-1.28 s, kp-check --series S 1.05-1.20 s)
+    "order": Limit(26, "truncation order"),
     # n = 7: 0.60 s; n = 8: 10.2 s
     "all_graphs": Limit(7, "vertex count for all_graphs"),
     # --max-n 6: 0.23 s; 7: 2.8 s
     "tables": Limit(6, "tables --max-n"),
     # 10 vertices: 0.34 s; 11: 1.7 s
     "primitive_projection": Limit(10, "vertex count for hopf --op primitive"),
-    # 9 vertices: 0.14 s (21,147 lines); 10: 0.36-0.66 s
-    "expand_in_primitives": Limit(9, "vertex count for hopf --op expand"),
+    # 10 vertices: 0.51-0.76 s (115,975 lines); 11: 3.1-4.3 s
+    "expand_in_primitives": Limit(10, "vertex count for hopf --op expand"),
 }
 
 

@@ -261,10 +261,23 @@ def connected_graphs(n: int) -> tuple[Graph, ...]:
 
 
 def induced_forms(g: Graph) -> list[Graph]:
-    """``canonical_form(g.induced(S))`` for every vertex bitmask S, indexed by S."""
-    verts = range(g.n)
-    return [canonical_form(g.induced([v for v in verts if s >> v & 1]))
-            for s in range(1 << g.n)]
+    """``canonical_form(g.induced(S))`` for every vertex bitmask S, indexed by S.
+
+    Relabeled in sorted order, the top vertex of S is the last vertex of G[S],
+    so its edges fill the top colex slots: the bitset of S is that of S minus
+    its top vertex, plus the top's adjacency mask compressed to the ranks of
+    the other vertices, shifted up by C(|S| - 1, 2)."""
+    adj = g.adjacency_masks()
+    bits = [0] * (1 << g.n)
+    for s in range(1, 1 << g.n):
+        top = s.bit_length() - 1
+        rest = s ^ 1 << top
+        k = rest.bit_count()
+        row = 0
+        for v in _bit_indices(adj[top] & rest):
+            row |= 1 << (rest & ((1 << v) - 1)).bit_count()
+        bits[s] = bits[rest] | row << k * (k - 1) // 2
+    return [canonical_form(Graph(s.bit_count(), b)) for s, b in enumerate(bits)]
 
 
 def assemble_partitions(labels: Sequence, weights: Sequence[int]) -> dict[tuple, int]:

@@ -643,6 +643,13 @@ def set_partitions(n: int) -> Iterator[SetPartition]:
     return grow(0, ())
 
 
+def induced_subset_forms(g: Graph) -> list[Graph]:
+    """``graphs.induced_forms`` by :meth:`Graph.induced` on each vertex subset."""
+    verts = range(g.n)
+    return [canonical_form(g.induced([v for v in verts if s >> v & 1]))
+            for s in range(1 << g.n)]
+
+
 def partition_expand(g: Graph) -> tuple[tuple[Graph, ...], ...]:
     """``hopf.expand_in_primitives`` over the vertex tuples of
     :func:`set_partitions`, each block's bitmask rebuilt from its vertices."""

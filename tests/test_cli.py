@@ -265,20 +265,83 @@ def test_hopf_graph6_exit_contract(text, op):
 #: Standard-library modules ``import graphkp.cli`` may load beyond what the
 #: interpreter has at start-up.  Every CLI run pays for each module on this
 #: list in start-up time and memory, so growing it is a deliberate choice.
-CLI_IMPORT_ALLOWLIST = {"__future__", "argparse", "gettext", "json", "_json",
+CLI_IMPORT_ALLOWLIST = {"__future__", "argparse", "gettext",
                         "fractions", "decimal", "_decimal", "numbers"}
+
+SRC = str(Path(graphkp.__file__).parents[1])
 
 
 def test_cli_import_footprint():
     code = ("import sys; before = set(sys.modules); import graphkp.cli; "
             "print(*sorted(set(sys.modules) - before))")
-    env = {**os.environ, "PYTHONPATH": str(Path(graphkp.__file__).parents[1])}
+    env = {**os.environ, "PYTHONPATH": SRC}
     added = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                            text=True, check=True).stdout.split()
-    assert "graphkp.cli" in added
+    assert {m for m in added if m.partition(".")[0] == "graphkp"} == {
+        "graphkp", "graphkp.cli", "graphkp.errors", "graphkp.series"}
     stray = [m for m in added if m not in CLI_IMPORT_ALLOWLIST
-             and m.partition(".")[0] not in ("graphkp", "json")]
+             and m.partition(".")[0] != "graphkp"]
     assert stray == []
+
+
+#: ``python -m graphkp.cli`` that writes every loaded module name to stderr as it exits.
+_CLI_MODULES = ("import runpy, sys\n"
+                "try:\n"
+                "    runpy.run_module('graphkp.cli', run_name='__main__', alter_sys=True)\n"
+                "finally:\n"
+                "    print('modules:', *sorted(sys.modules), file=sys.stderr)\n")
+
+
+#: (argv, the graphkp modules the run loads besides the package, errors and
+#: series, and json, which only --format json and kp-check --input load)
+COMMAND_MODULES = {
+    "kp-check": (["kp-check", "--series", "W", "--order", "5"], {"ensemble", "schurkp"}),
+    "kp-check-input": (["kp-check", "--input", "INPUT"], {"schurkp", "json"}),
+    "series": (["series", "--which", "A", "--order", "4", "--rescaled"], {"ensemble"}),
+    "series-json": (["series", "--which", "W", "--order", "4", "--format", "json"],
+                    {"ensemble", "json"}),
+    "constants": (["constants", "--which", "W", "--max-n", "4"], {"ensemble"}),
+    "constants-json": (["constants", "--which", "A", "--format", "json"], {"ensemble", "json"}),
+    "rescale": (["rescale", "--which", "W", "--order", "4"], {"ensemble"}),
+    "rescale-graph6": (["rescale", "--which", "A", "--graph6", "Bw", "--order", "4"],
+                       {"ensemble", "graphs", "invariants"}),
+    "invariant": (["invariant", "--which", "W", "--graph6", "Bw"], {"graphs", "invariants"}),
+    "invariant-json": (["invariant", "--which", "A", "--graph6", "Bw", "--format", "json"],
+                       {"graphs", "invariants", "json"}),
+    "tables": (["tables", "--max-n", "3"], {"graphs", "invariants"}),
+    "hopf": (["hopf", "--op", "expand", "--graph6", "Bw"], {"graphs", "hopf"}),
+}
+
+
+@pytest.mark.parametrize("name", COMMAND_MODULES)
+def test_each_command_loads_only_its_modules(name, tmp_path):
+    argv, expected = COMMAND_MODULES[name]
+    series_file = tmp_path / "series.json"
+    series_file.write_text(json.dumps({"var": "p", "order": 5, "terms": []}))
+    argv = [str(series_file) if a == "INPUT" else a for a in argv]
+    child = subprocess.run([sys.executable, "-c", _CLI_MODULES, *argv],
+                           env={**os.environ, "PYTHONPATH": SRC}, capture_output=True, text=True)
+    assert child.returncode == 0, child.stderr
+    modules = child.stderr.splitlines()[-1].split()[1:]
+    assert {m.removeprefix("graphkp.") for m in modules
+            if m.startswith("graphkp.") or m == "json"} == {"errors", "series", *expected}
+
+
+def test_package_api_is_unchanged():
+    assert graphkp.__all__ == ["DEFAULT_ORDER", "Graph", "Graph6ParseError", "MAX_ORDER",
+                               "SizeLimitError", "TruncSeries", "mono", "__version__"]
+    from graphkp.graphs import Graph
+
+    assert graphkp.Graph is Graph
+    namespace: dict = {}
+    exec("from graphkp import *", namespace)
+    assert all(namespace[name] is getattr(graphkp, name) for name in graphkp.__all__)
+    with pytest.raises(AttributeError, match="no_such_name"):
+        graphkp.no_such_name  # noqa: B018
+    code = "import sys, graphkp; print('graphkp.graphs' in sys.modules)"
+    bare = subprocess.run([sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": SRC},
+                          capture_output=True, text=True, check=True)
+    assert bare.stdout == "False\n"
 
 
 def test_kp_check_builtins_pass(capsys):
@@ -307,7 +370,7 @@ def _numeric_argv(prefix: list, option: str, ints):
     return values.map(lambda v: [*prefix, f"{option}={v}"])
 
 
-# series and rescale at orders 13..MAX_ORDER are valid but take 0.05-0.8 s,
+# series and rescale at orders 13..MAX_ORDER are valid but take 0.05-1 s,
 # beyond the deadline; test_limits and TestExitCodes probe the cap itself
 _ORDERS = st.integers(-3, 12) | st.integers(MAX_ORDER + 1, MAX_ORDER + 8)
 

@@ -54,7 +54,7 @@ class TestPieces:
         assert not series.log(TruncSeries.one(4))
 
     @pytest.mark.parametrize("which", ["W", "A"])
-    @pytest.mark.parametrize("order", [*range(1, 13), MAX_ORDER])
+    @pytest.mark.parametrize("order", [*range(1, 13), 25, MAX_ORDER])
     def test_full_series_matches_summed_pieces(self, which, order):
         assert full_series(which, order) == summed_full_series(which, order)
 

@@ -1,4 +1,4 @@
-"""Graph primitives: slots, components, partitions and their assembly,
+"""Graph primitives: slots, components, induced forms, partitions and their assembly,
 automorphisms, canonical forms and isomorphism classes, graph6; and the
 spanning-forest and edge-contraction helpers the oracles use."""
 
@@ -14,11 +14,11 @@ from graphkp.errors import Graph6ParseError, SizeLimitError
 from graphkp.graphs import (Graph, all_graphs, assemble_partitions, aut_order,
                             canonical_form, components,
                             connected_graphs, disjoint_union, edge_slot,
-                            emit_graph6, is_connected, parse_graph6)
+                            emit_graph6, induced_forms, is_connected, parse_graph6)
 from helpers import (GRAPH6_TEXT, GRAPHS, WeightedGraph, brute_all_graphs,
                      brute_aut_order, brute_canonical_form, complete_graph, contract_edge,
-                     cycle_graph, path_graph, random_graph, set_partitions,
-                     spanning_forests, star_graph)
+                     cycle_graph, induced_subset_forms, path_graph, random_graph,
+                     set_partitions, spanning_forests, star_graph)
 
 BELL = [1, 1, 2, 5, 15, 52, 203, 877]
 INTEGER_PARTITIONS = [1, 1, 2, 3, 5, 7, 11, 15]
@@ -159,6 +159,20 @@ class TestSetPartitions:
             denom = math.prod(math.factorial(m) for m in lam + tuple(Counter(lam).values()))
             assert count * denom == math.factorial(n), lam
         assert sum(counts.values()) == BELL[n]
+
+
+class TestInducedForms:
+    def test_matches_induced_subgraphs_through_five_vertices(self):
+        for n in range(6):
+            for bits in range(1 << n * (n - 1) // 2):
+                g = Graph(n, bits)
+                assert induced_forms(g) == induced_subset_forms(g), g
+
+    def test_matches_induced_subgraphs_on_seeded_graphs(self, rng):
+        for n in range(6, 11):
+            for p in (0.2, 0.5, 0.8):
+                g = random_graph(rng, n, p)
+                assert induced_forms(g) == induced_subset_forms(g), g
 
 
 class TestAutomorphisms:

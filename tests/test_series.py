@@ -476,7 +476,7 @@ class TestRenderingMatchesMonoKeyOracle:
         for _ in range(60):
             _renders_like_oracle(random_series(rng, rng.randint(0, MAX_ORDER), var, max_terms=12))
 
-    @pytest.mark.parametrize("order", [7, MAX_ORDER])
+    @pytest.mark.parametrize("order", [7, 25, MAX_ORDER])
     @pytest.mark.parametrize("which", ["W", "A", "S"])
     def test_generating_series(self, which, order):
         if which == "S":
