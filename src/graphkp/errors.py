@@ -24,7 +24,7 @@ class Limit(NamedTuple):
 #: size more takes over 1 s, or a representation fixes it.  Beside each: the slowest of K_n,
 #: edgeless and seeded random graphs at the cap and one above (Python 3.11, 2-core Xeon).
 LIMITS = {
-    # W 0.24 s, A 0.30-0.34 s; 13 vertices: W 0.84 s, A 1.01-1.04 s
+    # W 0.25-0.27 s, A 0.20-0.26 s; 13 vertices: W 0.81-0.88 s, A 0.69-0.88 s
     "vertices": Limit(12, "vertex count"),
     # kp-check --series W|A|S, series --rescaled, rescale: at most 0.97 s; 27: up to
     # 1.28 s (rescale --format json 0.94-1.28 s, kp-check --series S 1.05-1.20 s)

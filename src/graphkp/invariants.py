@@ -22,8 +22,12 @@ b indexed by vertex bitmask S:
              of c(T) * [G[S \\ T] edgeless];
 
 * Abel polynomial A (the sum over spanning forests of the product of
-  size * q_size over their trees): b(S) = |S| * tau(G[S]), tau the number
-  of spanning trees by the matrix-tree theorem;
+  size * q_size over their trees): b(S) = |S| * tau(S), tau(S) the number
+  of spanning trees of G[S].  Such a tree minus the top vertex t of S is a
+  spanning tree on each block B of a set partition of S \\ t, joined to t
+  by one of |N(t) & B| edges, so tau(S) = h_t(S \\ t), h_t(empty) = 1 and
+
+      h_t(U) = sum over min U in B <= U of |N(t) & B| tau(B) h_t(U \\ B);
 
 * :func:`umbral_from_b`: b(S) read from a map over connected canonical
   graphs, once per distinct form in :func:`graphkp.graphs.induced_forms`.
@@ -32,9 +36,9 @@ Every b-table is assembled as integers over D, the lcm of its denominators
 (1 for W and A): the assembly runs on D b(S), and each coefficient with k
 blocks is divided once by D^k.
 
-The independent checks, deletion-contraction on vertex-weighted graphs and
-brute-force colorings ((-1)^n W_G(q_j = -k) = #colorings with k colors),
-share no code with the assembly and live in ``tests/helpers.py``.
+The independent checks, deletion-contraction, brute-force colorings
+((-1)^n W_G(q_j = -k) = #colorings with k colors) and A's matrix-tree
+determinants, share no code with the assembly and live in ``tests/helpers.py``.
 """
 
 from __future__ import annotations
@@ -79,33 +83,29 @@ def _b_chromatic(g: Graph) -> list[int]:
     return [ci if s.bit_count() & 1 else -ci for s, ci in enumerate(c)]
 
 
-def _det_psd(m: list[list[int]]) -> int:
-    """Determinant of a positive semidefinite integer matrix by fraction-free
-    (Bareiss) elimination, in place.  A zero leading minor of such a matrix
-    makes the whole determinant zero, so no pivoting is needed."""
-    prev = 1
-    for i, top in enumerate(m):
-        pivot = top[i]
-        if not pivot:
-            return 0
-        for row in m[i + 1:]:
-            lead = row[i]
-            for j in range(i + 1, len(m)):
-                row[j] = (pivot * row[j] - lead * top[j]) // prev
-        prev = pivot
-    return prev
-
-
-def _abel_entry(masks: list[int], s: int) -> int:
-    """b[S] = |S| * tau(G[S]) for the vertex bitmask S of a graph with these
-    adjacency masks, tau by the matrix-tree theorem: the determinant of the
-    Laplacian of G[S] with the row and column of its last vertex removed."""
-    vs = [v for v in range(len(masks)) if s >> v & 1]
-    kept = vs[:-1]
-    lap = [[(masks[u] & s).bit_count() if u == v else -(masks[u] >> v & 1)
-            for v in kept] for u in kept]
-    return len(vs) * _det_psd(lap)
-
+def _b_abel(g: Graph) -> list[int]:
+    """b[S] = |S| * tau(S) for every vertex bitmask S, tau(S) the number of
+    spanning trees of G[S] (see module doc)."""
+    masks = g.adjacency_masks()
+    tau = [0] * (1 << g.n)
+    for t, nbrs in enumerate(masks):
+        top = 1 << t
+        # w[B] = |N(t) & B| tau(B), h[U] = tau(U + t), for the masks U, B below t
+        w = [(nbrs & blk).bit_count() * tau[blk] for blk in range(top)]
+        h = [1] * top
+        for u in range(1, top):
+            low = u & -u
+            rest = u ^ low
+            total = w[low] * h[rest]
+            r = rest
+            while r:
+                wb = w[low | r]
+                if wb:
+                    total += wb * h[rest ^ r]
+                r = (r - 1) & rest
+            h[u] = total
+        tau[top:2 * top] = h
+    return [s.bit_count() * x for s, x in enumerate(tau)]
 
 
 def weighted_chromatic(g: Graph, order: int = DEFAULT_ORDER) -> TruncSeries:
@@ -118,8 +118,7 @@ def abel(g: Graph, order: int = DEFAULT_ORDER) -> TruncSeries:
     """Abel polynomial: sum over spanning forests of prod (size * q_size),
     assembled from b = |S| * tau(G[S])."""
     check_limit("order", order, low=g.n)
-    masks = g.adjacency_masks()
-    return _assemble([_abel_entry(masks, s) for s in range(1 << g.n)], order)
+    return _assemble(_b_abel(g), order)
 
 
 INVARIANTS = {
@@ -127,21 +126,17 @@ INVARIANTS = {
     "A": abel,
 }
 
-#: b of the full vertex set: W's recurrence needs every subset, A's one determinant.
-_B_FULL = {
-    "W": lambda g: _b_chromatic(g)[-1],
-    "A": lambda g: _abel_entry(g.adjacency_masks(), (1 << g.n) - 1),
-}
+_B_TABLES = {"W": _b_chromatic, "A": _b_abel}
 
 
 def extract_b(which: str, g: Graph) -> Fraction:
     """Primitive coefficient of a connected graph: the coefficient of q_n in
-    the invariant, which is b of the full vertex set."""
-    if which not in _B_FULL:
-        raise ValueError(f"unknown invariant {which!r}, expected one of {sorted(_B_FULL)}")
+    the invariant, the last entry of its b-table (b of the full vertex set)."""
+    if which not in _B_TABLES:
+        raise ValueError(f"unknown invariant {which!r}, expected one of {sorted(_B_TABLES)}")
     if not is_connected(g):
         raise ValueError("primitive coefficients are defined for connected graphs only")
-    return Fraction(_B_FULL[which](g))
+    return Fraction(_B_TABLES[which](g)[-1])
 
 
 def _primitive(b: Mapping[Graph, Fraction], h: Graph) -> Fraction:

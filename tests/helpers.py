@@ -15,8 +15,9 @@ the package computes one way, kept here only to check it.
   products merged as sorted partitions, the oracles for the kernels in
   exponential grading on prime keys.
 * Per-graph oracles for the umbral assembly: the edge-subset expansion of W,
-  the spanning-forest sum of A, deletion-contraction of W on vertex-weighted
-  graphs, and brute-force proper colorings.
+  the spanning-forest sum of A, A's b-table by matrix-tree determinants,
+  deletion-contraction of W on vertex-weighted graphs, and brute-force
+  proper colorings.
 * Set partitions as vertex tuples, the order oracle for the expansion in
   primitives, and the expansion over them; set-partition sums by their
   definitions: the oracles for the primitive projection and for the umbral
@@ -515,6 +516,41 @@ def forest_a(g: Graph, order: int) -> TruncSeries:
         sizes = [len(c) for c in components(Graph(g.n, forest))]
         acc[mono(Counter(sizes))] += prod(sizes)
     return TruncSeries(order, "q", acc)
+
+
+def _det_psd(m: list[list[int]]) -> int:
+    """Determinant of a positive semidefinite integer matrix by fraction-free
+    (Bareiss) elimination, in place.  A zero leading minor of such a matrix
+    makes the whole determinant zero, so no pivoting is needed."""
+    prev = 1
+    for i, top in enumerate(m):
+        pivot = top[i]
+        if not pivot:
+            return 0
+        for row in m[i + 1:]:
+            lead = row[i]
+            for j in range(i + 1, len(m)):
+                row[j] = (pivot * row[j] - lead * top[j]) // prev
+        prev = pivot
+    return prev
+
+
+def _abel_entry(masks: list[int], s: int) -> int:
+    """b[S] = |S| * tau(G[S]) for the vertex bitmask S of a graph with these
+    adjacency masks, tau by the matrix-tree theorem: the determinant of the
+    Laplacian of G[S] with the row and column of its last vertex removed."""
+    vs = [v for v in range(len(masks)) if s >> v & 1]
+    kept = vs[:-1]
+    lap = [[(masks[u] & s).bit_count() if u == v else -(masks[u] >> v & 1)
+            for v in kept] for u in kept]
+    return len(vs) * _det_psd(lap)
+
+
+def matrix_tree_b(g: Graph) -> list[int]:
+    """A's b-table by the matrix-tree theorem: one Laplacian-minor
+    determinant per vertex bitmask S, the oracle for the subset recursion."""
+    masks = g.adjacency_masks()
+    return [_abel_entry(masks, s) for s in range(1 << g.n)]
 
 
 class WeightedGraph(namedtuple("WeightedGraph", "graph weights")):

@@ -10,13 +10,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from graphkp.errors import SizeLimitError
-from graphkp.graphs import (Graph, all_graphs, canonical_form, connected_graphs,
-                            disjoint_union, induced_forms, is_connected)
-from graphkp.invariants import (INVARIANTS, abel, extract_b, umbral_from_b,
+from graphkp.graphs import (MAX_VERTICES, Graph, all_graphs, canonical_form,
+                            connected_graphs, disjoint_union, induced_forms, is_connected)
+from graphkp.invariants import (INVARIANTS, _b_abel, abel, extract_b, umbral_from_b,
                                 weighted_chromatic)
 from graphkp.series import evaluate, mono
 from helpers import (WeightedGraph, chromatic_oracle, complete_graph, cycle_graph, forest_a,
-                     parse_poly, partition_umbral, path_graph, random_graph,
+                     matrix_tree_b, parse_poly, partition_umbral, path_graph, random_graph,
                      random_rational, star_graph, subset_w, weighted_chromatic_dc)
 
 EDGE = Graph.from_edges(2, [(0, 1)])
@@ -114,6 +114,23 @@ class TestAbel:
         for n in range(1, 8):
             a = abel(complete_graph(n), max(n, 1))
             assert a.coefficient({n: 1}) == n ** (n - 1)
+
+    def test_table_matches_matrix_tree(self, rng):
+        # the subset recursion against one Laplacian-minor determinant per
+        # subset: every labelled graph through five vertices (n = 0 and 1
+        # included), the edgeless graphs and seeded G(n, p) through the cap
+        graphs = [Graph(n, bits) for n in range(6) for bits in range(1 << n * (n - 1) // 2)]
+        graphs += [Graph(n) for n in range(6, MAX_VERTICES + 1)]
+        graphs += [random_graph(rng, n, p) for n in range(6, MAX_VERTICES + 1)
+                   for p in (0.2, 0.5, 0.8)]
+        for g in graphs:
+            assert _b_abel(g) == matrix_tree_b(g), g
+
+    def test_complete_graph_tables_count_cayley_trees(self):
+        # every k-subset of K_n spans k^(k-2) trees (Cayley), so b = k^(k-1)
+        for n in range(1, MAX_VERTICES + 1):
+            sizes = [s.bit_count() for s in range(1 << n)]
+            assert _b_abel(complete_graph(n)) == [k ** (k - 1) if k else 0 for k in sizes], n
 
     def test_single_variable_specialization(self):
         # A_{K_n}(x, x, ...) = x (x + n)^(n-1), checked at n + 2 points
