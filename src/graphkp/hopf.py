@@ -2,9 +2,10 @@
 
 The product of two graphs is their disjoint union; the coproduct of a graph G
 is the sum of G(V1) (x) G(V2) over all ordered splits V(G) = V1 u V2 into
-induced subgraphs.  The empty graph is the unit.  Graphs are stored by
-canonical form, so identities between linear combinations reduce to plain
-map equality.
+induced subgraphs.  The empty graph is the unit.  A linear combination is
+returned as :class:`HopfTerms`: a plain dict from canonical keys (graphs, or
+pairs of graphs for the coproduct) to nonzero integer coefficients, so
+identities between combinations reduce to dict equality.
 
 All three operations read the canonical induced subgraphs G(S) from one
 table, :func:`graphkp.graphs.induced_forms`, indexed by vertex bitmask S.
@@ -23,69 +24,26 @@ G = sum over partitions B of the product of pi(G(V_beta)).
 
 from __future__ import annotations
 
-from fractions import Fraction
+from collections import Counter
 from functools import reduce
-from itertools import chain
 from math import factorial
 
 from graphkp.errors import check_limit
 from graphkp.graphs import (Graph, assemble_partitions, canonical_form,
                             disjoint_union, emit_graph6, induced_forms)
-from graphkp.series import _fraction
 
 UNIT_GRAPH = Graph(0, 0)
 
 
-def _accumulate(pairs) -> dict:
-    """Sum the coefficients of equal keys, dropping the zero sums."""
-    out: dict = {}
-    for key, c in pairs:
-        out[key] = out.get(key, 0) + c
-    return {key: c for key, c in out.items() if c}
+class HopfTerms:
+    """``terms``, a dict from canonical keys to nonzero int coefficients, and
+    its text: the terms in key order, each key rendered by ``label``."""
 
+    __slots__ = ("terms", "_label")
 
-class _LinearSum:
-    """Finite rational linear combination of canonical keys.  Subclasses
-    give the key's canonical form and its text label; keys sort as tuples."""
-
-    __slots__ = ("terms",)
-
-    def __init__(self, terms=None):
-        self.terms = _accumulate((self._canonical(key), _fraction(c))
-                                 for key, c in (terms or {}).items())
-
-    @classmethod
-    def _raw(cls, terms: dict):
-        out = object.__new__(cls)
-        out.terms = terms
-        return out
-
-    def __add__(self, other):
-        if not isinstance(other, type(self)):
-            return NotImplemented
-        return self._raw(_accumulate(chain(self.terms.items(), other.terms.items())))
-
-    def __neg__(self):
-        return self._raw({key: -c for key, c in self.terms.items()})
-
-    def __sub__(self, other):
-        return self + (-other)
-
-    def __mul__(self, other):
-        """Scalar multiple."""
-        if not isinstance(other, (int, Fraction)):
-            return NotImplemented
-        return self._raw({key: other * v for key, v in self.terms.items()} if other else {})
-
-    __rmul__ = __mul__
-
-    def __eq__(self, other):
-        if not isinstance(other, type(self)):
-            return NotImplemented
-        return self.terms == other.terms
-
-    def __bool__(self):
-        return bool(self.terms)
+    def __init__(self, terms: dict, label):
+        self.terms = terms
+        self._label = label
 
     def text(self) -> str:
         if not self.terms:
@@ -93,65 +51,31 @@ class _LinearSum:
         return " + ".join(f"{self.terms[key]} {self._label(key)}"
                           for key in sorted(self.terms))
 
-    def __repr__(self):
-        return f"{type(self).__name__}<{self.text()}>"
 
-
-class GraphSum(_LinearSum):
-    """Finite rational linear combination of canonical graphs."""
-
-    __slots__ = ()
-    _canonical = staticmethod(canonical_form)
-    _label = staticmethod(emit_graph6)
-
-    @classmethod
-    def from_graph(cls, g: Graph) -> "GraphSum":
-        return cls({g: Fraction(1)})
-
-    def __mul__(self, other):
-        """Scalar multiple, or the disjoint-union product of two sums."""
-        if not isinstance(other, GraphSum):
-            return super().__mul__(other)
-        return GraphSum._raw(_accumulate(
-            (canonical_form(disjoint_union(g1, g2)), c1 * c2)
-            for g1, c1 in self.terms.items() for g2, c2 in other.terms.items()))
-
-
-class TensorSum(_LinearSum):
-    """Finite rational linear combination of ordered pairs of canonical graphs."""
-
-    __slots__ = ()
-
-    @staticmethod
-    def _canonical(pair: tuple[Graph, Graph]) -> tuple[Graph, Graph]:
-        return canonical_form(pair[0]), canonical_form(pair[1])
-
-    @staticmethod
-    def _label(pair: tuple[Graph, Graph]) -> str:
-        return f"{emit_graph6(pair[0])}|{emit_graph6(pair[1])}"
+def _pair_label(pair: tuple[Graph, Graph]) -> str:
+    return f"{emit_graph6(pair[0])}|{emit_graph6(pair[1])}"
 
 
 # -- the three structural operations ------------------------------------------
 
 
-def coproduct(g: Graph) -> TensorSum:
-    """Sum of G(V1) (x) G(V2) over all 2**n ordered vertex splits."""
+def coproduct(g: Graph) -> HopfTerms:
+    """Sum of G(V1) (x) G(V2) over all 2**n ordered vertex splits; the split
+    of the mask S is (S, full ^ S), and full ^ S = full - S."""
     forms = induced_forms(g)
-    full = len(forms) - 1
-    return TensorSum(_accumulate(((forms[s], forms[full ^ s]), 1) for s in range(len(forms))))
+    return HopfTerms(dict(Counter(zip(forms, reversed(forms)))), _pair_label)
 
 
-def primitive_projection(g: Graph) -> GraphSum:
+def primitive_projection(g: Graph) -> HopfTerms:
     """Projection onto the primitive subspace along the decomposables."""
     check_limit("primitive_projection", g.n)
-    if not g.n:
-        return GraphSum()  # the unit is not primitive
-    out: dict = {}
-    for blocks, count in assemble_partitions(induced_forms(g), [1] * (1 << g.n)).items():
-        k = len(blocks)
-        key = reduce(disjoint_union, blocks)
-        out[key] = out.get(key, 0) + (-1) ** (k - 1) * factorial(k - 1) * count
-    return GraphSum(out)
+    out: Counter = Counter()
+    if g.n:  # the unit is not primitive
+        for blocks, count in assemble_partitions(induced_forms(g), [1] * (1 << g.n)).items():
+            k = len(blocks)
+            key = canonical_form(reduce(disjoint_union, blocks))
+            out[key] += (-1) ** (k - 1) * factorial(k - 1) * count
+    return HopfTerms({key: c for key, c in out.items() if c}, emit_graph6)
 
 
 def expand_in_primitives(g: Graph) -> tuple[tuple[Graph, ...], ...]:

@@ -151,9 +151,12 @@ schur_jacobi_trudi = schur_polynomial
 
 
 def target_series(order: int = DEFAULT_ORDER) -> TruncSeries:
-    """1 + sum_{n>=1} 2^(n(n-1)/2) s_n, truncated at the order."""
-    return schur_combination({(n,) if n else (): 2 ** (n * (n - 1) // 2)
-                              for n in range(order + 1)}, order)
+    """1 + sum_{n>=1} 2^(n(n-1)/2) s_n, truncated at the order, summed
+    directly as sum_n 2^(n(n-1)/2) sum_{mu |- n} p_mu / z_mu."""
+    check_limit("order", order)
+    return TruncSeries._raw(order, "p", {mu: Fraction(2 ** (n * (n - 1) // 2), _z(mu))
+                                         for n in range(order + 1)
+                                         for mu in partitions_of(n)})
 
 
 @lru_cache(maxsize=None)

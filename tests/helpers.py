@@ -26,8 +26,10 @@ the package computes one way, kept here only to check it.
   for the automorphism count; the minimum over all relabelings, the oracle
   for the canonical-form search; and the orbit sweep over all labeled
   graphs, the oracle for the class enumeration.
-* Hopf checks: the tensor product, the coproduct of a sum, and the
-  flattening of an expansion in primitives back to its graph.
+* Hopf checks on linear combinations held as dicts from canonical keys to
+  coefficients: the sum, the tensor product, the disjoint-union product,
+  the coproduct of a sum, and the flattening of an expansion in primitives
+  back to its graph.
 * Graph-level oracles for the ensemble pieces: the edge-subset sweep over
   K_k and the sums over isomorphism classes; and the all-graphs series
   summed piece by piece, the oracle for its one-dict assembly.
@@ -55,9 +57,8 @@ from graphkp.ensemble import _CONSTANTS
 from graphkp.errors import SizeLimitError, check_limit
 from graphkp.graphs import (MAX_VERTICES, SLOT_ENDPOINTS, Graph, _bit_indices,
                             all_graphs, aut_order, canonical_form, components,
-                            edge_slot, emit_graph6, induced_forms)
-from graphkp.hopf import (UNIT_GRAPH, GraphSum, TensorSum, _accumulate, coproduct,
-                          primitive_projection)
+                            disjoint_union, edge_slot, emit_graph6, induced_forms)
+from graphkp.hopf import UNIT_GRAPH, coproduct, primitive_projection
 from graphkp.invariants import INVARIANTS
 from graphkp.schurkp import _KP1, _KP2, _z, character, partitions_of
 from graphkp.series import (DEFAULT_ORDER, Monomial, Partition, TruncSeries, _partition, exp,
@@ -695,7 +696,7 @@ def partition_expand(g: Graph) -> tuple[tuple[Graph, ...], ...]:
                  for blocks in set_partitions(g.n))
 
 
-def partition_primitive(g: Graph) -> GraphSum:
+def partition_primitive(g: Graph) -> dict[Graph, int]:
     """pi(G) by its definition: sum over the set partitions B of V(G) of
     (-1)^(|B|-1) (|B|-1)! times G with every edge between distinct blocks
     removed.  Walks all Bell(n) partitions, canonicalizing each."""
@@ -707,7 +708,7 @@ def partition_primitive(g: Graph) -> GraphSum:
                 within |= 1 << edge_slot(a, b)
         key = canonical_form(Graph(g.n, g.edges & within))
         terms[key] += (-1) ** (len(blocks) - 1) * factorial(len(blocks) - 1)
-    return GraphSum(terms)
+    return {key: c for key, c in terms.items() if c}
 
 
 def partition_umbral(g: Graph, values: dict[Graph, Fraction], order: int) -> TruncSeries:
@@ -822,26 +823,43 @@ def random_graph(rng: random.Random, n: int, p: float) -> Graph:
 # -- Hopf checks ----------------------------------------------------------------
 
 
-def tensor(a: GraphSum, b: GraphSum) -> TensorSum:
-    return TensorSum._raw({(g1, g2): c1 * c2 for g1, c1 in a.terms.items()
-                           for g2, c2 in b.terms.items()})
+def _accumulate(pairs) -> dict:
+    """Sum the coefficients of equal keys, dropping the zero sums."""
+    out: dict = {}
+    for key, c in pairs:
+        out[key] = out.get(key, 0) + c
+    return {key: c for key, c in out.items() if c}
 
 
-def coproduct_sum(gs: GraphSum) -> TensorSum:
-    """Linear extension of the coproduct to a GraphSum."""
-    return TensorSum._raw(_accumulate((pair, c * m) for g, c in gs.terms.items()
-                                      for pair, m in coproduct(g).terms.items()))
+def add_sums(*sums: dict) -> dict:
+    """Sum of linear combinations given as dicts from keys to coefficients."""
+    return _accumulate(chain.from_iterable(s.items() for s in sums))
 
 
-def flatten_expansion(expansion) -> GraphSum:
+def tensor(a: dict, b: dict) -> dict:
+    """a (x) b for two combinations of graphs, keyed by pairs of graphs."""
+    return {(g1, g2): c1 * c2 for g1, c1 in a.items() for g2, c2 in b.items()}
+
+
+def union_product(a: dict, b: dict) -> dict:
+    """The product of two combinations of canonical graphs: disjoint union,
+    canonicalized."""
+    return _accumulate((canonical_form(disjoint_union(g1, g2)), c1 * c2)
+                       for g1, c1 in a.items() for g2, c2 in b.items())
+
+
+def coproduct_sum(terms: dict) -> dict:
+    """Linear extension of the coproduct to a combination of graphs."""
+    return _accumulate((pair, c * m) for g, c in terms.items()
+                       for pair, m in coproduct(g).terms.items())
+
+
+def flatten_expansion(expansion) -> dict:
     """Substitute ``primitive_projection`` into an expansion and multiply out,
     projecting each distinct factor once."""
-    pis = {h: primitive_projection(h) for h in set(chain.from_iterable(expansion))}
-    total = GraphSum()
-    for factors in expansion:
-        total = total + reduce(GraphSum.__mul__, [pis[h] for h in factors],
-                               GraphSum.from_graph(UNIT_GRAPH))
-    return total
+    pis = {h: primitive_projection(h).terms for h in set(chain.from_iterable(expansion))}
+    return add_sums(*(reduce(union_product, [pis[h] for h in factors], {UNIT_GRAPH: 1})
+                      for factors in expansion))
 
 
 # -- graph6 strategies -----------------------------------------------------------

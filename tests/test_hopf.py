@@ -2,7 +2,6 @@
 
 import ast
 import random
-from fractions import Fraction
 from itertools import chain
 from pathlib import Path
 
@@ -11,42 +10,38 @@ import pytest
 import graphkp
 from graphkp import graphs, schurkp, series
 from graphkp.graphs import Graph, all_graphs, canonical_form, connected_graphs
-from graphkp.hopf import (GraphSum, TensorSum, UNIT_GRAPH, coproduct, expand_in_primitives,
-                          primitive_projection)
-from helpers import (coproduct_sum, cycle_graph, flatten_expansion, partition_expand,
-                     partition_primitive, path_graph, random_graph, tensor)
+from graphkp.hopf import UNIT_GRAPH, coproduct, expand_in_primitives, primitive_projection
+from helpers import (add_sums, coproduct_sum, cycle_graph, flatten_expansion, partition_expand,
+                     partition_primitive, path_graph, random_graph, tensor, union_product)
 
 VERTEX = Graph(1)
 EDGE = Graph.from_edges(2, [(0, 1)])
 TWO_POINTS = Graph(2)
-
-
-def gs(*pairs) -> GraphSum:
-    return GraphSum({g: Fraction(c) for c, g in pairs})
+ONE = {UNIT_GRAPH: 1}
 
 
 class TestCoproduct:
     def test_single_vertex_is_primitive(self):
-        expected = TensorSum({(VERTEX, UNIT_GRAPH): 1, (UNIT_GRAPH, VERTEX): 1})
-        assert coproduct(VERTEX) == expected
+        expected = {(VERTEX, UNIT_GRAPH): 1, (UNIT_GRAPH, VERTEX): 1}
+        assert coproduct(VERTEX).terms == expected
 
     def test_single_edge(self):
-        expected = TensorSum({
+        expected = {
             (EDGE, UNIT_GRAPH): 1,
             (UNIT_GRAPH, EDGE): 1,
             (VERTEX, VERTEX): 2,
-        })
-        assert coproduct(EDGE) == expected
+        }
+        assert coproduct(EDGE).terms == expected
 
     def test_triangle(self):
         tri = cycle_graph(3)
-        expected = TensorSum({
-            (tri, UNIT_GRAPH): 1,
-            (UNIT_GRAPH, tri): 1,
+        expected = {
+            (canonical_form(tri), UNIT_GRAPH): 1,
+            (UNIT_GRAPH, canonical_form(tri)): 1,
             (EDGE, VERTEX): 3,
             (VERTEX, EDGE): 3,
-        })
-        assert coproduct(tri) == expected
+        }
+        assert coproduct(tri).terms == expected
 
     def test_total_mass_and_grading(self):
         for n in range(0, 5):
@@ -65,57 +60,53 @@ class TestCoproduct:
         # collapsing the left factor against the counit returns the graph
         for n in range(0, 5):
             for g in all_graphs(n):
-                left_unit = GraphSum({b: c for (a, b), c in coproduct(g).terms.items()
-                                      if a == UNIT_GRAPH})
-                assert left_unit == GraphSum.from_graph(g)
+                left_unit = {b: c for (a, b), c in coproduct(g).terms.items()
+                             if a == UNIT_GRAPH}
+                assert left_unit == {canonical_form(g): 1}
 
 
 class TestPrimitiveProjection:
     def test_single_vertex_fixed(self):
-        assert primitive_projection(VERTEX) == GraphSum.from_graph(VERTEX)
+        assert primitive_projection(VERTEX).terms == {VERTEX: 1}
 
     def test_single_edge(self):
-        assert primitive_projection(EDGE) == gs((1, EDGE), (-1, TWO_POINTS))
+        assert primitive_projection(EDGE).terms == {EDGE: 1, TWO_POINTS: -1}
 
     def test_empty_graph_projects_to_zero(self):
         # the unit is not primitive; the empty partition must not be weighted
-        assert primitive_projection(UNIT_GRAPH) == GraphSum()
+        assert primitive_projection(UNIT_GRAPH).terms == {}
 
     def test_matches_partition_oracle(self):
         for n in range(1, 6):
             for g in all_graphs(n):
-                assert primitive_projection(g) == partition_primitive(g), g
+                assert primitive_projection(g).terms == partition_primitive(g), g
         rng = random.Random(2024)
         for n in (6, 6, 6, 7, 7):
             g = random_graph(rng, n, 0.5)
-            assert primitive_projection(g) == partition_primitive(g), g
+            assert primitive_projection(g).terms == partition_primitive(g), g
 
     def test_projection_lands_in_primitives(self):
         # coproduct(pi(g)) == pi(g) (x) 1 + 1 (x) pi(g), on every connected
         # graph through 5 vertices and on seeded graphs with 8 and 9
         rng = random.Random(2026)
         seeded = [random_graph(rng, n, 0.5) for n in (8, 8, 9)]
-        one = GraphSum.from_graph(UNIT_GRAPH)
         for g in chain(*map(connected_graphs, range(1, 6)), seeded):
-            pi = primitive_projection(g)
-            assert coproduct_sum(pi) == tensor(pi, one) + tensor(one, pi), g
+            pi = primitive_projection(g).terms
+            assert coproduct_sum(pi) == add_sums(tensor(pi, ONE), tensor(ONE, pi)), g
 
     def test_returned_projection_is_not_shared(self):
         # each call builds its own sum: clearing one leaves the next call,
         # and the flattening that projects its factors, intact
         primitive_projection(EDGE).terms.clear()
-        assert primitive_projection(EDGE) == gs((1, EDGE), (-1, TWO_POINTS))
+        assert primitive_projection(EDGE).terms == {EDGE: 1, TWO_POINTS: -1}
         p3 = path_graph(3)
-        assert flatten_expansion(expand_in_primitives(p3)) == GraphSum.from_graph(p3)
+        assert flatten_expansion(expand_in_primitives(p3)) == {canonical_form(p3): 1}
 
     def test_p3_projection_is_primitive(self):
-        pi = primitive_projection(path_graph(3))
+        pi = primitive_projection(path_graph(3)).terms
         # weight-1 coefficient on the path itself, plus corrections
-        assert pi.terms[canonical_form(path_graph(3))] == 1
-        delta = coproduct_sum(pi)
-        expected = tensor(pi, GraphSum.from_graph(UNIT_GRAPH)) \
-            + tensor(GraphSum.from_graph(UNIT_GRAPH), pi)
-        assert delta == expected
+        assert pi[canonical_form(path_graph(3))] == 1
+        assert coproduct_sum(pi) == add_sums(tensor(pi, ONE), tensor(ONE, pi))
 
 
 class TestExpansion:
@@ -137,7 +128,7 @@ class TestExpansion:
         for n in range(0, 6):
             for g in all_graphs(n):
                 flattened = flatten_expansion(expand_in_primitives(g))
-                assert flattened == GraphSum.from_graph(g), g
+                assert flattened == {canonical_form(g): 1}, g
 
     @pytest.mark.parametrize("density", [0.2, 0.5, 0.8])
     def test_matches_vertex_tuple_oracle(self, density):
@@ -149,25 +140,39 @@ class TestExpansion:
 
 
 class TestGraphSumAlgebra:
-    def test_keys_canonicalized_on_insert(self):
-        other_triangle = Graph.from_edges(3, [(0, 1), (1, 2), (0, 2)])
-        assert GraphSum({other_triangle: 1}) == GraphSum({cycle_graph(3): 1})
+    """The sums and products that the identities above are written in."""
 
     def test_product_is_disjoint_union(self):
-        prod = GraphSum.from_graph(VERTEX) * GraphSum.from_graph(VERTEX)
-        assert prod == GraphSum.from_graph(TWO_POINTS)
+        assert union_product({VERTEX: 1}, {VERTEX: 1}) == {TWO_POINTS: 1}
 
     def test_unit_element(self):
-        one = GraphSum.from_graph(UNIT_GRAPH)
-        s = gs((2, EDGE), (-1, VERTEX))
-        assert one * s == s
+        s = {EDGE: 2, VERTEX: -1}
+        assert union_product(ONE, s) == s
 
     def test_zero_coefficients_dropped(self):
-        assert not (gs((1, EDGE)) - gs((1, EDGE)))
+        assert not add_sums({EDGE: 1}, {EDGE: -1})
 
     def test_text_rendering_deterministic(self):
-        s = gs((1, EDGE), (-1, TWO_POINTS))
-        assert s.text() == "-1 A? + 1 A_"
+        assert primitive_projection(EDGE).text() == "-1 A? + 1 A_"
+        assert primitive_projection(UNIT_GRAPH).text() == "0"
+        assert coproduct(EDGE).text() == "1 ?|A_ + 2 @|@ + 1 A_|?"
+
+
+class TestResultContract:
+    """Both maps hold only canonical keys and nonzero int coefficients."""
+
+    def test_keys_canonical_and_coefficients_nonzero_ints(self):
+        # every labelled graph through 5 vertices, then seeded G(n, 1/2)
+        rng = random.Random(21)
+        labelled = (Graph(n, e) for n in range(6) for e in range(1 << n * (n - 1) // 2))
+        for g in chain(labelled, (random_graph(rng, n, 0.5) for n in range(6, 10))):
+            delta = coproduct(g).terms
+            pi = primitive_projection(g).terms
+            assert type(delta) is dict and type(pi) is dict
+            assert all(canonical_form(a) == a and canonical_form(b) == b for a, b in delta), g
+            assert all(canonical_form(h) == h for h in pi), g
+            for c in chain(delta.values(), pi.values()):
+                assert type(c) is int and c != 0, g
 
 
 #: every lru_cache in the package, with a sample call

@@ -108,6 +108,13 @@ class TestTargetSeries:
         assert f.homogeneous_part(3) == parse_poly(
             "2/3 p1^3 + 3 p1 p2 + 8/3 p3", 4, "p")
 
+    def test_matches_one_part_sum(self):
+        # the direct sum over p_mu / z_mu against the one-part oracle, term for term
+        for order in [*range(13), MAX_ORDER]:
+            expected = sum((2 ** (n * (n - 1) // 2) * schur_one_part(n, order)
+                            for n in range(order + 1)), TruncSeries.zero(order, "p"))
+            assert target_series(order) == expected, order
+
 
 class TestSchurExpand:
     def test_constant(self):

@@ -379,7 +379,9 @@ class TestKernelsMatchTupleOracles:
     @pytest.mark.parametrize("which", ["W", "A", "S"])
     def test_generating_series_through_the_cap(self, which):
         # the oracle runs once, at the cap: at each lower order tau is the
-        # cap's tau and log(tau) the oracle's log, both truncated to that order
+        # cap's tau and log(tau) the oracle's log, both truncated to that order;
+        # exp is checked against its oracle at 20 and, at the cap, against tau
+        # itself, since log(tau) has just matched the oracle's log there
         def series(order):
             return target_series(order) if which == "S" else full_series(which, order)
 
@@ -391,7 +393,7 @@ class TestKernelsMatchTupleOracles:
             connected = log(tau)
             _same(connected, TruncSeries(order, oracle.var, oracle.terms))
             if order in (20, MAX_ORDER):
-                _same(exp(connected), tuple_exp(connected))
+                _same(exp(connected), tuple_exp(connected) if order == 20 else tau)
                 _same(tau * tau, tuple_mul(tau, tau))
 
     @pytest.mark.parametrize("seed", range(3))
