@@ -47,9 +47,9 @@ def _build_parser() -> argparse.ArgumentParser:
             p.add_argument("--which", choices=("W", "A"), required=True,
                            help="invariant: weighted chromatic (W) or Abel (A)")
         if order:
-            p.add_argument("--order", type=int, default=series.DEFAULT_ORDER,
-                           metavar="N",
-                           help=f"truncation order, 1..{series.MAX_ORDER} (default 7)")
+            p.add_argument("--order", type=int, default=series.DEFAULT_ORDER, metavar="N",
+                           help=f"truncation order, 1..{series.MAX_ORDER} "
+                                f"(default {series.DEFAULT_ORDER})")
         if fmt:
             p.add_argument("--format", choices=fmt, default=fmt[0])
 
@@ -167,17 +167,15 @@ def _cmd_constants(args) -> int:
 
 
 def _cmd_rescale(args) -> int:
+    if args.graph6 is None:  # the series: what series --rescaled prints
+        args.sum, args.rescaled = "connected", True
+        return _cmd_series(args)
+    from graphkp.graphs import parse_graph6
+    from graphkp.invariants import INVARIANTS
+
     order = check_limit("order", args.order, low=1)
-    if args.graph6 is not None:
-        from graphkp.graphs import parse_graph6
-        from graphkp.invariants import INVARIANTS
-
-        source = INVARIANTS[args.which](parse_graph6(args.graph6), order)
-    else:
-        from graphkp import ensemble
-
-        source = ensemble.connected_series(args.which, order)
-    _emit_series(_rescale(source, args.which, order), args.format)
+    poly = INVARIANTS[args.which](parse_graph6(args.graph6), order)
+    _emit_series(_rescale(poly, args.which, order), args.format)
     return EXIT_OK
 
 
@@ -192,9 +190,11 @@ def _unique_names(pairs):
 def _cmd_kp_check(args) -> int:
     from graphkp import schurkp
 
-    if args.input is not None and args.order is not None:
+    if args.input is None:
+        order = check_limit("order", series.DEFAULT_ORDER if args.order is None else args.order,
+                            low=1)
+    elif args.order is not None:
         raise ValueError("kp-check --input takes the file's order, not --order")
-    order = check_limit("order", series.DEFAULT_ORDER if args.order is None else args.order, low=1)
     if args.input is not None:
         import json
 
@@ -247,7 +247,7 @@ def _cmd_tables(args) -> int:
         print(sep.join(("n", "graph6", "polynomial", "aut")))
         for n in range(1, args.max_n + 1):
             for g in sorted(connected_graphs(n), key=lambda h: (h.num_edges, h.edges)):
-                poly = fn(g, max(n, 1)).text()
+                poly = fn(g, n).text()
                 if args.format == "csv":
                     poly = f'"{poly}"'
                 print(sep.join((str(n), emit_graph6(g), poly, str(aut_order(g)))))

@@ -45,7 +45,7 @@ from math import comb, factorial
 
 from graphkp import series
 from graphkp.errors import check_limit
-from graphkp.series import DEFAULT_ORDER, TruncSeries, partitions_of
+from graphkp.series import DEFAULT_ORDER, TruncSeries, _fraction, partitions_of
 
 # -- rescaling constants -------------------------------------------------------
 
@@ -56,13 +56,10 @@ def c_recursion(n_max: int) -> list[int]:
         c_n = (-1)^(n+1) * [1 + sum_{k=1}^{n-1} (-1)^k 2^(k(n-k))
                                 C(n-1, k-1) c_k],
 
-    starting from c_1 = 1.  Gives 1, 1, 5, 79, 3377, ...
+    whose empty sum gives c_1 = 1.  Gives 1, 1, 5, 79, 3377, ...
     """
     cs: list[int] = []
     for n in range(1, n_max + 1):
-        if n == 1:
-            cs.append(1)
-            continue
         total = 1 + sum((-1) ** k * 2 ** (k * (n - k)) * comb(n - 1, k - 1) * cs[k - 1]
                         for k in range(1, n))
         cs.append((-1) ** (n + 1) * total)
@@ -144,10 +141,10 @@ def rescale_constants(which: str, order: int = DEFAULT_ORDER) -> tuple[Fraction,
 
 def make_plan(constants) -> dict[int, Fraction]:
     """{n: lambda_n} with lambda_n = 2^(n(n-1)/2) * (n-1)! / i_n, for the
-    constants (i_1, i_2, ...)."""
+    exact constants (i_1, i_2, ...)."""
     factors = {}
     for n, i_n in enumerate(constants, start=1):
-        if not i_n:
+        if not _fraction(i_n):
             raise ValueError(f"degenerate plan: i_{n} is zero")
         factors[n] = Fraction(2 ** (n * (n - 1) // 2) * factorial(n - 1)) / i_n
     return factors

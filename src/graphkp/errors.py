@@ -27,7 +27,7 @@ LIMITS = {
     # W 0.25-0.27 s, A 0.20-0.26 s; 13 vertices: W 0.81-0.88 s, A 0.69-0.88 s
     "vertices": Limit(12, "vertex count"),
     # kp-check --series W|A|S, series --rescaled, rescale: at most 0.97 s; 27: up to
-    # 1.28 s (rescale --format json 0.94-1.28 s, kp-check --series S 1.05-1.20 s)
+    # 1.28 s (rescale --format json 0.94-1.28 s, kp-check --series S 0.49-0.58 s)
     "order": Limit(26, "truncation order"),
     # n = 7: 0.60 s; n = 8: 10.2 s
     "all_graphs": Limit(7, "vertex count for all_graphs"),

@@ -7,7 +7,10 @@ most ``order`` as a sparse map from partitions to ``fractions.Fraction``
 coefficients: a monomial is stored as its partition, each variable index
 repeated by its exponent, largest first (x_1^2 x_3 is (3, 1, 1), the
 constant is ()), so p_mu is keyed by mu itself and its weight is sum(mu).
-All arithmetic is exact; floats are rejected outright.  The product, exp
+All arithmetic is exact: one rule, :func:`_fraction`, admits an ``int`` that
+is not a ``bool``, or a ``Fraction``, and every coefficient, scalar of ``+``,
+``-``, ``*`` or ``==``, factor and point passes through it, so a float, a
+numeric string, a ``Decimal`` or ``True`` raises TypeError.  The product, exp
 and log run on integers in the exponential grading of :func:`_graded`,
 weight w held as w! E^w times its part (E is 1 for the all-graphs
 series), where exp and log are binomial convolutions (Stanley, *EC2* 5.1).
@@ -67,8 +70,10 @@ def partitions_of(w: int, max_part: int | None = None) -> tuple[Partition, ...]:
 
 
 def _fraction(value) -> Fraction:
-    if isinstance(value, float):
-        raise TypeError("floating-point coefficients are not allowed")
+    """The exactness rule: an int that is not a bool, or a Fraction, as a
+    Fraction; anything else raises TypeError."""
+    if type(value) is not int and not isinstance(value, Fraction):
+        raise TypeError(f"not an exact number (int or Fraction): {value!r}")
     return value if isinstance(value, Fraction) else Fraction(value)
 
 
@@ -172,7 +177,7 @@ class TruncSeries:
 
     @classmethod
     def constant(cls, value, order: int = DEFAULT_ORDER, var: str = "q") -> "TruncSeries":
-        return cls(order, var, {UNIT: _fraction(value)})
+        return cls(order, var, {UNIT: value})
 
     @classmethod
     def one(cls, order: int = DEFAULT_ORDER, var: str = "q") -> "TruncSeries":
@@ -215,10 +220,8 @@ class TruncSeries:
             raise ValueError(f"variable family mismatch: {self.var} vs {other.var}")
 
     def __add__(self, other):
-        if isinstance(other, (int, Fraction)):
+        if not isinstance(other, TruncSeries):
             other = TruncSeries.constant(other, self.order, self.var)
-        elif not isinstance(other, TruncSeries):
-            return NotImplemented
         self._check_compatible(other)
         out = dict(self._terms)
         for mu, c in other._terms.items():
@@ -236,17 +239,16 @@ class TruncSeries:
                                 {mu: -c for mu, c in self._terms.items()})
 
     def __sub__(self, other):
-        return self + (-other)
+        return -(-self + other)  # -other would turn True into the int -1
 
     def __rsub__(self, other):
         return (-self) + other
 
     def __mul__(self, other):
-        if isinstance(other, (int, Fraction)):
+        if not isinstance(other, TruncSeries):
+            other = _fraction(other)
             return TruncSeries._raw(self.order, self.var,
                                     {mu: other * v for mu, v in self._terms.items() if other})
-        if not isinstance(other, TruncSeries):
-            return NotImplemented
         self._check_compatible(other)
         # shift 1 scales a fractional constant term to an integer, so the
         # weight-n part of the product is held as n! E^(n + 2), E = scales[0]
@@ -260,10 +262,8 @@ class TruncSeries:
     __rmul__ = __mul__
 
     def __eq__(self, other):
-        if isinstance(other, (int, Fraction)):
-            return self._terms == ({UNIT: other} if other else {})
         if not isinstance(other, TruncSeries):
-            return NotImplemented
+            other = TruncSeries.constant(other, self.order, self.var)
         return (self.order == other.order and self.var == other.var
                 and self._terms == other._terms)
 
@@ -506,7 +506,7 @@ def substitute(a: TruncSeries, factors) -> TruncSeries:
     ``factors`` maps variable indices to nonzero rationals, as a rescaling
     plan does.  Every variable appearing in ``a`` must have a factor.
     """
-    nonzero = {i: f for i, f in factors.items() if f}
+    nonzero = {i: f for i, f in factors.items() if _fraction(f)}
     return TruncSeries._raw(a.order, "p", dict(_rescaled(a, nonzero, "no nonzero rescale factor")))
 
 

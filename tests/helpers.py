@@ -2,7 +2,8 @@
 the package computes one way, kept here only to check it.
 
 * Builders and generators: small graph families, a polynomial text parser
-  for frozen expected values, random series and graph6 strategies.
+  for frozen expected values, random series and graph6 strategies, and one
+  number of each kind that is not exact.
 * Rendering oracles: ``text`` and ``to_json_obj`` from the ``.terms``
   monomial view sorted on dense exponent vectors (``mono_key``), the
   oracles for rendering straight from the stored partitions.
@@ -45,6 +46,7 @@ from __future__ import annotations
 
 import random
 from collections import Counter, namedtuple
+from decimal import Decimal
 from fractions import Fraction
 from functools import cache, reduce
 from itertools import chain, combinations, permutations, product
@@ -80,6 +82,12 @@ def cycle_graph(n: int) -> Graph:
 def star_graph(n: int) -> Graph:
     """One center (vertex 0) joined to n - 1 leaves."""
     return Graph.from_edges(n, [(0, i) for i in range(1, n)])
+
+
+#: One value of each kind the exactness rule refuses, by kind: a float, a
+#: numeric string, a Decimal and a bool.  Use with
+#: ``pytest.mark.parametrize("value", NOT_EXACT.values(), ids=list(NOT_EXACT))``.
+NOT_EXACT = {"float": 0.5, "str": "1/2", "Decimal": Decimal("0.5"), "bool": True}
 
 
 def parse_poly(text: str, order: int, var: str = "q") -> TruncSeries:

@@ -13,7 +13,7 @@ from graphkp.ensemble import (abel_constants, c_recursion, connected_series,
 from graphkp.errors import SizeLimitError
 from graphkp.schurkp import kp1_residual, kp2_residual, target_series
 from graphkp.series import MAX_ORDER, TruncSeries, mono
-from helpers import (isoclass_series, parse_poly, summed_full_series, swept_constants,
+from helpers import (NOT_EXACT, isoclass_series, parse_poly, summed_full_series, swept_constants,
                      swept_piece)
 
 
@@ -106,6 +106,8 @@ class TestPlans:
     def test_weighted_chromatic_plan(self):
         plan = make_plan(rescale_constants("W", 4))
         assert plan == {1: 1, 2: 2, 3: Fraction(16, 5), 4: Fraction(384, 79)}
+        ints = make_plan((1, 1, 5, 79))
+        assert ints == plan and all(type(f) is Fraction for f in ints.values())
 
     def test_abel_plan(self):
         plan = make_plan(rescale_constants("A", 4))
@@ -118,6 +120,11 @@ class TestPlans:
     def test_degenerate_plan_rejected(self):
         with pytest.raises(ValueError):
             make_plan((Fraction(1), Fraction(0)))
+
+    @pytest.mark.parametrize("value", NOT_EXACT.values(), ids=list(NOT_EXACT))
+    def test_inexact_constants_rejected(self, value):
+        with pytest.raises(TypeError):
+            make_plan([value, 2])
 
 
 class TestUniversality:

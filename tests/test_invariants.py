@@ -15,9 +15,9 @@ from graphkp.graphs import (MAX_VERTICES, Graph, all_graphs, canonical_form,
 from graphkp.invariants import (INVARIANTS, _b_abel, abel, extract_b, umbral_from_b,
                                 weighted_chromatic)
 from graphkp.series import evaluate, mono
-from helpers import (WeightedGraph, chromatic_oracle, complete_graph, cycle_graph, forest_a,
-                     matrix_tree_b, parse_poly, partition_umbral, path_graph, random_graph,
-                     random_rational, star_graph, subset_w, weighted_chromatic_dc)
+from helpers import (NOT_EXACT, WeightedGraph, chromatic_oracle, complete_graph, cycle_graph,
+                     forest_a, matrix_tree_b, parse_poly, partition_umbral, path_graph,
+                     random_graph, random_rational, star_graph, subset_w, weighted_chromatic_dc)
 
 EDGE = Graph.from_edges(2, [(0, 1)])
 
@@ -235,13 +235,14 @@ class TestUmbral:
         with pytest.raises(ValueError):
             umbral_from_b(cycle_graph(3), {Graph(1): Fraction(1)}, 4)
 
-    def test_float_coefficient_raises(self):
+    @pytest.mark.parametrize("value", NOT_EXACT.values(), ids=list(NOT_EXACT))
+    def test_float_coefficient_raises(self, value):
         # b is read only on connected forms: a disconnected one counts as 0,
         # whatever the map holds for it
-        b = {Graph(1): Fraction(1), Graph(2): 1.5, canonical_form(EDGE): Fraction(1)}
+        b = {Graph(1): Fraction(1), Graph(2): value, canonical_form(EDGE): Fraction(1)}
         assert umbral_from_b(EDGE, b, 4) == parse_poly("q1^2 + q2", 4)
         with pytest.raises(TypeError):
-            umbral_from_b(EDGE, {**b, Graph(1): 1.0}, 4)
+            umbral_from_b(EDGE, {**b, Graph(1): value}, 4)
 
     def test_extract_b_values(self):
         assert extract_b("W", EDGE) == 1

@@ -2,6 +2,7 @@
 
 import ast
 import json
+import operator
 import random
 import sys
 from collections import Counter
@@ -18,7 +19,7 @@ from graphkp.ensemble import full_series, make_plan, rescale_constants
 from graphkp.schurkp import partitions_of, schur_combination, target_series
 from graphkp.series import (MAX_ORDER, TruncSeries, _prime_keys, _ungraded, evaluate, exp, log,
                             mono, substitute)
-from helpers import (fraction_exp, fraction_log, fraction_mul, fraction_partial,
+from helpers import (NOT_EXACT, fraction_exp, fraction_log, fraction_mul, fraction_partial,
                      fraction_substitute, mono_key_json_obj, mono_key_text, parse_poly,
                      random_rational, random_series, tuple_exp, tuple_log, tuple_mul)
 
@@ -41,18 +42,23 @@ class TestConstruction:
         with pytest.raises(ValueError):
             TruncSeries(-1)
 
-    def test_floats_rejected(self):
+    @pytest.mark.parametrize("value", NOT_EXACT.values(), ids=list(NOT_EXACT))
+    def test_floats_rejected(self, value):
         with pytest.raises(TypeError):
-            TruncSeries(4, "q", {mono({1: 1}): 0.5})
+            TruncSeries(4, "q", {mono({1: 1}): value})
+        with pytest.raises(TypeError):
+            TruncSeries.constant(value, 4)
 
-    def test_floats_rejected_in_schur_combinations(self):
+    @pytest.mark.parametrize("value", NOT_EXACT.values(), ids=list(NOT_EXACT))
+    def test_floats_rejected_in_schur_combinations(self, value):
         with pytest.raises(TypeError):
-            schur_combination({(1,): 0.1}, 2)
+            schur_combination({(1,): value}, 2)
 
     def test_equality_compares_order(self):
         assert TruncSeries.one(3, "q") != TruncSeries.one(7, "q")
         assert TruncSeries.one(7, "q") == TruncSeries.one(7, "q")
         assert TruncSeries.one(3, "q") == 1
+        assert TruncSeries.constant(Fraction(1, 2), 3) == Fraction(1, 2)
 
     def test_overweight_terms_dropped_at_construction(self):
         s = TruncSeries(2, "q", {mono({3: 1}): 1, mono({1: 1}): 1})
@@ -153,6 +159,10 @@ class TestAdd:
         with pytest.raises(ValueError):
             TruncSeries.variable(1, 4, "q") + TruncSeries.variable(1, 4, "p")
 
+    def test_scalar_addition(self):
+        assert q(1) + 2 == 2 + q(1) == parse_poly("2 + q1", 7)
+        assert q(1) + Fraction(1, 3) == parse_poly("1/3 + q1", 7)
+
 
 class TestMul:
     def test_square_of_variable(self):
@@ -173,6 +183,18 @@ class TestMul:
     def test_scalar_multiplication(self):
         assert 2 * q(1) == parse_poly("2 q1", 7)
         assert q(1) * Fraction(1, 3) == parse_poly("1/3 q1", 7)
+
+
+@pytest.mark.parametrize("value", NOT_EXACT.values(), ids=list(NOT_EXACT))
+def test_inexact_scalars_rejected(value):
+    # scalar +, -, * and == take what the constructor takes; the series is
+    # the constant the value would read as, were it coerced
+    s = TruncSeries.constant(Fraction(value), 3)
+    for op in (operator.add, operator.sub, operator.mul, operator.eq, operator.ne):
+        with pytest.raises(TypeError):
+            op(s, value)
+        with pytest.raises(TypeError):
+            op(value, s)
 
 
 class TestExpLog:
@@ -217,6 +239,7 @@ class TestSubstitute:
         assert substitute(q(2, 4), {2: Fraction(2)}) == parse_poly("2 p2", 4, "p")
         assert substitute(q(3, 4), {3: Fraction(16, 5)}) == parse_poly("16/5 p3", 4, "p")
         assert substitute(q(3, 4), {3: Fraction(8, 9)}) == parse_poly("8/9 p3", 4, "p")
+        assert substitute(q(2, 4), {2: 3}) == parse_poly("3 p2", 4, "p")
 
     def test_missing_factor_raises(self):
         with pytest.raises(ValueError):
@@ -225,6 +248,15 @@ class TestSubstitute:
     def test_zero_factor_raises(self):
         with pytest.raises(ValueError):
             substitute(q(2, 4), {2: Fraction(0)})
+
+    @pytest.mark.parametrize("value", NOT_EXACT.values(), ids=list(NOT_EXACT))
+    def test_inexact_factors_and_points_rejected(self, value):
+        # a value is checked whether or not the series uses its variable
+        for used in (1, 2):
+            with pytest.raises(TypeError):
+                substitute(q(1, 4), {1: Fraction(1), used: value})
+            with pytest.raises(TypeError):
+                evaluate(q(1, 4), {1: Fraction(1), used: value})
 
 
 _NONZERO = st.builds(Fraction, st.integers(-30, 30).filter(bool), st.integers(1, 12))
@@ -455,6 +487,7 @@ class TestRendering:
     def test_evaluate_exact(self):
         s = parse_poly("q1^2 + q2", 4)
         assert evaluate(s, {1: Fraction(2), 2: Fraction(-3)}) == 1
+        assert evaluate(s, {1: 2, 2: -3}) == 1
         with pytest.raises(ValueError):
             evaluate(s, {1: Fraction(2)})
 

@@ -1,14 +1,19 @@
 """Oracles written outside this package: networkx's graph6 codec, its atlas of
 every graph on at most 7 vertices (Read and Wilson, *An Atlas of Graphs*),
-one graph per isomorphism class, and its VF2 isomorphism matcher."""
+one graph per isomorphism class, its VF2 isomorphism matcher, and its Tutte
+and chromatic polynomials, which it computes as sympy expressions."""
 
 import random
 from collections import Counter
 
 import networkx as nx
+import sympy
 from networkx.algorithms.isomorphism import GraphMatcher
 
-from graphkp.graphs import Graph, all_graphs, aut_order, canonical_form, emit_graph6, parse_graph6
+from graphkp.graphs import (Graph, all_graphs, aut_order, canonical_form, connected_graphs,
+                            emit_graph6, parse_graph6)
+from graphkp.invariants import extract_b, weighted_chromatic
+from graphkp.series import evaluate
 
 #: all 1,253 graphs of the atlas, the empty graph on 0 vertices first
 ATLAS = nx.graph_atlas_g()
@@ -42,3 +47,34 @@ def test_aut_order_counts_vf2_self_isomorphisms():
     for h in random.Random(11).sample(ATLAS[1:], 150):
         count = sum(1 for _ in GraphMatcher(h, h).isomorphisms_iter())
         assert aut_order(to_graph(h)) == count, nx.to_graph6_bytes(h, header=False)
+
+
+# -- the invariants against networkx's Tutte and chromatic polynomials (sympy) --
+
+#: the 31 connected graphs on 1 to 5 vertices, one per class
+CONNECTED = [g for n in range(1, 6) for g in connected_graphs(n)]
+X, Y = sympy.symbols("x y")
+
+
+def to_networkx(g: Graph) -> nx.Graph:
+    h = nx.empty_graph(g.n)
+    h.add_edges_from(g.edge_list())
+    return h
+
+
+def test_primitive_coefficients_are_tutte_evaluations():
+    # b_W(G) = T_G(1, 0), and b_A(G) = n T_G(1, 1), n times the spanning trees
+    for g in CONNECTED:
+        tutte = nx.tutte_polynomial(to_networkx(g))
+        assert extract_b("W", g) == int(tutte.subs({X: 1, Y: 0})), emit_graph6(g)
+        assert extract_b("A", g) == g.n * int(tutte.subs({X: 1, Y: 1})), emit_graph6(g)
+
+
+def test_weighted_chromatic_specializes_to_the_chromatic_polynomial():
+    # (-1)^n W_G(q_j = -k) = P_G(k), the proper colorings with k colors
+    for g in CONNECTED:
+        w = weighted_chromatic(g, g.n)
+        chromatic = nx.chromatic_polynomial(to_networkx(g))
+        for k in range(g.n + 2):
+            value = (-1) ** g.n * evaluate(w, {j: -k for j in range(1, g.n + 1)})
+            assert value == int(chromatic.subs(X, k)), (emit_graph6(g), k)
