@@ -98,10 +98,7 @@ def _piece_terms(k: int, consts) -> dict:
 
 
 def _piece(which: str, k: int, order: int) -> TruncSeries:
-    check_limit("order", k, low=1)
-    check_limit("order", order)
-    if k > order:
-        raise ValueError(f"weight-{k} piece does not fit truncation order {order}")
+    check_limit("order", order, low=check_limit("order", k, low=1))
     return TruncSeries._raw(order, "q", _piece_terms(k, _CONSTANTS[which](k)))
 
 
@@ -136,7 +133,7 @@ def connected_series(which: str, order: int = DEFAULT_ORDER) -> TruncSeries:
 def rescale_constants(which: str, order: int = DEFAULT_ORDER) -> tuple[Fraction, ...]:
     """(i_1, ..., i_order), i_n = n! * [q_n] piece_n, the automorphism-weighted
     count of the q_n coefficients over all connected n-vertex graphs."""
-    return tuple(Fraction(i) for i in _CONSTANTS[which](order))
+    return tuple(Fraction(i) for i in _CONSTANTS[which](check_limit("order", order)))
 
 
 def make_plan(constants) -> dict[int, Fraction]:

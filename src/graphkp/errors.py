@@ -1,4 +1,4 @@
-"""Shared exception types, and the one table of size caps."""
+"""Shared exception types, the one table of size caps and the one rule for a size."""
 
 from typing import NamedTuple
 
@@ -41,8 +41,11 @@ LIMITS = {
 
 
 def check_limit(name: str, value: int, low: int = 0) -> int:
-    """Return ``value`` if it lies in [low, LIMITS[name].cap], else raise SizeLimitError."""
+    """The rule for a size: ``value`` if it is an int, not a bool, in [low, LIMITS[name].cap];
+    any other type raises TypeError, and an int outside the range SizeLimitError."""
     cap, what = LIMITS[name]
+    if type(value) is not int:
+        raise TypeError(f"{what} must be an int, got {value!r}")
     if not low <= value <= cap:
         raise SizeLimitError(f"{what} must be in [{low}, {cap}], got {value}")
     return value

@@ -51,6 +51,8 @@ class Graph(namedtuple("Graph", "n edges")):
 
     def __new__(cls, n: int, edges: int = 0):
         check_limit("vertices", n)
+        if type(edges) is not int:
+            raise TypeError(f"edge bitset must be an int, got {edges!r}")
         if not 0 <= edges < 1 << (n * (n - 1) // 2):
             raise ValueError("edge bitset out of range for vertex count")
         return tuple.__new__(cls, (n, edges))

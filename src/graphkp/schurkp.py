@@ -71,13 +71,22 @@ from graphkp.series import (DEFAULT_ORDER, Partition, TruncSeries, _derivative_f
                             partitions_of)
 
 
+def _validate_partition(lam) -> Partition:
+    lam = tuple(lam)
+    # parts are never coerced: int() would turn 2.7 into 2 and True into 1
+    if any(type(a) is not int or a < 1 for a in lam) or lam != tuple(sorted(lam)[::-1]):
+        raise ValueError(f"not a partition: {lam}")
+    return lam
+
+
 @lru_cache(maxsize=None)
 def character(lam: Partition, mu: Partition) -> int:
     """chi^lambda_mu: the irreducible character of S_n indexed by lambda on
     the permutations of cycle type mu, by the Murnaghan-Nakayama rule.
 
-    Both arguments are weakly decreasing tuples of positive parts; the value
-    is 0 when their weights differ."""
+    Both arguments are weakly decreasing tuples of positive ints, else
+    ValueError; the value is 0 when their weights differ."""
+    lam, mu = _validate_partition(lam), _validate_partition(mu)
     if not mu:
         return 0 if lam else 1
     r, rest = mu[0], mu[1:]
@@ -115,14 +124,6 @@ def _z(mu: Partition) -> int:
     return prod(part ** mu.count(part) * factorial(mu.count(part)) for part in set(mu))
 
 
-def _validate_partition(lam) -> Partition:
-    lam = tuple(lam)
-    # parts are never coerced: int() would turn 2.7 into 2 and True into 1
-    if any(type(a) is not int or a < 1 for a in lam) or lam != tuple(sorted(lam)[::-1]):
-        raise ValueError(f"not a partition: {lam}")
-    return lam
-
-
 def schur_combination(coeffs, order: int = DEFAULT_ORDER) -> TruncSeries:
     """sum c_lambda s_lambda from a coefficient map {lambda: c_lambda}, with
     s_lambda = sum_mu chi^lambda_mu p_mu / z_mu."""
@@ -130,11 +131,9 @@ def schur_combination(coeffs, order: int = DEFAULT_ORDER) -> TruncSeries:
     terms: dict[Partition, Fraction] = {}
     for lam, c in coeffs.items():
         lam = _validate_partition(lam)
-        weight = sum(lam)
-        if weight > order:
-            raise ValueError(f"|lambda| = {weight} exceeds truncation order {order}")
+        check_limit("order", order, low=sum(lam))
         c = _fraction(c)
-        for mu in partitions_of(weight):
+        for mu in partitions_of(sum(lam)):
             chi = character(lam, mu)
             if chi and c:
                 terms[mu] = terms.get(mu, 0) + c * Fraction(chi, _z(mu))
@@ -203,23 +202,21 @@ _KP1 = (4, 12, {(2, 2): 12, (3, 1): -12, (1, 1, 1, 1): 1}, {((1, 1), (1, 1)): 6}
 _KP2 = (5, 6, {(3, 2): 6, (4, 1): -6, (2, 1, 1, 1): 1}, {((1, 1), (2, 1)): 6})
 
 
-def _residual(F: TruncSeries, name: str, drop: int, scale: int, linear: dict,
-              bilinear: dict) -> TruncSeries:
+def _residual(F: TruncSeries, drop: int, scale: int, linear: dict, bilinear: dict) -> TruncSeries:
     """The residual of one KP equation given as a row (see ``_KP1``), of
-    order F.order - drop."""
+    order F.order - drop >= 0."""
     if F.var != "p":
         raise ValueError("KP residuals expect a series in p-variables")
-    if F.order < drop:
-        raise ValueError(f"{name} KP equation needs order >= {drop}, got {F.order}")
+    check_limit("order", F.order, low=drop)
     return _derivative_form(F, F.order - drop, scale, linear, bilinear)
 
 
 def kp1_residual(F: TruncSeries) -> TruncSeries:
     """Residual of the first KP equation; its order is the weight through
     which a zero residual is actually certified (F.order - 4)."""
-    return _residual(F, "first", *_KP1)
+    return _residual(F, *_KP1)
 
 
 def kp2_residual(F: TruncSeries) -> TruncSeries:
     """Residual of the second KP equation, reliable through F.order - 5."""
-    return _residual(F, "second", *_KP2)
+    return _residual(F, *_KP2)

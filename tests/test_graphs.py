@@ -77,6 +77,12 @@ class TestSlots:
         assert Graph.from_edges(4, [(0, 1)]).edges == 1
         assert Graph.from_edges(4, [(2, 3)]).edges == 1 << 5
 
+    @pytest.mark.parametrize("edges", [1.0, True])
+    def test_edge_bitset_must_be_an_int(self, edges):
+        # 1.0 would fail later in num_edges and graph6; True would read as edge 0
+        with pytest.raises(TypeError):
+            Graph(3, edges)
+
 
 class TestComponents:
     def test_empty_graph_on_three_vertices(self):

@@ -95,6 +95,11 @@ class TestCharacters:
         assert character((), (1,)) == 0
         assert character((1,), ()) == 0
 
+    @pytest.mark.parametrize("lam,mu", [((2.5,), (2.5,)), ((2,), (0, 2)), ((1, 2), (3,))])
+    def test_arguments_must_be_partitions(self, lam, mu):
+        with pytest.raises(ValueError, match="not a partition"):
+            character(lam, mu)
+
 
 class TestTargetSeries:
     def test_low_weight_terms(self):

@@ -467,6 +467,13 @@ class TestRendering:
         s = parse_poly("q1^2 + 1/2 q2 - 7/3 q1 q3", 4)
         assert TruncSeries.from_json_obj(s.to_json_obj()) == s
 
+    @pytest.mark.parametrize("var", ["q", "p"])
+    def test_json_round_trip_at_every_order(self, var):
+        for order in range(MAX_ORDER + 1):
+            terms = {(): -7, **{((i, 1),): Fraction(1, i) for i in range(1, order + 1)}}
+            s = TruncSeries(order, var, terms)
+            assert TruncSeries.from_json_obj(json.loads(json.dumps(s.to_json_obj()))) == s
+
     @pytest.mark.parametrize("field,value", [
         ("order", 4.0), ("order", "4"), ("order", True),
         ("exponents", {"1": 1.5}), ("exponents", {"1": "2"}), ("exponents", {"1": False}),
