@@ -2,13 +2,15 @@
 functions, and KP tau-function checks.  Everything is computed over exact
 rationals; there is no floating point anywhere in the package.
 
-Importing the package loads only ``errors`` and ``series``.  ``Graph`` is
-served on first access (PEP 562), so ``python -m graphkp.cli`` does not load
-``graphs`` for a command that never touches a graph; the CLI likewise imports
-each subcommand's modules when that subcommand runs."""
+Importing the package loads only ``errors``.  ``Graph``, ``TruncSeries`` and
+``mono`` are served on first access (PEP 562), so ``python -m graphkp.cli``
+loads ``graphs`` only for a command that touches a graph, and ``series``, with
+``fractions``, only for one that does series arithmetic; the CLI likewise
+imports each subcommand's modules when that subcommand runs."""
 
-from graphkp.errors import Graph6ParseError, SizeLimitError
-from graphkp.series import DEFAULT_ORDER, MAX_ORDER, TruncSeries, mono
+from graphkp.errors import DEFAULT_ORDER, LIMITS, Graph6ParseError, SizeLimitError
+
+MAX_ORDER = LIMITS["order"].cap
 
 __version__ = "0.1.0"
 
@@ -29,4 +31,8 @@ def __getattr__(name):
         from graphkp.graphs import Graph
 
         return Graph
+    if name in ("TruncSeries", "mono"):
+        from graphkp import series
+
+        return getattr(series, name)
     raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

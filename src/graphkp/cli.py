@@ -14,8 +14,10 @@ Output is deterministic plain text by default; JSON and CSV sit behind
 ``--format``.  Exit codes: 0 success, 1 nonzero KP residual, 2 malformed
 input, 3 size cap exceeded.  ``--help`` lists the size caps.
 
-Each subcommand imports the graphkp modules it calls, and ``json`` only where
-it reads or writes JSON, so a run loads and compiles only what it uses.
+Each subcommand imports the graphkp modules it calls, ``series`` only where it
+does series arithmetic, and ``json`` only where it reads or writes JSON, so a
+run loads and compiles only what it uses: the module itself loads only
+``errors`` and ``argparse``.
 """
 
 from __future__ import annotations
@@ -23,9 +25,7 @@ from __future__ import annotations
 import argparse
 import sys
 
-from graphkp import series
-from graphkp.errors import LIMITS, Graph6ParseError, SizeLimitError, check_limit
-from graphkp.series import TruncSeries
+from graphkp.errors import DEFAULT_ORDER, LIMITS, Graph6ParseError, SizeLimitError, check_limit
 
 EXIT_OK = 0
 EXIT_KP_NONZERO = 1
@@ -47,9 +47,9 @@ def _build_parser() -> argparse.ArgumentParser:
             p.add_argument("--which", choices=("W", "A"), required=True,
                            help="invariant: weighted chromatic (W) or Abel (A)")
         if order:
-            p.add_argument("--order", type=int, default=series.DEFAULT_ORDER, metavar="N",
-                           help=f"truncation order, 1..{series.MAX_ORDER} "
-                                f"(default {series.DEFAULT_ORDER})")
+            p.add_argument("--order", type=int, default=DEFAULT_ORDER, metavar="N",
+                           help=f"truncation order, 1..{LIMITS['order'].cap} "
+                                f"(default {DEFAULT_ORDER})")
         if fmt:
             p.add_argument("--format", choices=fmt, default=fmt[0])
 
@@ -98,7 +98,7 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _emit_series(s: TruncSeries, fmt: str) -> None:
+def _emit_series(s, fmt: str) -> None:
     if fmt == "json":
         import json
 
@@ -107,8 +107,8 @@ def _emit_series(s: TruncSeries, fmt: str) -> None:
         print(s.text())
 
 
-def _rescale(s: TruncSeries, which: str, order: int) -> TruncSeries:
-    from graphkp import ensemble
+def _rescale(s, which: str, order: int):
+    from graphkp import ensemble, series
 
     return series.substitute(s, ensemble.make_plan(ensemble.rescale_constants(which, order)))
 
@@ -137,7 +137,7 @@ def _cmd_invariant(args) -> int:
 
 
 def _cmd_series(args) -> int:
-    from graphkp import ensemble
+    from graphkp import ensemble, series
 
     order = check_limit("order", args.order, low=1)
     full = ensemble.full_series(args.which, order)
@@ -188,11 +188,10 @@ def _unique_names(pairs):
 
 
 def _cmd_kp_check(args) -> int:
-    from graphkp import schurkp
+    from graphkp import schurkp, series
 
     if args.input is None:
-        order = check_limit("order", series.DEFAULT_ORDER if args.order is None else args.order,
-                            low=1)
+        order = check_limit("order", DEFAULT_ORDER if args.order is None else args.order, low=1)
     elif args.order is not None:
         raise ValueError("kp-check --input takes the file's order, not --order")
     if args.input is not None:
@@ -203,7 +202,7 @@ def _cmd_kp_check(args) -> int:
                 obj = json.load(handle, object_pairs_hook=_unique_names)
             except RecursionError:
                 raise ValueError(f"{args.input}: JSON nested too deeply") from None
-        F = TruncSeries.from_json_obj(obj)
+        F = series.TruncSeries.from_json_obj(obj)
         if F.var != "p":
             raise ValueError("kp-check --input expects a series in p-variables")
         label = args.input
@@ -216,14 +215,14 @@ def _cmd_kp_check(args) -> int:
         which = args.series_name
         F = _rescale(ensemble.connected_series(which, order), which, order)
         label = f"rescaled connected {which} series"
-    if F.order < 4:
-        raise ValueError(f"kp-check needs order >= 4 to certify any residual, got {F.order}")
+    least = min(drop for _, _, drop in schurkp.KP_EQUATIONS)
+    if F.order < least:
+        raise ValueError(f"kp-check needs order >= {least} to certify any residual, got {F.order}")
     print(f"checking {label} at order {F.order}")
     status = EXIT_OK
-    for name, fn, need in (("kp1", schurkp.kp1_residual, 4),
-                           ("kp2", schurkp.kp2_residual, 5)):
-        if F.order < need:
-            print(f"{name}: skipped (needs order >= {need})")
+    for name, fn, drop in schurkp.KP_EQUATIONS:
+        if F.order < drop:
+            print(f"{name}: skipped (needs order >= {drop})")
             continue
         res = fn(F)
         if res:

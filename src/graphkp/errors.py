@@ -1,4 +1,6 @@
-"""Shared exception types, the one table of size caps and the one rule for a size."""
+"""Shared exception types, the one table of sizes (the caps and the default
+truncation order) and the one rule for a size.  It imports only ``typing``:
+``import graphkp`` and ``import graphkp.cli`` load no other graphkp module."""
 
 from typing import NamedTuple
 
@@ -39,6 +41,9 @@ LIMITS = {
     "expand_in_primitives": Limit(10, "vertex count for hopf --op expand"),
 }
 
+#: The truncation order a command or constructor uses when none is given.
+DEFAULT_ORDER = 7
+
 
 def check_limit(name: str, value: int, low: int = 0) -> int:
     """The rule for a size: ``value`` if it is an int, not a bool, in [low, LIMITS[name].cap];
@@ -47,5 +52,6 @@ def check_limit(name: str, value: int, low: int = 0) -> int:
     if type(value) is not int:
         raise TypeError(f"{what} must be an int, got {value!r}")
     if not low <= value <= cap:
-        raise SizeLimitError(f"{what} must be in [{low}, {cap}], got {value}")
+        bound = f"in [{low}, {cap}]" if low <= cap else f"at least {low}, above its cap {cap}"
+        raise SizeLimitError(f"{what} must be {bound}, got {value}")
     return value

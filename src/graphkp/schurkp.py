@@ -220,3 +220,7 @@ def kp1_residual(F: TruncSeries) -> TruncSeries:
 def kp2_residual(F: TruncSeries) -> TruncSeries:
     """Residual of the second KP equation, reliable through F.order - 5."""
     return _residual(F, *_KP2)
+
+
+#: The equations ``kp-check`` certifies, as (name, residual, weight drop).
+KP_EQUATIONS = (("kp1", kp1_residual, _KP1[0]), ("kp2", kp2_residual, _KP2[0]))

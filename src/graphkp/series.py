@@ -43,10 +43,9 @@ from functools import lru_cache
 from math import comb, factorial, gcd, lcm, perm
 from typing import Iterable, Mapping
 
-from graphkp.errors import LIMITS, check_limit
+from graphkp.errors import DEFAULT_ORDER, LIMITS, check_limit
 
 MAX_ORDER = LIMITS["order"].cap
-DEFAULT_ORDER = 7
 
 Monomial = tuple[tuple[int, int], ...]
 Partition = tuple[int, ...]
@@ -142,7 +141,7 @@ class TruncSeries:
     __slots__ = ("order", "var", "_terms")
 
     def __init__(self, order: int = DEFAULT_ORDER, var: str = "q", terms=None):
-        if order < 0:
+        if type(order) is int and order < 0:  # the gate refuses other types
             raise ValueError(f"truncation order must be nonnegative, got {order}")
         check_limit("order", order)
         if var not in ("q", "p"):

@@ -265,8 +265,7 @@ def test_hopf_graph6_exit_contract(text, op):
 #: Standard-library modules ``import graphkp.cli`` may load beyond what the
 #: interpreter has at start-up.  Every CLI run pays for each module on this
 #: list in start-up time and memory, so growing it is a deliberate choice.
-CLI_IMPORT_ALLOWLIST = {"__future__", "argparse", "gettext",
-                        "fractions", "decimal", "_decimal", "numbers"}
+CLI_IMPORT_ALLOWLIST = {"__future__", "argparse", "gettext"}
 
 SRC = str(Path(graphkp.__file__).parents[1])
 
@@ -278,7 +277,7 @@ def test_cli_import_footprint():
     added = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                            text=True, check=True).stdout.split()
     assert {m for m in added if m.partition(".")[0] == "graphkp"} == {
-        "graphkp", "graphkp.cli", "graphkp.errors", "graphkp.series"}
+        "graphkp", "graphkp.cli", "graphkp.errors"}
     stray = [m for m in added if m not in CLI_IMPORT_ALLOWLIST
              and m.partition(".")[0] != "graphkp"]
     assert stray == []
@@ -292,23 +291,26 @@ _CLI_MODULES = ("import runpy, sys\n"
                 "    print('modules:', *sorted(sys.modules), file=sys.stderr)\n")
 
 
-#: (argv, the graphkp modules the run loads besides the package, errors and
-#: series, and json, which only --format json and kp-check --input load)
+#: (argv, the graphkp modules the run loads besides the package and errors,
+#: and json, which only --format json and kp-check --input load)
 COMMAND_MODULES = {
-    "kp-check": (["kp-check", "--series", "W", "--order", "5"], {"ensemble", "schurkp"}),
-    "kp-check-input": (["kp-check", "--input", "INPUT"], {"schurkp", "json"}),
-    "series": (["series", "--which", "A", "--order", "4", "--rescaled"], {"ensemble"}),
+    "kp-check": (["kp-check", "--series", "W", "--order", "5"],
+                 {"series", "ensemble", "schurkp"}),
+    "kp-check-input": (["kp-check", "--input", "INPUT"], {"series", "schurkp", "json"}),
+    "series": (["series", "--which", "A", "--order", "4", "--rescaled"], {"series", "ensemble"}),
     "series-json": (["series", "--which", "W", "--order", "4", "--format", "json"],
-                    {"ensemble", "json"}),
-    "constants": (["constants", "--which", "W", "--max-n", "4"], {"ensemble"}),
-    "constants-json": (["constants", "--which", "A", "--format", "json"], {"ensemble", "json"}),
-    "rescale": (["rescale", "--which", "W", "--order", "4"], {"ensemble"}),
+                    {"series", "ensemble", "json"}),
+    "constants": (["constants", "--which", "W", "--max-n", "4"], {"series", "ensemble"}),
+    "constants-json": (["constants", "--which", "A", "--format", "json"],
+                       {"series", "ensemble", "json"}),
+    "rescale": (["rescale", "--which", "W", "--order", "4"], {"series", "ensemble"}),
     "rescale-graph6": (["rescale", "--which", "A", "--graph6", "Bw", "--order", "4"],
-                       {"ensemble", "graphs", "invariants"}),
-    "invariant": (["invariant", "--which", "W", "--graph6", "Bw"], {"graphs", "invariants"}),
+                       {"series", "ensemble", "graphs", "invariants"}),
+    "invariant": (["invariant", "--which", "W", "--graph6", "Bw"],
+                  {"series", "graphs", "invariants"}),
     "invariant-json": (["invariant", "--which", "A", "--graph6", "Bw", "--format", "json"],
-                       {"graphs", "invariants", "json"}),
-    "tables": (["tables", "--max-n", "3"], {"graphs", "invariants"}),
+                       {"series", "graphs", "invariants", "json"}),
+    "tables": (["tables", "--max-n", "3"], {"series", "graphs", "invariants"}),
     "hopf": (["hopf", "--op", "expand", "--graph6", "Bw"], {"graphs", "hopf"}),
 }
 
@@ -324,7 +326,7 @@ def test_each_command_loads_only_its_modules(name, tmp_path):
     assert child.returncode == 0, child.stderr
     modules = child.stderr.splitlines()[-1].split()[1:]
     assert {m.removeprefix("graphkp.") for m in modules
-            if m.startswith("graphkp.") or m == "json"} == {"errors", "series", *expected}
+            if m.startswith("graphkp.") or m == "json"} == {"errors", *expected}
 
 
 def test_package_api_is_unchanged():
@@ -333,15 +335,20 @@ def test_package_api_is_unchanged():
     from graphkp.graphs import Graph
 
     assert graphkp.Graph is Graph
+    assert graphkp.TruncSeries is graphkp.series.TruncSeries
+    assert graphkp.mono is graphkp.series.mono
+    assert (graphkp.DEFAULT_ORDER, graphkp.MAX_ORDER) == (
+        graphkp.series.DEFAULT_ORDER, graphkp.series.MAX_ORDER) == (7, LIMITS["order"].cap)
     namespace: dict = {}
     exec("from graphkp import *", namespace)
     assert all(namespace[name] is getattr(graphkp, name) for name in graphkp.__all__)
     with pytest.raises(AttributeError, match="no_such_name"):
         graphkp.no_such_name  # noqa: B018
-    code = "import sys, graphkp; print('graphkp.graphs' in sys.modules)"
+    code = ("import sys, graphkp; "
+            "print(*[m in sys.modules for m in ('graphkp.graphs', 'graphkp.series', 'fractions')])")
     bare = subprocess.run([sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": SRC},
                           capture_output=True, text=True, check=True)
-    assert bare.stdout == "False\n"
+    assert bare.stdout == "False False False\n"
 
 
 def test_kp_check_builtins_pass(capsys):

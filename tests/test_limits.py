@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 import graphkp
 from graphkp.cli import main
 from graphkp.ensemble import ensemble_w, full_series, rescale_constants
-from graphkp.errors import LIMITS, SizeLimitError, check_limit
+from graphkp.errors import DEFAULT_ORDER, LIMITS, SizeLimitError, check_limit
 from graphkp.graphs import Graph, all_graphs
 from graphkp.hopf import expand_in_primitives, primitive_projection
 from graphkp.invariants import abel, umbral_from_b, weighted_chromatic
@@ -124,6 +124,28 @@ def test_size_relation_holds_at_its_boundary(name):
     fn(*at)
     with pytest.raises(ValueError):
         fn(*beyond)
+
+
+def test_a_lower_bound_above_the_cap_names_both():
+    cap = MAX_ORDER
+    with pytest.raises(SizeLimitError, match=f"at least {cap + 4}, above its cap {cap}, got {cap}$"):
+        schur_polynomial((cap + 4,), cap)
+    with pytest.raises(SizeLimitError, match=rf"must be in \[4, {cap}\], got 3$"):
+        check_limit("order", 3, low=4)
+
+
+def test_order_help_reads_the_table(capsys, monkeypatch):
+    """Each --order help line: 1..the order cap (default graphkp.DEFAULT_ORDER)."""
+    monkeypatch.setenv("COLUMNS", "80")
+    lines = {}
+    for command in ("invariant", "series", "constants", "rescale", "kp-check", "tables", "hopf"):
+        with pytest.raises(SystemExit):
+            main([command, "--help"])
+        lines[command] = [" ".join(line.split()) for line in capsys.readouterr().out.splitlines()
+                          if line.lstrip().startswith("--order")]
+    expected = f"--order N truncation order, 1..{MAX_ORDER} (default {DEFAULT_ORDER})"
+    assert {command: found for command, found in lines.items() if found} == {
+        command: [expected] for command in ("invariant", "series", "rescale", "kp-check")}
 
 
 def test_help_lists_the_table(capsys):

@@ -42,6 +42,11 @@ class TestConstruction:
         with pytest.raises(ValueError):
             TruncSeries(-1)
 
+    @pytest.mark.parametrize("order", ["3", None, 2.0])
+    def test_order_type_is_checked_before_its_sign(self, order):
+        with pytest.raises(TypeError, match="truncation order must be an int"):
+            TruncSeries(order)
+
     @pytest.mark.parametrize("value", NOT_EXACT.values(), ids=list(NOT_EXACT))
     def test_floats_rejected(self, value):
         with pytest.raises(TypeError):
