@@ -20,14 +20,15 @@ up to that outer power, where
 
     i_n = n! * [q_n] piece_n
 
-is the rescaling constant.  Grouping the set partitions of the k vertices by
-their block sizes, k! / (prod_j lambda_j! * prod_m mult_m(lambda)!) of each
-type lambda, leaves a sum over integer partitions (the exponential formula):
+is the rescaling constant.  Summing over the set partitions of the k
+vertices into blocks is then the exponential formula (Stanley, *EC2* 5.1)
+over the blocks i_n q_n / n!, each term weighted by the edges between its
+blocks: piece_k is the weight-k part of
 
-    piece_k = sum over lambda |- k of
-              2^(C(k,2) - sum_j C(lambda_j, 2))
-              * prod_j (i_{lambda_j} / lambda_j!) / prod_m mult_m(lambda)!
-              * q_lambda.
+    exp(sum over n of i_n q_n / n!)
+
+with each term q_lambda times 2^(C(k,2) - sum_j C(lambda_j, 2)), the power
+of 2 counting the edges of K_k that join two different blocks.
 
 For the weighted chromatic polynomial the i_n satisfy the recursion in
 :func:`c_recursion`; for the Abel polynomial Cayley's formula gives the
@@ -45,7 +46,7 @@ from math import comb, factorial
 
 from graphkp import series
 from graphkp.errors import check_limit
-from graphkp.series import DEFAULT_ORDER, TruncSeries, _fraction, partitions_of
+from graphkp.series import DEFAULT_ORDER, TruncSeries, _fraction
 
 # -- rescaling constants -------------------------------------------------------
 
@@ -79,27 +80,19 @@ def abel_constants(n_max: int) -> list[int]:
 _CONSTANTS = {"W": c_recursion, "A": abel_constants}
 
 
+def _constants(which: str, n_max: int) -> list[int]:
+    """i_1..i_n_max of the invariant named ``which``."""
+    if which not in _CONSTANTS:
+        raise ValueError(f"unknown invariant {which!r}, expected one of {sorted(_CONSTANTS)}")
+    return _CONSTANTS[which](check_limit("order", n_max))
+
+
 # -- ensemble pieces -----------------------------------------------------------
-
-
-def _piece_terms(k: int, consts) -> dict:
-    """piece_k by partition, from i_1..i_k; the j-th of a run of equal parts
-    puts j in the denominator, so a run of m parts puts m! there."""
-    terms = {}
-    for lam in partitions_of(k):
-        num = 2 ** (comb(k, 2) - sum(comb(part, 2) for part in lam))
-        den = run = 1
-        for i, part in enumerate(lam):
-            run = run + 1 if i and part == lam[i - 1] else 1
-            num *= consts[part - 1]
-            den *= factorial(part) * run
-        terms[lam] = Fraction(num, den)
-    return terms
 
 
 def _piece(which: str, k: int, order: int) -> TruncSeries:
     check_limit("order", order, low=check_limit("order", k, low=1))
-    return TruncSeries._raw(order, "q", _piece_terms(k, _CONSTANTS[which](k)))
+    return TruncSeries._raw(order, "q", full_series(which, k).homogeneous_part(k)._terms)
 
 
 def ensemble_w(k: int, order: int = DEFAULT_ORDER) -> TruncSeries:
@@ -113,13 +106,15 @@ def ensemble_a(k: int, order: int = DEFAULT_ORDER) -> TruncSeries:
 
 
 def full_series(which: str, order: int = DEFAULT_ORDER) -> TruncSeries:
-    """All-graphs generating function through the truncation order, one
-    piece per weight, piece_0 = 1 from the empty graph, in one dict."""
-    consts = _CONSTANTS[which](check_limit("order", order))
-    terms = {}
-    for k in range(order + 1):
-        terms.update(_piece_terms(k, consts))
-    return TruncSeries._raw(order, "q", terms)
+    """All-graphs generating function through the truncation order: the
+    exponential of the blocks i_n q_n / n!, each term q_lambda of weight k
+    times 2 to the number of edges of K_k between its blocks."""
+    blocks = {(n,): Fraction(i, factorial(n))
+              for n, i in enumerate(_constants(which, order), start=1)}
+    terms = series.exp(TruncSeries._raw(order, "q", blocks))._terms
+    return TruncSeries._raw(order, "q", {
+        mu: c * 2 ** (comb(sum(mu), 2) - sum(comb(part, 2) for part in mu))
+        for mu, c in terms.items()})
 
 
 def connected_series(which: str, order: int = DEFAULT_ORDER) -> TruncSeries:
@@ -133,7 +128,7 @@ def connected_series(which: str, order: int = DEFAULT_ORDER) -> TruncSeries:
 def rescale_constants(which: str, order: int = DEFAULT_ORDER) -> tuple[Fraction, ...]:
     """(i_1, ..., i_order), i_n = n! * [q_n] piece_n, the automorphism-weighted
     count of the q_n coefficients over all connected n-vertex graphs."""
-    return tuple(Fraction(i) for i in _CONSTANTS[which](check_limit("order", order)))
+    return tuple(Fraction(i) for i in _constants(which, order))
 
 
 def make_plan(constants) -> dict[int, Fraction]:

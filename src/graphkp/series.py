@@ -205,6 +205,8 @@ class TruncSeries:
         return self._terms.get(mu, Fraction(0))
 
     def homogeneous_part(self, weight: int) -> "TruncSeries":
+        """The terms of one weight; a weight above the order is an error."""
+        check_limit("order", self.order, low=check_limit("order", weight))
         return TruncSeries._raw(
             self.order, self.var,
             {mu: c for mu, c in self._terms.items() if sum(mu) == weight})

@@ -942,8 +942,12 @@ def _key_counts(key: int, k: int) -> dict[int, int]:
 
 
 def counter_piece(which: str, k: int, order: int) -> TruncSeries:
-    """``ensemble_w``/``ensemble_a`` with the constants recomputed per weight
-    and the multiplicities counted by a ``Counter``."""
+    """The independent closed-form oracle for ``ensemble_w``/``ensemble_a``:
+    piece_k summed partition by partition, each term
+    2^(C(k,2) - sum_j C(lambda_j, 2)) prod_j (i_lambda_j / lambda_j!) /
+    prod_m mult_m(lambda)!, with the constants recomputed per weight and the
+    multiplicities counted by a ``Counter``; the package reaches the same
+    terms through ``series.exp``."""
     check_limit("order", k, low=1)
     check_limit("order", order)
     if k > order:

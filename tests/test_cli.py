@@ -24,15 +24,20 @@ CASES = {
     "invariant_w_triangle": ["invariant", "--which", "W", "--graph6", "Bw"],
     "invariant_a_k4_json": ["invariant", "--which", "A", "--graph6", "C~",
                             "--order", "4", "--format", "json"],
+    "invariant_w_corpus_json": ["invariant", "--which", "W", "--input", str(GOLDEN / "corpus.g6"),
+                                "--order", "4", "--format", "json"],
     "series_w_connected_order4": ["series", "--which", "W", "--order", "4"],
     "series_a_all_order4": ["series", "--which", "A", "--order", "4", "--sum", "all"],
+    "series_w_all_order6": ["series", "--which", "W", "--order", "6", "--sum", "all"],
     "series_w_rescaled_order4": ["series", "--which", "W", "--order", "4", "--rescaled"],
     "constants_w_max5": ["constants", "--which", "W", "--max-n", "5"],
     "constants_a_max5": ["constants", "--which", "A", "--max-n", "5"],
+    "constants_w_max5_json": ["constants", "--which", "W", "--max-n", "5", "--format", "json"],
     "rescale_w_k4": ["rescale", "--which", "W", "--graph6", "C~", "--order", "4"],
     "rescale_a_series_order4": ["rescale", "--which", "A", "--order", "4"],
     "kp_check_s_order5": ["kp-check", "--series", "S", "--order", "5"],
     "tables_max4": ["tables", "--max-n", "4"],
+    "tables_max4_csv": ["tables", "--max-n", "4", "--format", "csv"],
     "hopf_coproduct_edge": ["hopf", "--op", "coproduct", "--graph6", "A_"],
     "hopf_primitive_p3": ["hopf", "--op", "primitive", "--graph6", "Bo"],
     "hopf_expand_triangle": ["hopf", "--op", "expand", "--graph6", "Bw"],

@@ -1,16 +1,18 @@
-"""Generating-function assembly: partition-formula pieces vs. the edge-subset
-sweep and iso-class sums, constants, rescale plans, and the universality of
-the rescaled series."""
+"""Generating-function assembly: the exponential-formula series vs. the
+closed form per partition, the edge-subset sweep and iso-class sums,
+constants, rescale plans, and the universality of the rescaled series."""
 
 from fractions import Fraction
 
 import pytest
 
 from graphkp import series
-from graphkp.ensemble import (abel_constants, c_recursion, connected_series,
+from graphkp.ensemble import (_piece, abel_constants, c_recursion, connected_series,
                               ensemble_a, ensemble_w,
                               full_series, make_plan, rescale_constants)
 from graphkp.errors import SizeLimitError
+from graphkp.graphs import Graph
+from graphkp.invariants import extract_b
 from graphkp.schurkp import kp1_residual, kp2_residual, target_series
 from graphkp.series import MAX_ORDER, TruncSeries, mono
 from helpers import (NOT_EXACT, isoclass_series, parse_poly, summed_full_series, swept_constants,
@@ -54,7 +56,7 @@ class TestPieces:
         assert not series.log(TruncSeries.one(4))
 
     @pytest.mark.parametrize("which", ["W", "A"])
-    @pytest.mark.parametrize("order", [*range(1, 13), 25, MAX_ORDER])
+    @pytest.mark.parametrize("order", range(MAX_ORDER + 1))
     def test_full_series_matches_summed_pieces(self, which, order):
         assert full_series(which, order) == summed_full_series(which, order)
 
@@ -100,6 +102,15 @@ class TestConstants:
 
     def test_abel_closed_form_values(self):
         assert abel_constants(7) == [1, 2, 18, 512, 40000, 7962624, 3855122432]
+
+    @pytest.mark.parametrize("call", [
+        lambda which: full_series(which, 4), lambda which: connected_series(which, 4),
+        lambda which: rescale_constants(which, 4), lambda which: _piece(which, 2, 4),
+        lambda which: extract_b(which, Graph(2, 1)),
+    ], ids=["full_series", "connected_series", "rescale_constants", "_piece", "extract_b"])
+    def test_unknown_invariant_is_one_error(self, call):
+        with pytest.raises(ValueError, match=r"^unknown invariant 'X', expected one of \['A', 'W'\]$"):
+            call("X")
 
 
 class TestPlans:

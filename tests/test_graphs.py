@@ -77,6 +77,17 @@ class TestSlots:
         assert Graph.from_edges(4, [(0, 1)]).edges == 1
         assert Graph.from_edges(4, [(2, 3)]).edges == 1 << 5
 
+    @pytest.mark.parametrize("make", [
+        lambda: Graph(3, 1 << 3), lambda: Graph(3, -1),
+        lambda: Graph.from_edges(3, [(0, 3)]), lambda: Graph.from_edges(3, [(-1, 0)]),
+        lambda: Graph(3).induced([0, 0]), lambda: Graph(3).induced([0, 3]),
+        lambda: Graph(3).induced([-1, 1]),
+    ], ids=["bitset above", "bitset negative", "edge vertex n", "edge vertex -1",
+            "induced repeat", "induced vertex n", "induced vertex -1"])
+    def test_out_of_range_edges_and_vertices_rejected(self, make):
+        with pytest.raises(ValueError, match="out of range|distinct vertices"):
+            make()
+
     @pytest.mark.parametrize("edges", [1.0, True])
     def test_edge_bitset_must_be_an_int(self, edges):
         # 1.0 would fail later in num_edges and graph6; True would read as edge 0
@@ -240,7 +251,7 @@ class TestCanonicalForm:
     def test_class_counts(self):
         # numbers of isomorphism classes of simple graphs on n vertices
         assert [len(all_graphs(n)) for n in range(8)] == [1, 1, 2, 4, 11, 34, 156, 1044]
-        assert [len(connected_graphs(n)) for n in range(1, 8)] == [1, 1, 2, 6, 21, 112, 853]
+        assert [len(connected_graphs(n)) for n in range(8)] == [0, 1, 1, 2, 6, 21, 112, 853]
 
     def test_classes_match_orbit_sweep(self):
         for n in range(7):

@@ -53,6 +53,7 @@ SIZE_ENTRY_POINTS = {
     "weighted_chromatic": lambda v: weighted_chromatic(Graph(2, 1), v),
     "abel": lambda v: abel(Graph(2, 1), v),
     "umbral_from_b": lambda v: umbral_from_b(Graph(1), {Graph(1): 1}, v),
+    "homogeneous_part": lambda v: TruncSeries.one(4).homogeneous_part(v),
 }
 
 #: a size relation -> (its call, arguments at the boundary, one step beyond)
@@ -64,6 +65,7 @@ BOUNDARIES = {
     "schur_polynomial (3,1,1)": (schur_polynomial, ((3, 1, 1), 5), ((3, 1, 1), 4)),
     "kp1_residual": (lambda n: kp1_residual(TruncSeries.zero(n, "p")), (4,), (3,)),
     "kp2_residual": (lambda n: kp2_residual(TruncSeries.zero(n, "p")), (5,), (4,)),
+    "homogeneous_part": (lambda w: TruncSeries.one(3).homogeneous_part(w), (3,), (4,)),
 }
 
 

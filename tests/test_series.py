@@ -463,7 +463,8 @@ class TestRendering:
     def test_text_canonical_order_and_signs(self):
         s = TruncSeries(4, "q", {mono({1: 3}): 1, mono({1: 1, 2: 1}): 3,
                                  mono({3: 1}): -2})
-        assert s.text() == "q1^3 + 3 q1 q2 - 2 q3"
+        assert s.text() == str(s) == "q1^3 + 3 q1 q2 - 2 q3"
+        assert repr(s) == "TruncSeries(order=4, var='q', <q1^3 + 3 q1 q2 - 2 q3>)"
 
     def test_constant_rendering(self):
         assert TruncSeries.constant(Fraction(-3, 2), 4).text() == "-3/2"
@@ -486,11 +487,12 @@ class TestRendering:
         ("exponents", {"01": 1}), ("exponents", {"00": 1}),
         ("numerator", 1.5), ("numerator", "1"), ("numerator", True),
         ("denominator", 2.0), ("denominator", "2"), ("denominator", 0),
+        ("terms", {"0": {}}), ("terms", "q1"),
     ])
     def test_json_rejects_non_integers(self, field, value):
         obj = parse_poly("q1^2", 4).to_json_obj()
-        if field == "order":
-            obj["order"] = value
+        if field in ("order", "terms"):
+            obj[field] = value
         else:
             obj["terms"][0][field] = value
         with pytest.raises(ValueError):
