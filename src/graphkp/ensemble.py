@@ -46,7 +46,7 @@ from math import comb, factorial
 
 from graphkp import series
 from graphkp.errors import check_limit
-from graphkp.series import DEFAULT_ORDER, TruncSeries, _fraction
+from graphkp.series import DEFAULT_ORDER, TruncSeries, _fraction, _from_parts, _parts
 
 # -- rescaling constants -------------------------------------------------------
 
@@ -92,7 +92,8 @@ def _constants(which: str, n_max: int) -> list[int]:
 
 def _piece(which: str, k: int, order: int) -> TruncSeries:
     check_limit("order", order, low=check_limit("order", k, low=1))
-    return TruncSeries._raw(order, "q", full_series(which, k).homogeneous_part(k)._terms)
+    pieces, den = _parts(full_series(which, k))
+    return _from_parts(order, "q", pieces[k], den)
 
 
 def ensemble_w(k: int, order: int = DEFAULT_ORDER) -> TruncSeries:
@@ -109,12 +110,12 @@ def full_series(which: str, order: int = DEFAULT_ORDER) -> TruncSeries:
     """All-graphs generating function through the truncation order: the
     exponential of the blocks i_n q_n / n!, each term q_lambda of weight k
     times 2 to the number of edges of K_k between its blocks."""
-    blocks = {(n,): Fraction(i, factorial(n))
+    blocks = {(n,): i * (factorial(order) // factorial(n))
               for n, i in enumerate(_constants(which, order), start=1)}
-    terms = series.exp(TruncSeries._raw(order, "q", blocks))._terms
-    return TruncSeries._raw(order, "q", {
-        mu: c * 2 ** (comb(sum(mu), 2) - sum(comb(part, 2) for part in mu))
-        for mu, c in terms.items()})
+    pieces, den = _parts(series.exp(_from_parts(order, "q", blocks, factorial(order))))
+    return _from_parts(order, "q", {
+        mu: c * 2 ** (comb(k, 2) - sum([comb(part, 2) for part in mu]))
+        for k, piece in enumerate(pieces) for mu, c in piece.items()}, den)
 
 
 def connected_series(which: str, order: int = DEFAULT_ORDER) -> TruncSeries:

@@ -49,19 +49,21 @@ from math import lcm
 
 from graphkp.errors import check_limit
 from graphkp.graphs import Graph, assemble_partitions, induced_forms, is_connected
-from graphkp.series import DEFAULT_ORDER, TruncSeries, _fraction
+from graphkp.series import DEFAULT_ORDER, TruncSeries, _fraction, _from_parts
 
 
 def _assemble(b, order: int) -> TruncSeries:
     """sum over set partitions of V of prod over blocks B of b[B] q_|B|, on
     the integers D b[B], D the lcm of the denominators: a key with k blocks
-    sums D^k times its coefficient.  Keys come sorted up; reversed, each is
-    the partition of its monomial."""
+    sums D^k times its coefficient, and is brought to D^|V| by D^(|V| - k).
+    Keys come sorted up; reversed, each is the partition of its monomial."""
     den = lcm(*[x.denominator for x in b])
     scaled = [x.numerator * (den // x.denominator) for x in b]
     sizes = [s.bit_count() for s in range(len(b))]
-    return TruncSeries._raw(order, "q", {key[::-1]: Fraction(val, den ** len(key))
-                                        for key, val in assemble_partitions(sizes, scaled).items()})
+    n = len(b).bit_length() - 1
+    return _from_parts(order, "q", {key[::-1]: val * den ** (n - len(key))
+                                    for key, val in assemble_partitions(sizes, scaled).items()},
+                       den ** n)
 
 
 def _b_chromatic(g: Graph) -> list[int]:

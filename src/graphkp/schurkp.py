@@ -23,8 +23,8 @@ chi^lambda_mu sums these signs times chi^(lambda - strip)_(mu minus mu_1).
 The characters are computed on demand and cached.  :func:`schur_expand` also
 caches one column [chi^lambda_mu for lambda |- |mu|] per mu; the columns at
 the mu where tau has a term, read row by row, give each c_lambda as one dot
-product with tau's coefficients of that weight, as integers over their common
-denominator.  Only those columns are computed, so a sparse series never
+product with tau's numerators of that weight, as integers over the series'
+one denominator.  Only those columns are computed, so a sparse series never
 pays for a whole character table.  One-part Schur functions
 (complete homogeneous symmetric functions) are the case chi = 1:
 s_n = sum_{mu |- n} p_mu / z_mu, with the weight of p_i taken to be i.
@@ -46,9 +46,9 @@ weight by exactly 4 and every term of kp2 by exactly 5, so the residual of
 an order-N series is reliable through weight N - 4 resp. N - 5; the
 returned residual carries that reduced order and never claims more.
 
-The residuals never differentiate the whole series.  On G = D F, D the lcm
-of F's denominators, :func:`graphkp.series._derivative_form` reads each
-coefficient of a derivative by one lookup,
+The residuals never differentiate the whole series.  On G = D F, F's stored
+numerators over its one denominator D, :func:`graphkp.series._derivative_form`
+reads each coefficient of a derivative by one lookup,
 
     [p_mu] d/dp_v1 ... d/dp_vk G = [p_mu p_v] G * prod_i (m_i + 1) ... (m_i + t_i),
 
@@ -68,7 +68,7 @@ from operator import mul
 
 from graphkp.errors import check_limit
 from graphkp.series import (DEFAULT_ORDER, Partition, TruncSeries, _derivative_form, _fraction,
-                            partitions_of)
+                            _from_parts, _parts, partitions_of)
 
 
 def _validate_partition(lam) -> Partition:
@@ -126,18 +126,21 @@ def _z(mu: Partition) -> int:
 
 def schur_combination(coeffs, order: int = DEFAULT_ORDER) -> TruncSeries:
     """sum c_lambda s_lambda from a coefficient map {lambda: c_lambda}, with
-    s_lambda = sum_mu chi^lambda_mu p_mu / z_mu."""
+    s_lambda = sum_mu chi^lambda_mu p_mu / z_mu, summed as integers over the
+    lcm of the c_lambda's denominators times order!, which every z_mu divides."""
     check_limit("order", order)
-    terms: dict[Partition, Fraction] = {}
+    terms = []
     for lam, c in coeffs.items():
         lam = _validate_partition(lam)
         check_limit("order", order, low=sum(lam))
-        c = _fraction(c)
+        terms.append((lam, _fraction(c)))
+    den = lcm(*[c.denominator for _, c in terms]) * factorial(order)
+    nums: dict[Partition, int] = {}
+    for lam, c in terms:
+        scaled = c.numerator * (den // c.denominator)
         for mu in partitions_of(sum(lam)):
-            chi = character(lam, mu)
-            if chi and c:
-                terms[mu] = terms.get(mu, 0) + c * Fraction(chi, _z(mu))
-    return TruncSeries._raw(order, "p", {mu: c for mu, c in terms.items() if c})
+            nums[mu] = nums.get(mu, 0) + scaled // _z(mu) * character(lam, mu)
+    return _from_parts(order, "p", nums, den)
 
 
 def schur_polynomial(lam, order: int = DEFAULT_ORDER) -> TruncSeries:
@@ -151,11 +154,11 @@ schur_jacobi_trudi = schur_polynomial
 
 def target_series(order: int = DEFAULT_ORDER) -> TruncSeries:
     """1 + sum_{n>=1} 2^(n(n-1)/2) s_n, truncated at the order, summed
-    directly as sum_n 2^(n(n-1)/2) sum_{mu |- n} p_mu / z_mu."""
-    check_limit("order", order)
-    return TruncSeries._raw(order, "p", {mu: Fraction(2 ** (n * (n - 1) // 2), _z(mu))
-                                         for n in range(order + 1)
-                                         for mu in partitions_of(n)})
+    directly as sum_n 2^(n(n-1)/2) sum_{mu |- n} p_mu / z_mu over order!,
+    which every z_mu divides."""
+    den = factorial(check_limit("order", order))
+    return _from_parts(order, "p", {mu: 2 ** (n * (n - 1) // 2) * (den // _z(mu))
+                                    for n in range(order + 1) for mu in partitions_of(n)}, den)
 
 
 @lru_cache(maxsize=None)
@@ -173,21 +176,16 @@ def schur_expand(tau: TruncSeries) -> dict[Partition, Fraction]:
     """
     if tau.var != "p":
         raise ValueError("Schur expansion expects a series in p-variables")
-    by_weight: list[dict[Partition, Fraction]] = [{} for _ in range(tau.order + 1)]
-    for mu, c in tau._terms.items():
-        by_weight[sum(mu)][mu] = c
+    pieces, den = _parts(tau)
     out: dict[Partition, Fraction] = {}
-    for w, coeffs in enumerate(by_weight):
-        if not coeffs:
+    for w, nums in enumerate(pieces):
+        if not nums:
             continue
-        # integer arithmetic over one common denominator per weight (the
-        # list, not a generator, keeps the tuple free lists flat; see above)
-        den = lcm(*[a.denominator for a in coeffs.values()])
-        nums = [a.numerator * (den // a.denominator) for a in coeffs.values()]
         # zip(*columns) gives each lambda's row of characters at tau's mu
-        rows = zip(*[_character_column(mu) for mu in coeffs])
+        # (the list, not a generator, keeps the tuple free lists flat; see above)
+        rows = zip(*[_character_column(mu) for mu in nums])
         for lam, row in zip(partitions_of(w), rows):
-            c = sum(map(mul, row, nums))
+            c = sum(map(mul, row, nums.values()))
             if c:
                 out[lam] = Fraction(c, den)
     return out

@@ -3,33 +3,35 @@
 Series live in Q[x_1, x_2, ...] where the variable x_i carries weight i; they
 are printed as ``q1, q2, ...`` or ``p1, p2, ...`` depending on the series'
 variable family.  A :class:`TruncSeries` keeps the terms of weighted degree at
-most ``order`` as a sparse map from partitions to ``fractions.Fraction``
-coefficients: a monomial is stored as its partition, each variable index
-repeated by its exponent, largest first (x_1^2 x_3 is (3, 1, 1), the
-constant is ()), so p_mu is keyed by mu itself and its weight is sum(mu).
-All arithmetic is exact: one rule, :func:`_fraction`, admits an ``int`` that
-is not a ``bool``, or a ``Fraction``, and every coefficient, scalar of ``+``,
-``-``, ``*`` or ``==``, factor and point passes through it, so a float, a
-numeric string, a ``Decimal`` or ``True`` raises TypeError.  The product, exp
-and log run on integers in the exponential grading of :func:`_graded`,
-weight w held as w! E^w times its part (E is 1 for the all-graphs
-series), where exp and log are binomial convolutions (Stanley, *EC2* 5.1).
-There and in the KP residuals, p_mu is keyed by the integer
-prod_j prime(mu_j), so a monomial product is one integer product.  Each
-result term becomes one Fraction.  :func:`substitute` (a p series) and
-:func:`evaluate` scale each term's numerator and denominator by the factor
-of each of its parts.
+most ``order`` in one integer store: the prime key prod_i prime(i)^e_i of
+each monomial x_1^e_1 x_2^e_2 ... (1 for the constant) mapped to a nonzero
+integer numerator, over one denominator D >= 1 with gcd(D, *numerators) = 1.
+So the store is canonical, ``==`` compares it plainly, and a monomial
+product is one integer product.  One cached table, :func:`_decoded`, reads
+each key's weight, partition (x_1^2 x_3 is (3, 1, 1), the constant ()) and
+monomial off its factors, :func:`_prime_keys` lists the keys by weight for
+the kernels, and other modules build and read series by partition through
+:func:`_from_parts` and :func:`_parts`.  All arithmetic is exact: one rule,
+:func:`_fraction`, admits an ``int`` that is not a ``bool``, or a
+``Fraction``, and every coefficient, scalar of ``+``, ``-``, ``*`` or ``==``
+and factor passes through it, so a float, a numeric string, a ``Decimal`` or
+``True`` raises TypeError.  The product, exp and log run on the numerators in
+the exponential grading of :func:`_graded`, weight w held as w! E^w times its
+part (E is 1 for the all-graphs series), where exp and log are binomial
+convolutions (Stanley, *EC2* 5.1), and end with one lcm over the weights'
+scales and one gcd.  A ``Fraction`` per term is built only at the public
+edge: ``terms``, ``coefficient``, ``constant_term``, ``text`` and
+``to_json_obj``.
 
 The public API speaks monomials: tuples of ``(variable index, exponent)``
 pairs sorted by index, zero exponents omitted, () the constant.  The
 constructor and :meth:`TruncSeries.coefficient` accept the pairs in any
 order, or a {variable index: exponent} map of ints; one heavier than the
 order is dropped by the constructor and refused by ``coefficient`` before
-it is expanded.  :attr:`TruncSeries.terms` is a fresh dict keyed that way
-on every access.  Rendering sorts the stored partitions mu by weight
-sum(mu), then lexicographically on mu read from its smallest part, which
-puts higher powers of x_1 first, then of x_2, and so on; each term's
-exponents are the run lengths of its equal parts.
+its key is built.  :attr:`TruncSeries.terms` is a fresh dict keyed that way
+on every access.  Rendering goes by weight, then lexicographically on the
+partition read from its smallest part, which puts higher powers of x_1
+first, then of x_2, and so on.
 
 Series are never mutated after construction; every operation returns a fresh
 value, so results can be shared freely across threads and summed in any
@@ -49,9 +51,6 @@ MAX_ORDER = LIMITS["order"].cap
 
 Monomial = tuple[tuple[int, int], ...]
 Partition = tuple[int, ...]
-
-#: The constant monomial, and the empty partition that stores it.
-UNIT: Monomial = ()
 
 
 @lru_cache(maxsize=None)
@@ -83,52 +82,69 @@ def _json_int(value, what: str) -> int:
     return value
 
 
-def _partition(m, order: int) -> Partition | None:
-    """The stored key of a monomial given as (variable index, exponent) pairs
-    in any order or as a {variable index: exponent} map: each index repeated
-    by its exponent, largest first, or None if its weight exceeds ``order``
-    (parts are built only while the weight fits).  A non-int, an index below
-    1 or a negative exponent raises ValueError."""
+def _first_primes(n: int) -> tuple[int, ...]:
+    primes, p = [], 1
+    while len(primes) < n:
+        p += 1
+        if all(map(p.__mod__, primes)):
+            primes.append(p)
+    return tuple(primes)
+
+
+#: prime(i) at index i - 1: x_i^e contributes prime(i)^e to a prime key.
+_PRIMES = _first_primes(MAX_ORDER)
+
+
+@lru_cache(maxsize=None)
+def _prime_keys(order: int) -> tuple[tuple[tuple[Partition, int], ...], ...]:
+    """Per weight w <= order, each partition mu of w paired with its prime
+    key prod_j prime(mu_j), in the order of :func:`partitions_of`."""
+    keys = {(): 1}
+    table = [(((), 1),)]
+    for w in range(1, order + 1):
+        pairs = []
+        for mu in partitions_of(w):
+            keys[mu] = k = _PRIMES[mu[0] - 1] * keys[mu[1:]]
+            pairs.append((mu, k))
+        table.append(tuple(pairs))
+    return tuple(table)
+
+
+@lru_cache(maxsize=None)
+def _decoded(key: int) -> tuple[int, Partition, Monomial]:
+    """The weight, the partition and the monomial of a prime key, read off
+    its prime factors: the one table that decodes keys."""
+    up: list[int] = []
+    for i, p in enumerate(_PRIMES, start=1):
+        while not key % p:
+            key //= p
+            up.append(i)
+    return sum(up), tuple(up[::-1]), tuple([(i, up.count(i)) for i in sorted(set(up))])
+
+
+def _key(m, order: int) -> int | None:
+    """The prime key of a monomial given as (variable index, exponent) pairs
+    in any order or as a {variable index: exponent} map, or None if it is
+    heavier than ``order`` (primes go in only while the weight fits).  A
+    non-int, an index below 1 or a negative exponent raises ValueError."""
     if not isinstance(m, tuple) and isinstance(m, Mapping):
         m = m.items()
-    weight = 0
-    parts: list[int] = []
+    weight, key = 0, 1
     for var, exp in m:
         if type(var) is not int or type(exp) is not int or var < 1 or exp < 0:
             raise ValueError(f"bad monomial x{var!r}^{exp!r}: needs int index >= 1, exponent >= 0")
         weight += var * exp
-        if weight <= order:
-            parts += [var] * exp
-    if weight > order:
-        return None
-    parts.sort(reverse=True)
-    return tuple(parts)
-
-
-def _monomial(mu: Partition) -> Monomial:
-    """Inverse of :func:`_partition`: (part, multiplicity) pairs by increasing
-    part, read off the runs of equal parts from the end of ``mu``."""
-    pairs = []
-    end = len(mu)
-    while end:
-        start = mu.index(mu[end - 1])
-        pairs.append((mu[end - 1], end - start))
-        end = start
-    return tuple(pairs)
+        if exp and weight <= order:
+            key *= _PRIMES[var - 1] ** exp
+    return key if weight <= order else None
 
 
 def mono(exponents: Mapping[int, int] | Iterable[tuple[int, int]]) -> Monomial:
     """Build a canonical monomial from {variable index: exponent} pairs."""
-    mu = _partition(exponents, MAX_ORDER)
-    if mu is None:
+    key = _key(exponents, MAX_ORDER)
+    if key is None:
         raise ValueError(f"monomial weight exceeds the largest order {MAX_ORDER}")
-    return _monomial(mu)
-
-
-def _print_order(mu: Partition):
-    """Rendering sort key: by weight, then lex on the parts from the smallest,
-    which puts higher powers of x_1 first, then of x_2, and so on."""
-    return sum(mu), mu[::-1]
+    return _decoded(key)[2]
 
 
 def _mono_text(m: Monomial, var: str) -> str:
@@ -138,7 +154,7 @@ def _mono_text(m: Monomial, var: str) -> str:
 class TruncSeries:
     """Sparse exact multivariate series truncated at a weighted degree."""
 
-    __slots__ = ("order", "var", "_terms")
+    __slots__ = ("order", "var", "_nums", "_den")
 
     def __init__(self, order: int = DEFAULT_ORDER, var: str = "q", terms=None):
         if type(order) is int and order < 0:  # the gate refuses other types
@@ -146,29 +162,30 @@ class TruncSeries:
         check_limit("order", order)
         if var not in ("q", "p"):
             raise ValueError(f"variable family must be 'q' or 'p', got {var!r}")
-        clean: dict[Partition, Fraction] = {}
-        if terms:
-            for m, c in terms.items():
-                mu = _partition(m, order)
-                c = _fraction(c)
-                if c and mu is not None:
-                    if mu in clean:  # two spellings of one monomial
-                        c += clean.pop(mu)
-                    if c:
-                        clean[mu] = c
-        self.order = order
-        self.var = var
-        self._terms = clean
+        ratios = []
+        for m, c in (terms or {}).items():
+            k = _key(m, order)
+            n, d = _fraction(c).as_integer_ratio()
+            if k is not None:  # zeros go with the reduction
+                ratios.append((k, n, d))
+        den = lcm(*[d for _, _, d in ratios])
+        nums: dict[int, int] = {}
+        for k, n, d in ratios:  # two spellings of one monomial share a key
+            nums[k] = nums.get(k, 0) + n * (den // d)
+        self._store(order, var, nums, den)
+
+    def _store(self, order: int, var: str, nums: dict, den: int) -> "TruncSeries":
+        # nums maps prime keys of weight <= order to integers over den >= 1;
+        # zeros are dropped and the fraction is reduced
+        nums = {k: n for k, n in nums.items() if n}
+        g = gcd(den, *nums.values())
+        self.order, self.var, self._den = order, var, den // g
+        self._nums = {k: n // g for k, n in nums.items()} if g > 1 else nums
+        return self
 
     @classmethod
-    def _raw(cls, order: int, var: str, terms: dict) -> "TruncSeries":
-        # internal fast path: terms must already be clean (keyed by partitions,
-        # no zeros, weights <= order)
-        s = object.__new__(cls)
-        s.order = order
-        s.var = var
-        s._terms = terms
-        return s
+    def _reduced(cls, order: int, var: str, nums: dict, den: int) -> "TruncSeries":
+        return object.__new__(cls)._store(order, var, nums, den)  # a fast path past validation
 
     @classmethod
     def zero(cls, order: int = DEFAULT_ORDER, var: str = "q") -> "TruncSeries":
@@ -176,7 +193,7 @@ class TruncSeries:
 
     @classmethod
     def constant(cls, value, order: int = DEFAULT_ORDER, var: str = "q") -> "TruncSeries":
-        return cls(order, var, {UNIT: value})
+        return cls(order, var, {(): value})
 
     @classmethod
     def one(cls, order: int = DEFAULT_ORDER, var: str = "q") -> "TruncSeries":
@@ -184,39 +201,38 @@ class TruncSeries:
 
     @classmethod
     def variable(cls, index: int, order: int = DEFAULT_ORDER, var: str = "q") -> "TruncSeries":
-        return cls(order, var, {((index, 1),): Fraction(1)})
+        return cls(order, var, {((index, 1),): 1})
 
     # -- structure ---------------------------------------------------------
 
     @property
     def terms(self) -> dict[Monomial, Fraction]:
         """The terms as a fresh {(variable, exponent) monomial: coefficient} dict."""
-        return {_monomial(mu): c for mu, c in self._terms.items()}
+        return {_decoded(k)[2]: Fraction(n, self._den) for k, n in self._nums.items()}
 
     @property
     def constant_term(self) -> Fraction:
-        return self._terms.get(UNIT, Fraction(0))
+        return Fraction(self._nums.get(1, 0), self._den)
 
     def coefficient(self, m) -> Fraction:
         """Coefficient of a monomial; querying beyond the order is an error."""
-        mu = _partition(m, self.order)
-        if mu is None:
+        k = _key(m, self.order)
+        if k is None:
             raise ValueError(f"monomial weight exceeds truncation order {self.order}")
-        return self._terms.get(mu, Fraction(0))
+        return Fraction(self._nums.get(k, 0), self._den)
 
     def homogeneous_part(self, weight: int) -> "TruncSeries":
         """The terms of one weight; a weight above the order is an error."""
         check_limit("order", self.order, low=check_limit("order", weight))
-        return TruncSeries._raw(
-            self.order, self.var,
-            {mu: c for mu, c in self._terms.items() if sum(mu) == weight})
+        get = self._nums.get
+        return TruncSeries._reduced(self.order, self.var, {
+            k: n for _, k in _prime_keys(self.order)[weight] if (n := get(k))}, self._den)
 
     # -- ring operations ---------------------------------------------------
 
     def _check_compatible(self, other: "TruncSeries") -> None:
         if self.order != other.order:
-            raise ValueError(
-                f"truncation order mismatch: {self.order} vs {other.order}")
+            raise ValueError(f"truncation order mismatch: {self.order} vs {other.order}")
         if self.var != other.var:
             raise ValueError(f"variable family mismatch: {self.var} vs {other.var}")
 
@@ -224,20 +240,19 @@ class TruncSeries:
         if not isinstance(other, TruncSeries):
             other = TruncSeries.constant(other, self.order, self.var)
         self._check_compatible(other)
-        out = dict(self._terms)
-        for mu, c in other._terms.items():
-            s = out.get(mu, 0) + c
-            if s:
-                out[mu] = s
-            elif mu in out:
-                del out[mu]
-        return TruncSeries._raw(self.order, self.var, out)
+        den = lcm(self._den, other._den)
+        f = den // self._den
+        out = {k: n * f for k, n in self._nums.items()}
+        f = den // other._den
+        for k, n in other._nums.items():
+            out[k] = out.get(k, 0) + n * f
+        return TruncSeries._reduced(self.order, self.var, out, den)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return TruncSeries._raw(self.order, self.var,
-                                {mu: -c for mu, c in self._terms.items()})
+        return TruncSeries._reduced(self.order, self.var,
+                                    {k: -n for k, n in self._nums.items()}, self._den)
 
     def __sub__(self, other):
         return -(-self + other)  # -other would turn True into the int -1
@@ -248,8 +263,9 @@ class TruncSeries:
     def __mul__(self, other):
         if not isinstance(other, TruncSeries):
             other = _fraction(other)
-            return TruncSeries._raw(self.order, self.var,
-                                    {mu: other * v for mu, v in self._terms.items() if other})
+            return TruncSeries._reduced(self.order, self.var, {
+                k: n * other.numerator for k, n in self._nums.items()},
+                self._den * other.denominator)
         self._check_compatible(other)
         # shift 1 scales a fractional constant term to an integer, so the
         # weight-n part of the product is held as n! E^(n + 2), E = scales[0]
@@ -266,22 +282,28 @@ class TruncSeries:
         if not isinstance(other, TruncSeries):
             other = TruncSeries.constant(other, self.order, self.var)
         return (self.order == other.order and self.var == other.var
-                and self._terms == other._terms)
+                and self._den == other._den and self._nums == other._nums)
 
     def __bool__(self):
-        return bool(self._terms)
+        return bool(self._nums)
 
     # -- rendering ---------------------------------------------------------
 
+    def _printed(self):
+        """(monomial, coefficient) per term in rendering order (see the module doc)."""
+        for _, _, m, n in sorted([(w, mu[::-1], m, n) for k, n in self._nums.items()
+                                  for w, mu, m in [_decoded(k)]]):
+            yield m, Fraction(n, self._den)
+
     def text(self) -> str:
         """Canonical plain-text rendering, e.g. ``q1^3 + 3 q1 q2 + 2 q3``."""
-        if not self._terms:
+        if not self._nums:
             return "0"
         out = []
-        for mu in sorted(self._terms, key=_print_order):
-            coeff = str(self._terms[mu])
+        for m, c in self._printed():
+            coeff = str(c)
             mag = coeff.lstrip("-")
-            body = _mono_text(_monomial(mu), self.var)
+            body = _mono_text(m, self.var)
             term = f"{mag} {body}" if body and mag != "1" else body or mag
             out.append((" - " if coeff[0] == "-" else " + ") + term)
         # every term carries its sign as " + " or " - "; the first keeps only "-"
@@ -290,9 +312,9 @@ class TruncSeries:
 
     def to_json_obj(self) -> dict:
         return {"var": self.var, "order": self.order, "terms": [
-            {"exponents": {str(var): exp for var, exp in _monomial(mu)},
-             "numerator": self._terms[mu].numerator, "denominator": self._terms[mu].denominator}
-            for mu in sorted(self._terms, key=_print_order)]}
+            {"exponents": {str(var): exp for var, exp in m},
+             "numerator": c.numerator, "denominator": c.denominator}
+            for m, c in self._printed()]}
 
     @classmethod
     def from_json_obj(cls, obj: Mapping) -> "TruncSeries":
@@ -337,61 +359,49 @@ class TruncSeries:
 # -- calculus ---------------------------------------------------------------
 
 
-@lru_cache(maxsize=None)
-def _prime_keys(order: int) -> tuple[tuple[tuple[Partition, int], ...], ...]:
-    """Per weight w <= order, each partition mu of w paired with its prime
-    key prod_j prime(mu_j), in the order of :func:`partitions_of`."""
-    primes: list[int] = []
-    p = 1
-    while len(primes) < order:
-        p += 1
-        if all(map(p.__mod__, primes)):
-            primes.append(p)
-    keys = {(): 1}
-    table = [(((), 1),)]
-    for w in range(1, order + 1):
-        pairs = []
-        for mu in partitions_of(w):
-            keys[mu] = k = primes[mu[0] - 1] * keys[mu[1:]]
-            pairs.append((mu, k))
-        table.append(tuple(pairs))
-    return tuple(table)
+def _parts(s: TruncSeries) -> tuple[list[dict[Partition, int]], int]:
+    """The partition-keyed reader: the numerators of ``s`` as one
+    {partition: numerator} dict per weight 0..order, and their one denominator."""
+    pieces: list[dict[Partition, int]] = [{} for _ in range(s.order + 1)]
+    for k, n in s._nums.items():
+        w, mu, _ = _decoded(k)
+        pieces[w][mu] = n
+    return pieces, s._den
+
+
+def _from_parts(order: int, var: str, parts: Mapping[Partition, int], den: int) -> TruncSeries:
+    """The partition-keyed entry point: sum_mu parts[mu] x_mu / den, den >= 1;
+    a zero, or a partition heavier than the order, is dropped."""
+    get = parts.get
+    return TruncSeries._reduced(order, var, {
+        k: n for pairs in _prime_keys(order) for mu, k in pairs if (n := get(mu))}, den)
 
 
 def _graded(shift: int, *series: TruncSeries) -> tuple[list, list]:
-    """scales[w] = w! E^(w + shift) for w <= order, E the lcm of the
-    denominators of w! c over the terms c of weight w, and each series'
-    pieces by weight, piece w the integers scales[w] A_w by prime key."""
-    E = 1
+    """scales[w] = w! E^(w + shift) for w <= order, E the least integer
+    making every w! E A_w integral, and each series' pieces by weight, piece
+    w the integers scales[w] A_w by prime key."""
+    table = _prime_keys(series[0].order)
+    E, read = 1, []
     for a in series:
-        for mu, c in a._terms.items():
-            E = lcm(E, c.denominator // gcd(c.denominator, factorial(sum(mu))))
-    scales = [factorial(w) * E ** (w + shift) for w in range(series[0].order + 1)]
-    graded = []
-    for a in series:
-        pieces = []
-        for scale, pairs in zip(scales, _prime_keys(a.order)):
-            piece = {}
-            for mu, k in pairs:
-                c = a._terms.get(mu)
-                if c:
-                    piece[k] = c.numerator * (scale // c.denominator)
-            pieces.append(piece)
-        graded.append(pieces)
-    return scales, graded
+        get = a._nums.get
+        read.append(pieces := [{k: n for _, k in pairs if (n := get(k))} for pairs in table])
+        E = lcm(E, *[a._den // gcd(a._den, factorial(w) * gcd(*piece.values()))
+                     for w, piece in enumerate(pieces) if piece])
+    scales = [factorial(w) * E ** (w + shift) for w in range(len(table))]
+    return scales, [[{k: n * scale // a._den for k, n in piece.items()}
+                     for scale, piece in zip(scales, pieces)] for a, pieces in zip(series, read)]
 
 
 def _ungraded(order: int, var: str, pieces: list[dict], dens: list[int]) -> TruncSeries:
-    """The series whose weight-w part is pieces[w] / dens[w], its keys
-    decoded from prime keys to partitions."""
-    terms = {}
-    for piece, den, pairs in zip(pieces, dens, _prime_keys(order)):
-        if piece:
-            for mu, k in pairs:
-                c = piece.get(k)
-                if c:
-                    terms[mu] = Fraction(c, den)
-    return TruncSeries._raw(order, var, terms)
+    """The series whose weight-w part is pieces[w] / dens[w] (zeros may be
+    left in the pieces), over the lcm of those dens, reduced once."""
+    den = lcm(*[d for piece, d in zip(pieces, dens) if piece])
+    nums = {}
+    for piece, d in zip(pieces, dens):
+        f = den // d
+        nums.update({k: c * f for k, c in piece.items()} if f > 1 else piece)
+    return TruncSeries._reduced(order, var, nums, den)
 
 
 def _add_product(acc: dict, x: dict, y: dict, f: int = 1) -> None:
@@ -463,16 +473,11 @@ def _derivative(G: dict, table: tuple, v: Partition, order: int) -> list[dict]:
 def _derivative_form(F: TruncSeries, order: int, scale: int, linear: dict,
                      bilinear: dict) -> TruncSeries:
     """(sum_v a_v D G_v + sum_(u, v) b_uv G_u G_v) / (scale D^2) through
-    weight ``order``, for G = D F, D the lcm of F's denominators, G_v the
-    derivative of G by p_v1 ... p_vk, and rows v -> a_v, (u, v) -> b_uv."""
+    weight ``order``, for G = D F the stored numerators of F over its one
+    denominator D, G_v the derivative of G by p_v1 ... p_vk, and rows
+    v -> a_v, (u, v) -> b_uv."""
     table = _prime_keys(F.order)
-    den = lcm(*[c.denominator for c in F._terms.values()])
-    G = {}
-    for pairs in table:
-        for mu, k in pairs:
-            c = F._terms.get(mu)
-            if c:
-                G[k] = c.numerator * (den // c.denominator)
+    G, den = F._nums, F._den
     out = [{} for _ in range(order + 1)]
     for v, a in linear.items():
         for acc, piece in zip(out, _derivative(G, table, v, order)):
@@ -486,31 +491,25 @@ def _derivative_form(F: TruncSeries, order: int, scale: int, linear: dict,
     return _ungraded(order, "p", out, [scale * den * den] * (order + 1))
 
 
-def _rescaled(a: TruncSeries, values: Mapping, missing: str):
-    """Each term of ``a`` as (partition, coefficient times values[i] for every
-    part i), on integers; ``missing`` describes a part without a value."""
-    ratios = {i: _fraction(v).as_integer_ratio() for i, v in values.items()}
-    for mu, c in a._terms.items():
-        num, den = c.numerator, c.denominator
-        for i in mu:
-            if i not in ratios:
-                raise ValueError(f"{missing} for variable {i}")
-            n, d = ratios[i]
-            num *= n
-            den *= d
-        yield mu, Fraction(num, den)
-
-
 def substitute(a: TruncSeries, factors) -> TruncSeries:
     """Rescale variables, x_i -> factor_i * p_i, keeping weights unchanged.
 
     ``factors`` maps variable indices to nonzero rationals, as a rescaling
-    plan does.  Every variable appearing in ``a`` must have a factor.
+    plan does.  Every variable appearing in ``a`` must have a factor.  Each
+    term's numerator and denominator are scaled by the factor of each of its
+    parts and reduced, on integers.
     """
-    nonzero = {i: f for i, f in factors.items() if _fraction(f)}
-    return TruncSeries._raw(a.order, "p", dict(_rescaled(a, nonzero, "no nonzero rescale factor")))
-
-
-def evaluate(a: TruncSeries, values: Mapping[int, Fraction]) -> Fraction:
-    """Evaluate at a rational point; every variable present needs a value."""
-    return sum([c for _, c in _rescaled(a, values, "no value supplied")], Fraction(0))
+    ratios = {i: _fraction(f).as_integer_ratio() for i, f in factors.items()}
+    terms = {}
+    for mu, k in [pair for pairs in _prime_keys(a.order) for pair in pairs if pair[1] in a._nums]:
+        num, den = a._nums[k], a._den
+        for i in mu:
+            n, d = ratios.get(i, (0, 1))
+            if not n:
+                raise ValueError(f"no nonzero rescale factor for variable {i}")
+            num, den = num * n, den * d
+        g = gcd(num, den)
+        terms[k] = num // g, den // g
+    den = lcm(*[d for _, d in terms.values()])
+    return TruncSeries._reduced(a.order, "p", {k: n * (den // d) for k, (n, d) in terms.items()},
+                                den)

@@ -63,7 +63,7 @@ from graphkp.graphs import (MAX_VERTICES, SLOT_ENDPOINTS, Graph, _bit_indices,
 from graphkp.hopf import UNIT_GRAPH, coproduct, primitive_projection
 from graphkp.invariants import INVARIANTS
 from graphkp.schurkp import _KP1, _KP2, _z, character, partitions_of
-from graphkp.series import (DEFAULT_ORDER, Monomial, Partition, TruncSeries, _partition, exp,
+from graphkp.series import (DEFAULT_ORDER, Monomial, Partition, TruncSeries, _fraction, exp,
                             mono)
 
 
@@ -190,9 +190,9 @@ def _mono_text(m: Monomial, var: str) -> str:
 
 def mono_key_text(self: TruncSeries) -> str:
     """``TruncSeries.text`` from the ``.terms`` monomial view sorted by ``mono_key``."""
-    if not self._terms:
-        return "0"
     terms = self.terms
+    if not terms:
+        return "0"
     pieces = []
     for m in sorted(terms, key=mono_key):
         c = terms[m]
@@ -297,6 +297,21 @@ def fraction_substitute(a: TruncSeries, factors) -> TruncSeries:
     return TruncSeries(a.order, "p", out)
 
 
+def evaluate(a: TruncSeries, values) -> Fraction:
+    """Evaluate at a rational point; every variable present needs a value.
+    Every value passes the package's exactness rule, used or not."""
+    point = {i: _fraction(v).as_integer_ratio() for i, v in values.items()}
+    total = Fraction(0)
+    for m, c in a.terms.items():
+        num, den = c.as_integer_ratio()
+        for i, e in m:
+            if i not in point:
+                raise ValueError(f"no value supplied for variable {i}")
+            num, den = num * point[i][0] ** e, den * point[i][1] ** e
+        total += Fraction(num, den)
+    return total
+
+
 def fraction_partial(a: TruncSeries, var_index: int, times: int = 1) -> TruncSeries:
     """d^times/d(x_var_index)^times, one falling-factorial step at a time."""
     out = {}
@@ -318,13 +333,26 @@ def fraction_partial(a: TruncSeries, var_index: int, times: int = 1) -> TruncSer
 # -- tuple-merge kernel oracles --------------------------------------------------
 
 
+def _part(m: Monomial) -> Partition:
+    """The partition of a monomial: each index repeated by its exponent, largest first."""
+    return tuple(sorted([i for i, e in m for _ in range(e)], reverse=True))
+
+
+def from_partitions(order: int, var: str, terms: dict) -> TruncSeries:
+    """The series with coefficient terms[mu] at each partition mu, built
+    through the public constructor from (index, multiplicity) monomials."""
+    return TruncSeries(order, var, {tuple(sorted(Counter(mu).items())): c
+                                    for mu, c in terms.items()})
+
+
 def _graded(shift: int, *series: TruncSeries) -> tuple[int, list]:
     """D, the lcm of every denominator, and each series' pieces by weight
     0..order, piece w as the integers D^(w + shift) A_w keyed by partitions."""
-    den = lcm(*[c.denominator for a in series for c in a._terms.values()])
+    den = lcm(*[c.denominator for a in series for c in a.terms.values()])
     graded = [[{} for _ in range(a.order + 1)] for a in series]
     for a, pieces in zip(series, graded):
-        for mu, c in a._terms.items():
+        for m, c in a.terms.items():
+            mu = _part(m)
             w = sum(mu)
             pieces[w][mu] = c.numerator * den ** (w + shift) // c.denominator
     return den, graded
@@ -368,9 +396,9 @@ def tuple_exp(a: TruncSeries) -> TruncSeries:
             f = k * perm(n - 1, k - 1)
             _add_product(acc, {m: f * c for m, c in pieces[k].items()}, out[n - k])
         out.append({m: c for m, c in acc.items() if c})
-    return TruncSeries._raw(a.order, a.var, {mu: Fraction(c, factorial(n) * den ** n)
-                                             for n, piece in enumerate(out)
-                                             for mu, c in piece.items()})
+    return from_partitions(a.order, a.var, {mu: Fraction(c, factorial(n) * den ** n)
+                                            for n, piece in enumerate(out)
+                                            for mu, c in piece.items()})
 
 
 def tuple_log(a: TruncSeries) -> TruncSeries:
@@ -391,9 +419,9 @@ def tuple_log(a: TruncSeries) -> TruncSeries:
         for k in range(1, n):
             _add_product(acc, out[k], pieces[n - k])
         out.append({m: -c for m, c in acc.items() if c})
-    return TruncSeries._raw(a.order, a.var, {mu: Fraction(c, n * den ** n)
-                                             for n, piece in enumerate(out)
-                                             for mu, c in piece.items()})
+    return from_partitions(a.order, a.var, {mu: Fraction(c, n * den ** n)
+                                            for n, piece in enumerate(out)
+                                            for mu, c in piece.items()})
 
 
 def tuple_mul(a: TruncSeries, b: TruncSeries) -> TruncSeries:
@@ -402,7 +430,7 @@ def tuple_mul(a: TruncSeries, b: TruncSeries) -> TruncSeries:
     assert (a.order, a.var) == (b.order, b.var)
     den, (left, right) = _graded(1, a, b)
     out = _graded_product(left, right, a.order)
-    return TruncSeries._raw(a.order, a.var, {
+    return from_partitions(a.order, a.var, {
         mu: Fraction(c, den ** (sum(mu) + 2)) for mu, c in out.items() if c})
 
 
@@ -430,8 +458,9 @@ def _residual(F: TruncSeries, name: str, drop: int, scale: int, linear: dict,
     if F.order < drop:
         raise ValueError(f"{name} KP equation needs order >= {drop}, got {F.order}")
     order = F.order - drop
-    den = lcm(*[c.denominator for c in F._terms.values()])
-    G = {mu: c.numerator * (den // c.denominator) for mu, c in F._terms.items()}
+    terms = F.terms
+    den = lcm(*[c.denominator for c in terms.values()])
+    G = {_part(m): c.numerator * (den // c.denominator) for m, c in terms.items()}
     acc: dict[Partition, int] = {}
     for v, a in linear.items():
         a *= den
@@ -444,7 +473,7 @@ def _residual(F: TruncSeries, name: str, drop: int, scale: int, linear: dict,
         for mu, x in _graded_product(left, right, order).items():
             acc[mu] = acc.get(mu, 0) + b * x
     den = scale * den * den
-    return TruncSeries._raw(order, "p", {mu: Fraction(c, den) for mu, c in acc.items() if c})
+    return from_partitions(order, "p", {mu: Fraction(c, den) for mu, c in acc.items() if c})
 
 
 def tuple_kp1_residual(F: TruncSeries) -> TruncSeries:
@@ -964,7 +993,7 @@ def counter_piece(which: str, k: int, order: int) -> TruncSeries:
         for count in mult.values():
             den *= factorial(count)
         terms[lam] = Fraction(num, den)
-    return TruncSeries._raw(order, "q", terms)
+    return from_partitions(order, "q", terms)
 
 
 def summed_full_series(which: str, order: int = DEFAULT_ORDER) -> TruncSeries:
@@ -1115,7 +1144,7 @@ def pairwise_schur_expand(tau: TruncSeries) -> dict:
         raise ValueError("Schur expansion expects a series in p-variables")
     by_weight: list[dict] = [{} for _ in range(tau.order + 1)]
     for m, c in tau.terms.items():
-        mu = _partition(m, tau.order)
+        mu = _part(m)
         by_weight[sum(mu)][mu] = c
     out: dict = {}
     for w, coeffs in enumerate(by_weight):

@@ -20,9 +20,9 @@ from graphkp.invariants import (INVARIANTS, abel, extract_b, umbral_from_b,
                                 weighted_chromatic)
 from graphkp.schurkp import (kp1_residual, kp2_residual, schur_combination,
                              target_series)
-from graphkp.series import TruncSeries, evaluate
+from graphkp.series import TruncSeries
 from helpers import (add_sums, chromatic_oracle, complete_graph, coproduct_sum, cycle_graph,
-                     flatten_expansion, forest_a, fraction_partial, isoclass_series,
+                     evaluate, flatten_expansion, forest_a, fraction_partial, isoclass_series,
                      parse_poly, path_graph, random_rational, star_graph, subset_w,
                      swept_constants, swept_piece, tensor, weighted_chromatic_dc)
 

@@ -181,6 +181,7 @@ CACHED = {
     "all_graphs": lambda: graphs.all_graphs(3),
     "partitions_of": lambda: schurkp.partitions_of(4),
     "_prime_keys": lambda: series._prime_keys(4),
+    "_decoded": lambda: series._decoded(2 * 2 * 5),
     "character": lambda: schurkp.character((2, 1), (1, 1, 1)),
     "_character_column": lambda: schurkp._character_column((2, 1)),
 }

@@ -14,9 +14,9 @@ from graphkp.graphs import (MAX_VERTICES, Graph, all_graphs, canonical_form,
                             connected_graphs, disjoint_union, induced_forms, is_connected)
 from graphkp.invariants import (INVARIANTS, _b_abel, abel, extract_b, umbral_from_b,
                                 weighted_chromatic)
-from graphkp.series import evaluate, mono
+from graphkp.series import mono
 from helpers import (NOT_EXACT, WeightedGraph, chromatic_oracle, complete_graph, cycle_graph,
-                     forest_a, matrix_tree_b, parse_poly, partition_umbral, path_graph,
+                     evaluate, forest_a, matrix_tree_b, parse_poly, partition_umbral, path_graph,
                      random_graph, random_rational, star_graph, subset_w, weighted_chromatic_dc)
 
 EDGE = Graph.from_edges(2, [(0, 1)])

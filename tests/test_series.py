@@ -7,7 +7,7 @@ import random
 import sys
 from collections import Counter
 from fractions import Fraction
-from math import prod
+from math import gcd, prod
 from pathlib import Path
 
 import pytest
@@ -16,12 +16,13 @@ from hypothesis import strategies as st
 
 import graphkp
 from graphkp.ensemble import full_series, make_plan, rescale_constants
-from graphkp.schurkp import partitions_of, schur_combination, target_series
-from graphkp.series import (MAX_ORDER, TruncSeries, _prime_keys, _ungraded, evaluate, exp, log,
-                            mono, substitute)
-from helpers import (NOT_EXACT, fraction_exp, fraction_log, fraction_mul, fraction_partial,
-                     fraction_substitute, mono_key_json_obj, mono_key_text, parse_poly,
-                     random_rational, random_series, tuple_exp, tuple_log, tuple_mul)
+from graphkp.schurkp import (kp1_residual, kp2_residual, partitions_of, schur_combination,
+                             target_series)
+from graphkp.series import (MAX_ORDER, TruncSeries, _decoded, _from_parts, _parts, _prime_keys,
+                            exp, log, mono, substitute)
+from helpers import (NOT_EXACT, evaluate, fraction_exp, fraction_log, fraction_mul,
+                     fraction_partial, fraction_substitute, mono_key_json_obj, mono_key_text,
+                     parse_poly, random_rational, random_series, tuple_exp, tuple_log, tuple_mul)
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "perfbench"))
 import gen  # noqa: E402  (the benchmark's seeded tau-function candidates)
@@ -126,10 +127,13 @@ def test_key_format_stays_in_series():
     # the (variable, exponent) monomial is series' boundary format; every
     # other module reads and builds partition keys.  The package __init__
     # re-exports the public mono.
-    # The kernels' prime keys stay inside series.py too: _prime_keys builds
-    # them, _graded encodes, _ungraded decodes and _add_product multiplies.
-    hidden = {"_partition", "_monomial", "mono", "Monomial", "_add_product", "_prime_keys",
-              "_graded", "_ungraded"}
+    # The store's prime keys stay inside series.py too: _PRIMES holds the
+    # primes, _key encodes a monomial, _decoded decodes a key, _prime_keys
+    # lists the keys by weight, _graded and _ungraded grade a store and
+    # _add_product multiplies; other modules go through the partition-keyed
+    # _from_parts and _parts.
+    hidden = {"_key", "_decoded", "_PRIMES", "_first_primes", "mono", "Monomial",
+              "_add_product", "_prime_keys", "_graded", "_ungraded"}
     leaks = []
     for path in sorted(Path(graphkp.__file__).parent.glob("*.py")):
         if path.name in ("series.py", "__init__.py"):
@@ -296,6 +300,68 @@ def test_rescaling_matches_fraction_oracle(a, values, zeros):
     assert evaluate(a, point) == sum(fraction_substitute(live, factors).terms.values())
 
 
+@st.composite
+def spelled_series(draw, order: int, var: str):
+    """A series of up to eight terms, each monomial spelled as its pairs in
+    a drawn order, with an index split over two pairs, or with a zero
+    exponent; so two terms may spell one monomial."""
+    terms = {}
+    for _ in range(draw(st.integers(0, 8))):
+        pairs = list(Counter(draw(st.sampled_from(
+            partitions_of(draw(st.integers(0, order)))))).items())
+        pairs = draw(st.permutations(pairs)) if pairs else pairs
+        if pairs and pairs[0][1] > 1 and draw(st.booleans()):
+            (i, e), *rest = pairs
+            pairs = [(i, 1), *rest, (i, e - 1)]
+        if draw(st.booleans()):
+            pairs.append((draw(st.integers(1, order + 3)), 0))
+        terms[tuple(pairs)] = draw(_NONZERO)
+    return TruncSeries(order, var, terms)
+
+
+def _canonical(s: TruncSeries) -> TruncSeries:
+    """The store invariant: one denominator D >= 1 in lowest terms with the
+    numerators, no zero numerator, and no key of a weight above the order."""
+    keys = {k for pairs in _prime_keys(s.order) for _, k in pairs}
+    assert type(s._den) is int and s._den >= 1
+    assert gcd(s._den, *s._nums.values()) == 1
+    assert all(type(n) is int and n for n in s._nums.values())
+    assert set(s._nums) <= keys
+    return s
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data(), order=st.integers(0, 10), var=st.sampled_from("qp"))
+def test_every_operation_keeps_the_store_canonical(data, order, var):
+    a = data.draw(spelled_series(order, var))
+    b = data.draw(spelled_series(order, var))
+    scalar = data.draw(st.one_of(st.just(0), _NONZERO))
+    factors = dict(enumerate(data.draw(st.lists(_NONZERO, min_size=order, max_size=order)),
+                             start=1))
+    tail = a - a.constant_term
+    results = [a, b, a + b, a - b, a - a, -a, a * scalar, scalar * b, a * b, exp(tail),
+               log(tail + 1), substitute(a, factors),
+               TruncSeries.from_json_obj(json.loads(json.dumps(a.to_json_obj())))]
+    results += [a.homogeneous_part(w) for w in range(order + 1)]
+    if var == "p" and order >= 4:
+        results.append(kp1_residual(log(tail + 1)))
+    if var == "p" and order >= 5:
+        results.append(kp2_residual(log(tail + 1)))
+    for s in results:
+        _canonical(s)
+    # two spellings of one monomial are one term, with the sum of their
+    # coefficients
+    if a:
+        m, c = next(iter(a.terms.items()))
+        two = TruncSeries(order, var, {m: c, m[::-1] + ((1, 0),): c})
+        assert _canonical(two) == TruncSeries(order, var, {m: 2 * c})
+    # == holds exactly when the public views agree
+    for x in results[:8]:
+        for y in results[:8] + [(a + b) - b]:
+            if x.order == y.order:
+                assert (x == y) == ((x.var, x.terms) == (y.var, y.terms))
+
+
 class TestCoefficient:
     def test_stored_and_absent_monomials(self):
         w_k4 = parse_poly("q1^4 + 6 q1^2 q2 + 3 q2^2 + 8 q1 q3 + 6 q4", 4)
@@ -444,7 +510,9 @@ class TestKernelsMatchTupleOracles:
 
     def test_keys_decode_every_partition(self):
         # key(mu) = prod_j prime(mu_j) is one distinct integer per partition,
-        # and decoding a piece reads every partition of its weight back
+        # _decoded reads its weight, parts and monomial back, and the
+        # partition-keyed entry point and reader carry every partition
+        # through the store and back
         primes = [p for p in range(2, 200) if all(p % d for d in range(2, p))]
         table = _prime_keys(MAX_ORDER)
         assert [[mu for mu, _ in pairs] for pairs in table] == [
@@ -453,10 +521,15 @@ class TestKernelsMatchTupleOracles:
         assert keys == [prod([primes[part - 1] for part in mu])
                         for pairs in table for mu, _ in pairs]
         assert len(set(keys)) == len(keys)
-        decoded = _ungraded(MAX_ORDER, "q", [{k: 1 for _, k in pairs} for pairs in table],
-                            [1] * len(table))
+        assert [_decoded(k) for k in keys] == [
+            (sum(mu), mu, tuple(sorted(Counter(mu).items())))
+            for pairs in table for mu, _ in pairs]
+        every = {mu: 1 for pairs in table for mu, _ in pairs}
+        decoded = _from_parts(MAX_ORDER, "q", every, 1)
         assert decoded.terms == {mono(Counter(mu)): 1 for w in range(MAX_ORDER + 1)
                                  for mu in partitions_of(w)}
+        assert _parts(decoded) == ([dict.fromkeys(partitions_of(w), 1)
+                                    for w in range(MAX_ORDER + 1)], 1)
 
 
 class TestRendering:

@@ -13,7 +13,7 @@ from networkx.algorithms.isomorphism import GraphMatcher
 from graphkp.graphs import (Graph, all_graphs, aut_order, canonical_form, connected_graphs,
                             emit_graph6, parse_graph6)
 from graphkp.invariants import extract_b, weighted_chromatic
-from graphkp.series import evaluate
+from helpers import evaluate
 
 #: all 1,253 graphs of the atlas, the empty graph on 0 vertices first
 ATLAS = nx.graph_atlas_g()
