@@ -13,22 +13,25 @@ sum over E' <= E(K_k) (all subsets for the weighted chromatic polynomial,
 forests for Abel) of 2^(C(k,2) - |E'|) times a weight that is a product over
 the connected blocks of E'.  The 2-power factorizes too: the edges of K_k
 that join two different blocks lie outside E' whatever E' does inside the
-blocks, so they contribute only the fixed power 2^(C(k,2) - sum_j C(n_j,2)),
-and each block of size n keeps its own 2^(C(n,2) - |E'_block|).  Summed over
-the connected spanning edge sets of a block, a block's factor is i_n q_n / n!
-up to that outer power, where
+blocks, so each such edge contributes a factor 2, and each block of size n
+keeps its own 2^(C(n,2) - |E'_block|).  Summed over the connected spanning
+edge sets of a block, a block's factor is i_n q_n / n!, where
 
     i_n = n! * [q_n] piece_n
 
 is the rescaling constant.  Summing over the set partitions of the k
 vertices into blocks is then the exponential formula (Stanley, *EC2* 5.1)
-over the blocks i_n q_n / n!, each term weighted by the edges between its
-blocks: piece_k is the weight-k part of
+over the blocks i_n q_n / n!, each term weighted by 2 per edge between its
+blocks: the graphical exponential formula (Gessel 1995), exp conjugated by
+the scaling of weight n by 2^C(n,2).  The block that holds one fixed
+vertex, of size k out of n, has C(n-1, k-1) choices of its other vertices
+and meets the rest across k(n-k) edges of K_n, so with e_n = n! piece_n
+and b_k = i_k q_k,
 
-    exp(sum over n of i_n q_n / n!)
+    e_n = sum_{k=1}^{n} C(n-1, k-1) 2^(k(n-k)) b_k e_(n-k),   e_0 = 1:
 
-with each term q_lambda times 2^(C(k,2) - sum_j C(lambda_j, 2)), the power
-of 2 counting the edges of K_k that join two different blocks.
+the Euler recurrence of exp with one more factor per term
+(:func:`graphkp.series._exp` with base 2).
 
 For the weighted chromatic polynomial the i_n satisfy the recursion in
 :func:`c_recursion`; for the Abel polynomial Cayley's formula gives the
@@ -108,14 +111,11 @@ def ensemble_a(k: int, order: int = DEFAULT_ORDER) -> TruncSeries:
 
 def full_series(which: str, order: int = DEFAULT_ORDER) -> TruncSeries:
     """All-graphs generating function through the truncation order: the
-    exponential of the blocks i_n q_n / n!, each term q_lambda of weight k
-    times 2 to the number of edges of K_k between its blocks."""
-    blocks = {(n,): i * (factorial(order) // factorial(n))
-              for n, i in enumerate(_constants(which, order), start=1)}
-    pieces, den = _parts(series.exp(_from_parts(order, "q", blocks, factorial(order))))
-    return _from_parts(order, "q", {
-        mu: c * 2 ** (comb(k, 2) - sum([comb(part, 2) for part in mu]))
-        for k, piece in enumerate(pieces) for mu, c in piece.items()}, den)
+    graphical exponential of the blocks i_n q_n / n!, each term of weight n
+    with the block of size k split off times 2 to the k(n-k) edges of K_n
+    between them."""
+    return series._exp(TruncSeries(order, "q", {
+        ((n, 1),): Fraction(i, factorial(n)) for n, i in enumerate(_constants(which, order), 1)}), 2)
 
 
 def connected_series(which: str, order: int = DEFAULT_ORDER) -> TruncSeries:

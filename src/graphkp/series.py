@@ -19,9 +19,10 @@ and factor passes through it, so a float, a numeric string, a ``Decimal`` or
 the exponential grading of :func:`_graded`, weight w held as w! E^w times its
 part (E is 1 for the all-graphs series), where exp and log are binomial
 convolutions (Stanley, *EC2* 5.1), and end with one lcm over the weights'
-scales and one gcd.  A ``Fraction`` per term is built only at the public
-edge: ``terms``, ``coefficient``, ``constant_term``, ``text`` and
-``to_json_obj``.
+scales and one gcd; :func:`_exp` is exp's recurrence with a power of a base
+per term, the graphical exponential of :mod:`graphkp.ensemble` at base 2.
+A ``Fraction`` per term is built only at the public edge: ``terms``,
+``coefficient``, ``constant_term``, ``text`` and ``to_json_obj``.
 
 The public API speaks monomials: tuples of ``(variable index, exponent)``
 pairs sorted by index, zero exponents omitted, () the constant.  The
@@ -422,6 +423,13 @@ def exp(a: TruncSeries) -> TruncSeries:
     for E = exp(A), X_n the weight-n part of X: in the grading of
     :func:`_graded`, e_n = sum_{k=1}^{n} C(n-1, k-1) a_k e_{n-k}.
     """
+    return _exp(a, 1)
+
+
+def _exp(a: TruncSeries, base: int) -> TruncSeries:
+    """:func:`exp` with each term k of e_n times base^(k(n-k)); base 2
+    gives the graphical exponential, weight n scaled by 2^C(n,2) around
+    exp, since C(n,2) = C(k,2) + C(n-k,2) + k(n-k)."""
     if a.constant_term:
         raise ValueError("exp requires a zero constant term")
     scales, (pieces,) = _graded(0, a)
@@ -429,7 +437,7 @@ def exp(a: TruncSeries) -> TruncSeries:
     for n in range(1, a.order + 1):
         acc = {}
         for k in range(1, n + 1):
-            _add_product(acc, pieces[k], out[n - k], comb(n - 1, k - 1))
+            _add_product(acc, pieces[k], out[n - k], comb(n - 1, k - 1) * base ** (k * (n - k)))
         out.append(acc)
     return _ungraded(a.order, a.var, out, scales)
 

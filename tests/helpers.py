@@ -10,7 +10,9 @@ the package computes one way, kept here only to check it.
 * Series kernel oracles: the product, exp, log, rescaling and partial
   derivative with one Fraction operation per coefficient step and their own
   dict-merge monomial product, the oracles for the integer kernels and for
-  the coefficient-lookup derivative of the KP residuals.
+  the coefficient-lookup derivative of the KP residuals; and exp conjugated
+  by the scaling of weight w by base^C(w,2), the oracle for the extra
+  factor of the graphical exponential.
 * Tuple-merge kernel oracles: the product, exp, log and both KP residuals
   with weight w scaled by D^w, D the lcm of every denominator, and monomial
   products merged as sorted partitions, the oracles for the kernels in
@@ -40,7 +42,9 @@ the package computes one way, kept here only to check it.
   character lookup per (lambda, mu) pair.
 * KP residual oracles: the two equations by differentiating the whole
   series with ``fraction_partial``, then truncating, the oracles for the
-  coefficient-lookup residuals."""
+  coefficient-lookup residuals; and the same equations in Hirota's bilinear
+  form on tau itself, with no log, from ``fraction_partial`` and
+  ``fraction_mul`` only."""
 
 from __future__ import annotations
 
@@ -175,6 +179,11 @@ def mono_weight(m: Monomial) -> int:
     return sum(var * exp for var, exp in m)
 
 
+def first_weight(s: TruncSeries) -> int | None:
+    """The least weight of a nonzero term of ``s``, or None for the zero series."""
+    return min((mono_weight(m) for m in s.terms), default=None)
+
+
 def mono_key(m: Monomial):
     """Canonical sort key: graded, then lex on dense exponents, x1-heavy first."""
     top = m[-1][0] if m else 0
@@ -266,6 +275,17 @@ def fraction_exp(a: TruncSeries) -> TruncSeries:
             _merge_product(acc, scaled[k], out[n - k])
         out.append({m: c / n for m, c in acc.items() if c})
     return TruncSeries(a.order, a.var, {m: c for piece in out for m, c in piece.items()})
+
+
+def scaled_fraction_exp(a: TruncSeries, base: int) -> TruncSeries:
+    """exp conjugated by the scaling of weight w by base^C(w,2): each term of
+    weight w divided by base^C(w,2), ``fraction_exp`` applied, and each term
+    of weight w multiplied back; base 2 is the graphical exponential."""
+    def scaled(s: TruncSeries, sign: int) -> TruncSeries:
+        return TruncSeries(s.order, s.var, {
+            m: c * Fraction(base) ** (sign * comb(mono_weight(m), 2)) for m, c in s.terms.items()})
+
+    return scaled(fraction_exp(scaled(a, -1)), 1)
 
 
 def fraction_log(a: TruncSeries) -> TruncSeries:
@@ -974,9 +994,11 @@ def counter_piece(which: str, k: int, order: int) -> TruncSeries:
     """The independent closed-form oracle for ``ensemble_w``/``ensemble_a``:
     piece_k summed partition by partition, each term
     2^(C(k,2) - sum_j C(lambda_j, 2)) prod_j (i_lambda_j / lambda_j!) /
-    prod_m mult_m(lambda)!, with the constants recomputed per weight and the
-    multiplicities counted by a ``Counter``; the package reaches the same
-    terms through ``series.exp``."""
+    prod_m mult_m(lambda)!, the power of 2 counting the edges of K_k between
+    blocks, with the constants recomputed per weight and the multiplicities
+    counted by a ``Counter``; the package reaches the same terms through the
+    graphical exponential ``series._exp(blocks, 2)``, whose recurrence puts
+    in one factor 2 per edge between the block it splits off and the rest."""
     check_limit("order", k, low=1)
     check_limit("order", order)
     if k > order:
@@ -1205,3 +1227,44 @@ def partial_kp2_residual(F: TruncSeries) -> TruncSeries:
     d12 = _cut(fraction_partial(fraction_partial(F, 1), 2), m)
     d1112 = _cut(fraction_partial(fraction_partial(F, 1, 3), 2), m)
     return d23 - d14 + fraction_mul(d11, d12) + d1112 * Fraction(1, 6)
+
+
+def _hirota(tau: TruncSeries, drop: int, rows) -> TruncSeries:
+    """sum of c tau_u tau_v over the rows (c, u, v) through weight
+    tau.order - drop, tau_v the derivative by p_v1 ... p_vk from
+    ``fraction_partial``, every factor truncated there, products by
+    ``fraction_mul``."""
+    m = tau.order - drop
+
+    def derivative(v: tuple) -> TruncSeries:
+        out = tau
+        for i in v:
+            out = fraction_partial(out, i)
+        return _cut(out, m)
+
+    total = TruncSeries.zero(m, "p")
+    for c, u, v in rows:
+        total = total + fraction_mul(derivative(u), derivative(v)) * c
+    return total
+
+
+def hirota_kp1(tau: TruncSeries) -> TruncSeries:
+    """(D_1^4 + 3 D_2^2 - 4 D_1 D_3) tau.tau / 2 in p-variables, where
+    d/dt_k = k d/dp_k:
+    tau tau_1111 - 4 tau_1 tau_111 + 3 tau_11^2 + 12 (tau tau_22 - tau_2^2)
+    - 12 (tau tau_31 - tau_1 tau_3), through weight tau.order - 4.  It is
+    12 tau^2 times the first KP residual of log tau, so for tau with
+    constant term 1 it is zero, or first nonzero, where that residual is."""
+    return _hirota(tau, 4, [(1, (), (1, 1, 1, 1)), (-4, (1,), (1, 1, 1)), (3, (1, 1), (1, 1)),
+                            (12, (), (2, 2)), (-12, (2,), (2,)),
+                            (-12, (), (3, 1)), (12, (1,), (3,))])
+
+
+def hirota_kp2(tau: TruncSeries) -> TruncSeries:
+    """(D_1^3 D_2 + 2 D_2 D_3 - 3 D_1 D_4) tau.tau / 4 in p-variables:
+    tau tau_2111 - tau_2 tau_111 - 3 tau_1 tau_211 + 3 tau_11 tau_21
+    + 6 (tau tau_32 - tau_2 tau_3) - 6 (tau tau_41 - tau_1 tau_4), through
+    weight tau.order - 5; 6 tau^2 times the second KP residual of log tau."""
+    return _hirota(tau, 5, [(1, (), (2, 1, 1, 1)), (-1, (2,), (1, 1, 1)), (-3, (1,), (2, 1, 1)),
+                            (3, (1, 1), (2, 1)), (6, (), (3, 2)), (-6, (2,), (3,)),
+                            (-6, (), (4, 1)), (6, (1,), (4,))])

@@ -35,6 +35,7 @@ CASES = {
     "constants_w_max5_json": ["constants", "--which", "W", "--max-n", "5", "--format", "json"],
     "rescale_w_k4": ["rescale", "--which", "W", "--graph6", "C~", "--order", "4"],
     "rescale_a_series_order4": ["rescale", "--which", "A", "--order", "4"],
+    "kp_check_s_order4": ["kp-check", "--series", "S", "--order", "4"],
     "kp_check_s_order5": ["kp-check", "--series", "S", "--order", "5"],
     "tables_max4": ["tables", "--max-n", "4"],
     "tables_max4_csv": ["tables", "--max-n", "4", "--format", "csv"],
@@ -171,6 +172,14 @@ class TestExitCodes:
         path.write_text(json.dumps(good))
         assert main(["kp-check", "--input", str(path)]) == 0
         assert capsys.readouterr().out == want
+
+    def test_kp_check_input_q_series_exits_2(self, tmp_path, capsys):
+        path = tmp_path / "q.json"
+        path.write_text(json.dumps({"var": "q", "order": 7, "terms": []}))
+        assert main(["kp-check", "--input", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "kp-check --input expects a series in p-variables" in captured.err
 
     def test_deeply_nested_json_exits_2(self, tmp_path, capsys):
         path = tmp_path / "deep.json"

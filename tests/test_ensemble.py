@@ -1,6 +1,7 @@
-"""Generating-function assembly: the exponential-formula series vs. the
+"""Generating-function assembly: the graphical-exponential series vs. the
 closed form per partition, the edge-subset sweep and iso-class sums,
-constants, rescale plans, and the universality of the rescaled series."""
+constants, rescale plans, the rescaled all-graphs series against the
+reference tau, and the universality of the rescaled series."""
 
 from fractions import Fraction
 
@@ -15,8 +16,8 @@ from graphkp.graphs import Graph
 from graphkp.invariants import extract_b
 from graphkp.schurkp import kp1_residual, kp2_residual, target_series
 from graphkp.series import MAX_ORDER, TruncSeries, mono
-from helpers import (NOT_EXACT, isoclass_series, parse_poly, summed_full_series, swept_constants,
-                     swept_piece)
+from helpers import (NOT_EXACT, first_weight, isoclass_series, parse_poly, summed_full_series,
+                     swept_constants, swept_piece)
 
 
 class TestPieces:
@@ -138,6 +139,46 @@ class TestPlans:
             make_plan([value, 2])
 
 
+def _blocks(which: str, order: int, bump: int = 0) -> TruncSeries:
+    """sum_n i_n q_n / n!, with ``bump`` added to i_3."""
+    return TruncSeries(order, "q", {
+        ((n, 1),): (i + bump * (n == 3)) / _fact(n)
+        for n, i in enumerate(rescale_constants(which, order), 1)})
+
+
+class TestTauIdentity:
+    """The rescaled all-graphs series is the reference tau term for term."""
+
+    @pytest.mark.parametrize("which", ["W", "A"])
+    @pytest.mark.parametrize("order", range(MAX_ORDER + 1))
+    def test_rescaled_all_graphs_series_is_target(self, which, order):
+        plan = make_plan(rescale_constants(which, order))
+        assert series.substitute(full_series(which, order), plan) == target_series(order)
+
+    @pytest.mark.parametrize("which", ["W", "A"])
+    def test_perturbations_fail_at_their_first_weight(self, which):
+        order = 8
+        plan = make_plan(rescale_constants(which, order))
+        target = target_series(order)
+
+        def gap(tau, factors=plan):
+            return first_weight(series.substitute(tau, factors) - target)
+
+        assert gap(series._exp(_blocks(which, order), 2)) is None
+        # 3 per edge between blocks in place of 2: q1^2 is the first term
+        # with an edge between two blocks
+        assert gap(series._exp(_blocks(which, order), 3)) == 2
+        # one constant off, with the true plan: q3 is the first term it reaches
+        assert gap(series._exp(_blocks(which, order, bump=1), 2)) == 3
+        # the same constant off in the plan too leaves the identity true, so
+        # it checks the edge weighting, exp and substitute, and the constants
+        # only together with the plan; their graph-level evidence is the
+        # edge-subset sweep and the iso-class sums, for k <= 7
+        constants = list(rescale_constants(which, order))
+        constants[2] += 1
+        assert gap(series._exp(_blocks(which, order, bump=1), 2), make_plan(constants)) is None
+
+
 class TestUniversality:
     def test_rescaled_series_coincide(self):
         order = 5
@@ -153,7 +194,7 @@ class TestUniversality:
         for k in range(1, 8):
             assert fn(k, 7) == swept_piece(which, k, 7), (which, k)
 
-    def test_order_12_rescaled_series_equal_log_target(self):
+    def test_rescaled_series_at_the_cap_equal_log_target(self):
         order = MAX_ORDER
         expected = series.log(target_series(order))
         for which in ("W", "A"):

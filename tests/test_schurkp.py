@@ -14,8 +14,9 @@ from graphkp import ensemble, series
 from graphkp.schurkp import (character, kp1_residual, kp2_residual, partitions_of,
                              schur_combination, schur_expand, schur_polynomial, target_series)
 from graphkp.series import MAX_ORDER, TruncSeries, mono
-from helpers import (_derivative, elimination_expand, fraction_partial, hook_length_count,
-                     pairwise_schur_expand, parse_poly, partial_kp1_residual,
+from helpers import (_derivative, elimination_expand, first_weight, fraction_partial,
+                     hirota_kp1, hirota_kp2, hook_length_count, pairwise_schur_expand,
+                     parse_poly, partial_kp1_residual,
                      partial_kp2_residual, random_rational, random_series, schur_jacobi_trudi,
                      schur_one_part, tuple_kp1_residual, tuple_kp2_residual)
 
@@ -318,3 +319,40 @@ class TestResidualsMatchTupleOracles:
         for terms, _, _ in gen.tau_candidates(seed):
             _same_residuals(series.log(TruncSeries(gen.TAU_ORDER, "p", terms)))
 
+
+def _rescaled_all_graphs(which, order):
+    """The rescaled all-graphs series of W or A; for S the reference tau,
+    which both equal."""
+    if which == "S":
+        return target_series(order)
+    plan = ensemble.make_plan(ensemble.rescale_constants(which, order))
+    return series.substitute(ensemble.full_series(which, order), plan)
+
+
+class TestHirotaOracle:
+    """KP in Hirota's bilinear form on tau itself, built from
+    ``fraction_partial`` and ``fraction_mul`` with no log and no F-form
+    equation, is zero, or first nonzero, at the weight where the residual
+    of log tau is."""
+
+    @pytest.mark.parametrize("which", ["W", "A", "S"])
+    @pytest.mark.parametrize("order", [8, 12, 16])
+    def test_rescaled_all_graphs_series(self, which, order):
+        tau = _rescaled_all_graphs(which, order)
+        assert not hirota_kp1(tau) and not hirota_kp2(tau)
+
+    def test_perturbation_fails_at_its_first_weight(self):
+        # p3 p2 p1 has weight 6; the forms lower weight by 4 and by 5
+        tau = _rescaled_all_graphs("W", 8) + TruncSeries(8, "p", {mono({1: 1, 2: 1, 3: 1}): 1})
+        F = series.log(tau)
+        assert (first_weight(hirota_kp1(tau)), first_weight(hirota_kp2(tau))) == (2, 1)
+        assert (first_weight(kp1_residual(F)), first_weight(kp2_residual(F))) == (2, 1)
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_tau_candidates(self, seed):
+        for terms, _, is_tau in gen.tau_candidates(seed):
+            tau = TruncSeries(gen.TAU_ORDER, "p", terms)
+            F = series.log(tau)
+            firsts = [first_weight(hirota_kp1(tau)), first_weight(hirota_kp2(tau))]
+            assert firsts == [first_weight(kp1_residual(F)), first_weight(kp2_residual(F))]
+            assert (firsts == [None, None]) == is_tau

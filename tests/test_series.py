@@ -18,11 +18,12 @@ import graphkp
 from graphkp.ensemble import full_series, make_plan, rescale_constants
 from graphkp.schurkp import (kp1_residual, kp2_residual, partitions_of, schur_combination,
                              target_series)
-from graphkp.series import (MAX_ORDER, TruncSeries, _decoded, _from_parts, _parts, _prime_keys,
-                            exp, log, mono, substitute)
+from graphkp.series import (MAX_ORDER, TruncSeries, _decoded, _exp, _from_parts, _parts,
+                            _prime_keys, exp, log, mono, substitute)
 from helpers import (NOT_EXACT, evaluate, fraction_exp, fraction_log, fraction_mul,
                      fraction_partial, fraction_substitute, mono_key_json_obj, mono_key_text,
-                     parse_poly, random_rational, random_series, tuple_exp, tuple_log, tuple_mul)
+                     parse_poly, random_rational, random_series, scaled_fraction_exp, tuple_exp,
+                     tuple_log, tuple_mul)
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "perfbench"))
 import gen  # noqa: E402  (the benchmark's seeded tau-function candidates)
@@ -458,6 +459,8 @@ class TestKernelsMatchFractionOracles:
                 shifted = a - a.constant_term
                 _same(exp(shifted), fraction_exp(shifted))
                 _same(log(shifted + 1), fraction_log(shifted + 1))
+                for base in (1, 2, 3):
+                    _same(_exp(shifted, base), scaled_fraction_exp(shifted, base))
 
 
 class TestKernelsMatchTupleOracles:
@@ -560,7 +563,7 @@ class TestRendering:
         ("exponents", {"01": 1}), ("exponents", {"00": 1}),
         ("numerator", 1.5), ("numerator", "1"), ("numerator", True),
         ("denominator", 2.0), ("denominator", "2"), ("denominator", 0),
-        ("terms", {"0": {}}), ("terms", "q1"),
+        ("terms", {"0": {}}), ("terms", "q1"), ("exponents", []),
     ])
     def test_json_rejects_non_integers(self, field, value):
         obj = parse_poly("q1^2", 4).to_json_obj()
