@@ -26,7 +26,7 @@ class Limit(NamedTuple):
 #: size more takes over 1 s, or a representation fixes it.  Beside each: the slowest of K_n,
 #: edgeless and seeded random graphs at the cap and one above (Python 3.11, 2-core Xeon).
 LIMITS = {
-    # W 0.25-0.27 s, A 0.20-0.26 s; 13 vertices: W 0.81-0.88 s, A 0.69-0.88 s
+    # W 0.12-0.18 s, A 0.13-0.17 s; 13 vertices: W 0.38-0.48 s, A 0.40-0.64 s
     "vertices": Limit(12, "vertex count"),
     # kp-check --series W|A|S, series --rescaled, rescale: at most 0.58 s; 27: up to
     # 1.03 s (series --rescaled --format json 0.60-1.03 s, kp-check --series S 0.42-0.63 s)

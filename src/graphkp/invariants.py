@@ -10,35 +10,37 @@ homogeneous of weight |V(G)| when q_i has weight i.
 :func:`graphkp.graphs.assemble_partitions` evaluates this sum by a dynamic
 program over vertex subsets (Bjorklund-Husfeldt-Koivisto, "Set partitioning
 via inclusion-exclusion"), with block labels |B| and weights from a table of
-b indexed by vertex bitmask S:
+b indexed by vertex bitmask S.
 
-* weighted chromatic polynomial W (the edge-subset expansion
-  sum over E' of (-1)^(|E'| - |V| + k(E')) q_{v_1} ... q_{v_k}):
-  b(S) = (-1)^(|S|-1) c(S), c(S) the sum of (-1)^|E'| over the connected
-  spanning subgraphs of G[S].  Summed over all spanning subgraphs that sign
-  is [G[S] edgeless], so splitting off the block that holds min S gives
+The b-tables of W and A come from one recursion.  Let s(S) = T_G[S](1, x),
+the sum over the connected spanning subgraphs of G[S] of (x - 1)^nullity
+(0 if G[S] is disconnected).  Such a subgraph minus the top vertex t of S is
+one on each block B of a set partition of S \\ t, joined to t by a nonempty
+subset of its d = |N(t) & B| edges to t, which sum to [d]_x = 1 + x + ...
++ x^(d-1).  So s(S) = h_t(S \\ t), h_t(empty) = 1 and
 
-      c(S) = [G[S] edgeless] - sum over min S in T, T a proper subset of S,
-             of c(T) * [G[S \\ T] edgeless];
+      h_t(U) = sum over min U in B <= U of [|N(t) & B|]_x s(B) h_t(U \\ B),
 
-* Abel polynomial A (the sum over spanning forests of the product of
-  size * q_size over their trees): b(S) = |S| * tau(S), tau(S) the number
-  of spanning trees of G[S].  Such a tree minus the top vertex t of S is a
-  spanning tree on each block B of a set partition of S \\ t, joined to t
-  by one of |N(t) & B| edges, so tau(S) = h_t(S \\ t), h_t(empty) = 1 and
+about 3^n / 4 multiply-adds per table.  It gives
 
-      h_t(U) = sum over min U in B <= U of |N(t) & B| tau(B) h_t(U \\ B);
+* the weighted chromatic polynomial W (the edge-subset expansion
+  sum over E' of (-1)^(|E'| - |V| + k(E')) q_{v_1} ... q_{v_k}) at x = 0,
+  [d]_0 = [d > 0]: b(S) = T_G[S](1, 0);
+* the Abel polynomial A (the sum over spanning forests of the product of
+  size * q_size over their trees) at x = 1, [d]_1 = d:
+  b(S) = |S| T_G[S](1, 1) = |S| tau(S), tau(S) the number of spanning
+  trees of G[S].
 
-* :func:`umbral_from_b`: b(S) read from a map over connected canonical
-  graphs, once per distinct form in :func:`graphkp.graphs.induced_forms`.
+:func:`umbral_from_b` reads b(S) from a map over connected canonical graphs,
+once per distinct form in :func:`graphkp.graphs.induced_forms`.  Every
+b-table is assembled on the integers D^|B| b(B) over D^|V|, D the lcm of its
+denominators (1 for W and A).
 
-Every b-table is assembled as integers over D, the lcm of its denominators
-(1 for W and A): the assembly runs on D b(S), and each coefficient with k
-blocks is divided once by D^k.
-
-The independent checks, deletion-contraction, brute-force colorings
-((-1)^n W_G(q_j = -k) = #colorings with k colors) and A's matrix-tree
-determinants, share no code with the assembly and live in ``tests/helpers.py``.
+The independent checks share no code with the assembly and live in
+``tests/helpers.py``: W's b-table by the inverse recurrence over edgeless
+blocks (``edgeless_recurrence_b``), A's by matrix-tree determinants
+(``matrix_tree_b``), deletion-contraction, and brute-force colorings
+((-1)^n W_G(q_j = -k) = #colorings with k colors).
 """
 
 from __future__ import annotations
@@ -54,46 +56,24 @@ from graphkp.series import DEFAULT_ORDER, TruncSeries, _fraction, _from_parts
 
 def _assemble(b, order: int) -> TruncSeries:
     """sum over set partitions of V of prod over blocks B of b[B] q_|B|, on
-    the integers D b[B], D the lcm of the denominators: a key with k blocks
-    sums D^k times its coefficient, and is brought to D^|V| by D^(|V| - k).
+    the integers D^|B| b[B] over D^|V|, D the lcm of the denominators.
     Keys come sorted up; reversed, each is the partition of its monomial."""
     den = lcm(*[x.denominator for x in b])
-    scaled = [x.numerator * (den // x.denominator) for x in b]
     sizes = [s.bit_count() for s in range(len(b))]
-    n = len(b).bit_length() - 1
-    return _from_parts(order, "q", {key[::-1]: val * den ** (n - len(key))
-                                    for key, val in assemble_partitions(sizes, scaled).items()},
-                       den ** n)
+    scaled = [int(x * den ** k) for x, k in zip(b, sizes)]
+    return _from_parts(order, "q", {key[::-1]: val for key, val in
+                                    assemble_partitions(sizes, scaled).items()}, den ** sizes[-1])
 
 
-def _b_chromatic(g: Graph) -> list[int]:
-    """b[S] = (-1)^(|S|-1) c(S) for every vertex bitmask S (see module doc)."""
+def _tutte_table(g: Graph, weight) -> list[int]:
+    """s[S] = T_G[S](1, x) if G[S] is connected, else 0, for every vertex
+    bitmask S, from weight[d] = [d]_x = 1 + x + ... + x^(d-1) (see module doc)."""
     masks = g.adjacency_masks()
-    edgeless = [True] * (1 << g.n)
-    c = [0] * (1 << g.n)
-    for s in range(1, 1 << g.n):
-        low = s & -s
-        rest = s ^ low
-        edgeless[s] = edgeless[rest] and not masks[low.bit_length() - 1] & rest
-        total = int(edgeless[s])
-        r = rest
-        while r:
-            if edgeless[r]:
-                total -= c[s ^ r]
-            r = (r - 1) & rest
-        c[s] = total
-    return [ci if s.bit_count() & 1 else -ci for s, ci in enumerate(c)]
-
-
-def _b_abel(g: Graph) -> list[int]:
-    """b[S] = |S| * tau(S) for every vertex bitmask S, tau(S) the number of
-    spanning trees of G[S] (see module doc)."""
-    masks = g.adjacency_masks()
-    tau = [0] * (1 << g.n)
+    s = [0] * (1 << g.n)
     for t, nbrs in enumerate(masks):
         top = 1 << t
-        # w[B] = |N(t) & B| tau(B), h[U] = tau(U + t), for the masks U, B below t
-        w = [(nbrs & blk).bit_count() * tau[blk] for blk in range(top)]
+        # w[B] = [|N(t) & B|]_x s(B), h[U] = s(U + t), for the masks U, B below t
+        w = [weight[(nbrs & blk).bit_count()] * s[blk] for blk in range(top)]
         h = [1] * top
         for u in range(1, top):
             low = u & -u
@@ -106,12 +86,23 @@ def _b_abel(g: Graph) -> list[int]:
                     total += wb * h[rest ^ r]
                 r = (r - 1) & rest
             h[u] = total
-        tau[top:2 * top] = h
-    return [s.bit_count() * x for s, x in enumerate(tau)]
+        s[top:2 * top] = h
+    return s
+
+
+def _b_chromatic(g: Graph) -> list[int]:
+    """b[S] = T_G[S](1, 0) for every vertex bitmask S: weight [d]_0 = [d > 0]."""
+    return _tutte_table(g, [0] + [1] * g.n)
+
+
+def _b_abel(g: Graph) -> list[int]:
+    """b[S] = |S| T_G[S](1, 1) = |S| tau(S) for every vertex bitmask S, tau(S)
+    the number of spanning trees of G[S]: weight [d]_1 = d."""
+    return [s.bit_count() * x for s, x in enumerate(_tutte_table(g, range(g.n + 1)))]
 
 
 def weighted_chromatic(g: Graph, order: int = DEFAULT_ORDER) -> TruncSeries:
-    """Weighted chromatic polynomial, assembled from b = (-1)^(|S|-1) c(S)."""
+    """Weighted chromatic polynomial, assembled from b = T_G[S](1, 0)."""
     check_limit("order", order, low=g.n)
     return _assemble(_b_chromatic(g), order)
 

@@ -18,7 +18,8 @@ the package computes one way, kept here only to check it.
   products merged as sorted partitions, the oracles for the kernels in
   exponential grading on prime keys.
 * Per-graph oracles for the umbral assembly: the edge-subset expansion of W,
-  the spanning-forest sum of A, A's b-table by matrix-tree determinants,
+  the spanning-forest sum of A, W's b-table by the inverse recurrence over
+  edgeless blocks, A's b-table by matrix-tree determinants,
   deletion-contraction of W on vertex-weighted graphs, and brute-force
   proper colorings.
 * Set partitions as vertex tuples, the order oracle for the expansion in
@@ -34,8 +35,9 @@ the package computes one way, kept here only to check it.
   the coproduct of a sum, and the flattening of an expansion in primitives
   back to its graph.
 * Graph-level oracles for the ensemble pieces: the edge-subset sweep over
-  K_k and the sums over isomorphism classes; and the all-graphs series
-  summed piece by piece, the oracle for its one-dict assembly.
+  K_k and the sums over isomorphism classes; the all-graphs series summed
+  piece by piece, the oracle for its one-dict assembly; and the constants
+  as the per-graph Tutte recursion summed over all labelled graphs.
 * Schur oracles for the character-based Schur functions and Schur
   expansion: the one-part sum over p_mu / z_mu, the Jacobi-Trudi
   determinant, an exact linear solve over it, and the expansion by one
@@ -611,6 +613,32 @@ def matrix_tree_b(g: Graph) -> list[int]:
     return [_abel_entry(masks, s) for s in range(1 << g.n)]
 
 
+def edgeless_recurrence_b(g: Graph) -> list[int]:
+    """W's b-table by the inverse recurrence over edgeless blocks, the oracle
+    for the Tutte recursion at x = 0: b[S] = (-1)^(|S|-1) c(S), c(S) the sum
+    of (-1)^|E'| over the connected spanning subgraphs of G[S].  Summed over
+    all spanning subgraphs that sign is [G[S] edgeless], so splitting off the
+    block that holds min S gives
+
+        c(S) = [G[S] edgeless] - sum over min S in T, T a proper subset of S,
+               of c(T) * [G[S \\ T] edgeless]."""
+    masks = g.adjacency_masks()
+    edgeless = [True] * (1 << g.n)
+    c = [0] * (1 << g.n)
+    for s in range(1, 1 << g.n):
+        low = s & -s
+        rest = s ^ low
+        edgeless[s] = edgeless[rest] and not masks[low.bit_length() - 1] & rest
+        total = int(edgeless[s])
+        r = rest
+        while r:
+            if edgeless[r]:
+                total -= c[s ^ r]
+            r = (r - 1) & rest
+        c[s] = total
+    return [ci if s.bit_count() & 1 else -ci for s, ci in enumerate(c)]
+
+
 class WeightedGraph(namedtuple("WeightedGraph", "graph weights")):
     """Graph with positive integer vertex weights; total weight is the grading."""
 
@@ -1052,6 +1080,31 @@ def swept_constants(which: str, n_max: int) -> list[Fraction]:
     """i_n = n! * [q_n] piece_n for n = 1..n_max, read off the sweep."""
     return [factorial(n) * swept_piece(which, n, n_max).coefficient({n: 1})
             for n in range(1, n_max + 1)]
+
+
+#: omega(k) = sum over d of C(k, d) [d]_x: the factor [d]_x of a k-vertex
+#: block in ``invariants``' Tutte recursion, summed over the d-edge subsets of
+#: its k possible edges to the top vertex (x = 0 for W, x = 1 for A)
+TUTTE_OMEGA = {"W": lambda k: 2 ** k - 1, "A": lambda k: k * 2 ** (k - 1)}
+
+
+def summed_tutte_constants(which: str, n_max: int, omega=None) -> list[int]:
+    """i_n for n = 1..n_max as the Tutte recursion summed over all labelled
+    graphs on [n], with no graph enumeration.  Summed over every graph on
+    U + t, |U| = m, the recursion's h_t(U) is e_m, a graphical exponential of
+    the blocks: the k(m-k) edges between a k-block and the rest of U are read
+    by no factor, so
+
+        e_m = sum over k of C(m-1, k-1) 2^(k(m-k)) omega(k) t_k e_(m-k),
+
+    with e_0 = 1 and t_n = e_(n-1) the sum of s([n]); i_n = t_n for W and
+    n t_n for A.  ``omega`` replaces ``TUTTE_OMEGA[which]``."""
+    omega = omega or TUTTE_OMEGA[which]
+    e = [1]
+    for m in range(1, n_max):
+        e.append(sum(comb(m - 1, k - 1) * 2 ** (k * (m - k)) * omega(k) * e[k - 1] * e[m - k]
+                     for k in range(1, m + 1)))
+    return [e[n - 1] * (n if which == "A" else 1) for n in range(1, n_max + 1)]
 
 
 def isoclass_series(which: str, k: int, order: int = DEFAULT_ORDER) -> TruncSeries:

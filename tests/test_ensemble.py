@@ -16,8 +16,8 @@ from graphkp.graphs import Graph
 from graphkp.invariants import extract_b
 from graphkp.schurkp import kp1_residual, kp2_residual, target_series
 from graphkp.series import MAX_ORDER, TruncSeries, mono
-from helpers import (NOT_EXACT, first_weight, isoclass_series, parse_poly, summed_full_series,
-                     swept_constants, swept_piece)
+from helpers import (NOT_EXACT, TUTTE_OMEGA, first_weight, isoclass_series, parse_poly,
+                     summed_full_series, summed_tutte_constants, swept_constants, swept_piece)
 
 
 class TestPieces:
@@ -100,6 +100,20 @@ class TestConstants:
         for k in range(n + 1):
             assert expo.coefficient({1: k} if k else {}) == \
                 Fraction(1, _fact(k) * 2 ** (k * (k - 1) // 2))
+
+    @pytest.mark.parametrize("which", ["W", "A"])
+    def test_constants_are_the_summed_tutte_recursion(self, which):
+        # the b-table recursion summed over every labelled graph on [n]
+        assert tuple(summed_tutte_constants(which, MAX_ORDER)) == \
+            rescale_constants(which, MAX_ORDER)
+
+    @pytest.mark.parametrize("which", ["W", "A"])
+    def test_summed_tutte_perturbation_fails_at_four(self, which):
+        # omega(3) + 1 changes e_3 = t_4, so i_4 is the first wrong constant
+        wrong = summed_tutte_constants(
+            which, MAX_ORDER, lambda k: TUTTE_OMEGA[which](k) + (k == 3))
+        right = rescale_constants(which, MAX_ORDER)
+        assert wrong[:3] == list(right[:3]) and wrong[3] != right[3]
 
     def test_abel_closed_form_values(self):
         assert abel_constants(7) == [1, 2, 18, 512, 40000, 7962624, 3855122432]

@@ -12,12 +12,13 @@ from hypothesis import strategies as st
 from graphkp.errors import SizeLimitError
 from graphkp.graphs import (MAX_VERTICES, Graph, all_graphs, canonical_form,
                             connected_graphs, disjoint_union, induced_forms, is_connected)
-from graphkp.invariants import (INVARIANTS, _b_abel, abel, extract_b, umbral_from_b,
-                                weighted_chromatic)
+from graphkp.invariants import (INVARIANTS, _b_abel, _b_chromatic, abel, extract_b,
+                                umbral_from_b, weighted_chromatic)
 from graphkp.series import mono
 from helpers import (NOT_EXACT, WeightedGraph, chromatic_oracle, complete_graph, cycle_graph,
-                     evaluate, forest_a, matrix_tree_b, parse_poly, partition_umbral, path_graph,
-                     random_graph, random_rational, star_graph, subset_w, weighted_chromatic_dc)
+                     edgeless_recurrence_b, evaluate, forest_a, matrix_tree_b, parse_poly,
+                     partition_umbral, path_graph, random_graph, random_rational, star_graph,
+                     subset_w, weighted_chromatic_dc)
 
 EDGE = Graph.from_edges(2, [(0, 1)])
 
@@ -83,6 +84,18 @@ class TestWeightedChromatic:
                 w = weighted_chromatic(g, 6)
                 assert w == weighted_chromatic_dc(g, 6), g
                 assert w == subset_w(g, 6), g
+
+    def test_table_matches_edgeless_recurrence(self, rng):
+        # the Tutte recursion at x = 0 against the inverse recurrence over
+        # edgeless blocks: A's matrix-tree graphs, and K_n, whose top vertex
+        # meets blocks of every size up to n - 1
+        graphs = [Graph(n, bits) for n in range(6) for bits in range(1 << n * (n - 1) // 2)]
+        graphs += [Graph(n) for n in range(6, MAX_VERTICES + 1)]
+        graphs += [random_graph(rng, n, p) for n in range(6, MAX_VERTICES + 1)
+                   for p in (0.2, 0.5, 0.8)]
+        graphs += [complete_graph(n) for n in range(6, MAX_VERTICES + 1)]
+        for g in graphs:
+            assert _b_chromatic(g) == edgeless_recurrence_b(g), g
 
     def test_homogeneity(self):
         for g in (PAW, C4, K4):

@@ -12,8 +12,8 @@ from networkx.algorithms.isomorphism import GraphMatcher
 
 from graphkp.graphs import (Graph, all_graphs, aut_order, canonical_form, connected_graphs,
                             emit_graph6, parse_graph6)
-from graphkp.invariants import extract_b, weighted_chromatic
-from helpers import evaluate
+from graphkp.invariants import _b_abel, _b_chromatic, extract_b, weighted_chromatic
+from helpers import evaluate, random_graph
 
 #: all 1,253 graphs of the atlas, the empty graph on 0 vertices first
 ATLAS = nx.graph_atlas_g()
@@ -68,6 +68,22 @@ def test_primitive_coefficients_are_tutte_evaluations():
         tutte = nx.tutte_polynomial(to_networkx(g))
         assert extract_b("W", g) == int(tutte.subs({X: 1, Y: 0})), emit_graph6(g)
         assert extract_b("A", g) == g.n * int(tutte.subs({X: 1, Y: 1})), emit_graph6(g)
+
+
+def test_b_tables_are_tutte_evaluations_on_every_subset():
+    # b_W[S] = T_G[S](1, 0) and b_A[S] = |S| T_G[S](1, 1) when G[S] is
+    # connected, both 0 when it is not, on every vertex subset of two G(6, p)
+    rng = random.Random(6)  # 91 connected and 35 disconnected subsets
+    for g in (random_graph(rng, 6, 0.5), random_graph(rng, 6, 0.8)):
+        h, b_w, b_a = to_networkx(g), _b_chromatic(g), _b_abel(g)
+        for s in range(1, 1 << g.n):
+            sub = h.subgraph(v for v in range(g.n) if s >> v & 1)
+            if nx.is_connected(sub):
+                tutte = nx.tutte_polynomial(sub)
+                assert b_w[s] == int(tutte.subs({X: 1, Y: 0})), (emit_graph6(g), s)
+                assert b_a[s] == len(sub) * int(tutte.subs({X: 1, Y: 1})), (emit_graph6(g), s)
+            else:
+                assert b_w[s] == b_a[s] == 0, (emit_graph6(g), s)
 
 
 def test_weighted_chromatic_specializes_to_the_chromatic_polynomial():
