@@ -7,22 +7,28 @@ most ``order`` in one integer store: the prime key prod_i prime(i)^e_i of
 each monomial x_1^e_1 x_2^e_2 ... (1 for the constant) mapped to a nonzero
 integer numerator, over one denominator D >= 1 with gcd(D, *numerators) = 1.
 So the store is canonical, ``==`` compares it plainly, and a monomial
-product is one integer product.  One cached table, :func:`_decoded`, reads
-each key's weight, partition (x_1^2 x_3 is (3, 1, 1), the constant ()) and
-monomial off its factors, :func:`_prime_keys` lists the keys by weight for
-the kernels, and other modules build and read series by partition through
-:func:`_from_parts` and :func:`_parts`.  All arithmetic is exact: one rule,
-:func:`_fraction`, admits an ``int`` that is not a ``bool``, or a
-``Fraction``, and every coefficient, scalar of ``+``, ``-``, ``*`` or ``==``
-and factor passes through it, so a float, a numeric string, a ``Decimal`` or
-``True`` raises TypeError.  The product, exp and log run on the numerators in
-the exponential grading of :func:`_graded`, weight w held as w! E^w times its
-part (E is 1 for the all-graphs series), where exp and log are binomial
-convolutions (Stanley, *EC2* 5.1), and end with one lcm over the weights'
-scales and one gcd; :func:`_exp` is exp's recurrence with a power of a base
-per term, the graphical exponential of :mod:`graphkp.ensemble` at base 2.
-A ``Fraction`` per term is built only at the public edge: ``terms``,
-``coefficient``, ``constant_term``, ``text`` and ``to_json_obj``.
+product is one integer product.  :func:`_prime_keys` lists the keys by
+weight: every kernel reads keys from it, through :func:`_pieces` (the
+numerators by weight), and so does the partition-keyed reader :func:`_parts`;
+other modules build and read series by partition through :func:`_from_parts`
+and :func:`_parts`.  One cached table, :func:`_decoded`, reads each key's
+weight, partition (x_1^2 x_3 is (3, 1, 1), the constant ()) and monomial off
+its factors; it serves only the public edge (``terms``, rendering and
+:func:`mono`).  All arithmetic is exact: one rule, :func:`_fraction`, admits
+an ``int`` that is not a ``bool``, or a ``Fraction``, and every coefficient,
+scalar of ``+``, ``-``, ``*`` or ``==`` and factor passes through it, so a
+float, a numeric string, a ``Decimal`` or ``True`` raises TypeError.  The
+product is the plain truncated product :func:`_product` of the stored
+numerators over D_1 D_2, the double loop that the KP residuals of
+:func:`_derivative_form` run too.  Only exp and log use the exponential
+grading of :func:`_graded`, weight w held as w! E^w times its part (E is 1
+for the all-graphs series), where they are binomial convolutions (Stanley,
+*EC2* 5.1); :func:`_exp` is exp's recurrence with a power of a base per
+term, the graphical exponential of :mod:`graphkp.ensemble` at base 2.  One
+lcm-sum, :func:`_sum`, ends ``+``, exp and log: one lcm over the parts'
+denominators and one gcd.  A ``Fraction`` per term is built only at the
+public edge: ``terms``, ``coefficient``, ``constant_term``, ``text`` and
+``to_json_obj``.
 
 The public API speaks monomials: tuples of ``(variable index, exponent)``
 pairs sorted by index, zero exponents omitted, () the constant.  The
@@ -241,13 +247,7 @@ class TruncSeries:
         if not isinstance(other, TruncSeries):
             other = TruncSeries.constant(other, self.order, self.var)
         self._check_compatible(other)
-        den = lcm(self._den, other._den)
-        f = den // self._den
-        out = {k: n * f for k, n in self._nums.items()}
-        f = den // other._den
-        for k, n in other._nums.items():
-            out[k] = out.get(k, 0) + n * f
-        return TruncSeries._reduced(self.order, self.var, out, den)
+        return _sum(self.order, self.var, [self._nums, other._nums], [self._den, other._den])
 
     __radd__ = __add__
 
@@ -268,14 +268,9 @@ class TruncSeries:
                 k: n * other.numerator for k, n in self._nums.items()},
                 self._den * other.denominator)
         self._check_compatible(other)
-        # shift 1 scales a fractional constant term to an integer, so the
-        # weight-n part of the product is held as n! E^(n + 2), E = scales[0]
-        scales, (left, right) = _graded(1, self, other)
-        out = [{} for _ in left]
-        for w, piece in enumerate(left):
-            for j, y in enumerate(right[:self.order - w + 1]):
-                _add_product(out[w + j], piece, y, comb(w + j, w))
-        return _ungraded(self.order, self.var, out, [scales[0] * s for s in scales])
+        out = {}
+        _product(out, _pieces(self), _pieces(other), self.order)
+        return TruncSeries._reduced(self.order, self.var, out, self._den * other._den)
 
     __rmul__ = __mul__
 
@@ -363,11 +358,8 @@ class TruncSeries:
 def _parts(s: TruncSeries) -> tuple[list[dict[Partition, int]], int]:
     """The partition-keyed reader: the numerators of ``s`` as one
     {partition: numerator} dict per weight 0..order, and their one denominator."""
-    pieces: list[dict[Partition, int]] = [{} for _ in range(s.order + 1)]
-    for k, n in s._nums.items():
-        w, mu, _ = _decoded(k)
-        pieces[w][mu] = n
-    return pieces, s._den
+    get = s._nums.get
+    return [{mu: n for mu, k in pairs if (n := get(k))} for pairs in _prime_keys(s.order)], s._den
 
 
 def _from_parts(order: int, var: str, parts: Mapping[Partition, int], den: int) -> TruncSeries:
@@ -378,34 +370,49 @@ def _from_parts(order: int, var: str, parts: Mapping[Partition, int], den: int) 
         k: n for pairs in _prime_keys(order) for mu, k in pairs if (n := get(mu))}, den)
 
 
-def _graded(shift: int, *series: TruncSeries) -> tuple[list, list]:
-    """scales[w] = w! E^(w + shift) for w <= order, E the least integer
-    making every w! E A_w integral, and each series' pieces by weight, piece
-    w the integers scales[w] A_w by prime key."""
-    table = _prime_keys(series[0].order)
-    E, read = 1, []
-    for a in series:
-        get = a._nums.get
-        read.append(pieces := [{k: n for _, k in pairs if (n := get(k))} for pairs in table])
-        E = lcm(E, *[a._den // gcd(a._den, factorial(w) * gcd(*piece.values()))
-                     for w, piece in enumerate(pieces) if piece])
-    scales = [factorial(w) * E ** (w + shift) for w in range(len(table))]
-    return scales, [[{k: n * scale // a._den for k, n in piece.items()}
-                     for scale, piece in zip(scales, pieces)] for a, pieces in zip(series, read)]
+def _pieces(a: TruncSeries) -> list[dict[int, int]]:
+    """The numerators of ``a`` by weight 0..order, each piece keyed by prime
+    key: the one per-weight reader of the store."""
+    get = a._nums.get
+    return [{k: n for _, k in pairs if (n := get(k))} for pairs in _prime_keys(a.order)]
 
 
-def _ungraded(order: int, var: str, pieces: list[dict], dens: list[int]) -> TruncSeries:
-    """The series whose weight-w part is pieces[w] / dens[w] (zeros may be
-    left in the pieces), over the lcm of those dens, reduced once."""
+def _graded(a: TruncSeries) -> tuple[list[int], list[dict[int, int]]]:
+    """The exponential grading of ``a`` for :func:`_exp` and :func:`log`:
+    scales[w] = w! E^w for w <= order, E the least integer making every
+    w! E A_w integral, and piece w the integers scales[w] A_w by prime key."""
+    pieces = _pieces(a)
+    E = lcm(*[a._den // gcd(a._den, factorial(w) * gcd(*piece.values()))
+              for w, piece in enumerate(pieces) if piece])
+    scales = [factorial(w) * E ** w for w in range(a.order + 1)]
+    return scales, [{k: n * scale // a._den for k, n in piece.items()}
+                    for scale, piece in zip(scales, pieces)]
+
+
+def _sum(order: int, var: str, pieces: list[dict], dens: list[int]) -> TruncSeries:
+    """The series sum_i pieces[i] / dens[i] (zeros may be left in the
+    pieces), over the lcm of the dens of the nonempty pieces, reduced once:
+    the one lcm-sum, which ends ``+``, :func:`_exp` and :func:`log`."""
     den = lcm(*[d for piece, d in zip(pieces, dens) if piece])
-    nums = {}
+    nums: dict[int, int] = {}
+    get = nums.get
     for piece, d in zip(pieces, dens):
         f = den // d
-        nums.update({k: c * f for k, c in piece.items()} if f > 1 else piece)
+        for k, c in piece.items():
+            nums[k] = get(k, 0) + c * f
     return TruncSeries._reduced(order, var, nums, den)
 
 
-def _add_product(acc: dict, x: dict, y: dict, f: int = 1) -> None:
+def _product(acc: dict, left: list[dict], right: list[dict], order: int, f: int = 1) -> None:
+    """acc += f L R through weight ``order``, for L and R given as pieces by
+    weight 0, 1, ... keyed by prime keys: the one truncated product, of the
+    store's own numerators (no grading), for ``*`` and the KP residuals."""
+    for w, x in enumerate(left):
+        for y in right[:order - w + 1]:
+            _add_product(acc, x, y, f)
+
+
+def _add_product(acc: dict, x: dict, y: dict, f: int) -> None:
     """acc += f x y for pieces keyed by prime keys (zeros may be left in
     acc): the key of a product of monomials is the product of their keys."""
     get = acc.get
@@ -432,14 +439,14 @@ def _exp(a: TruncSeries, base: int) -> TruncSeries:
     exp, since C(n,2) = C(k,2) + C(n-k,2) + k(n-k)."""
     if a.constant_term:
         raise ValueError("exp requires a zero constant term")
-    scales, (pieces,) = _graded(0, a)
+    scales, pieces = _graded(a)
     out = [{1: 1}]
     for n in range(1, a.order + 1):
         acc = {}
         for k in range(1, n + 1):
             _add_product(acc, pieces[k], out[n - k], comb(n - 1, k - 1) * base ** (k * (n - k)))
         out.append(acc)
-    return _ungraded(a.order, a.var, out, scales)
+    return _sum(a.order, a.var, out, scales)
 
 
 def log(a: TruncSeries) -> TruncSeries:
@@ -450,14 +457,14 @@ def log(a: TruncSeries) -> TruncSeries:
     """
     if a.constant_term != 1:
         raise ValueError("log requires constant term 1")
-    scales, (pieces,) = _graded(0, a)
+    scales, pieces = _graded(a)
     out = [{}]
     for n in range(1, a.order + 1):
         acc = dict(pieces[n])
         for k in range(1, n):
             _add_product(acc, out[k], pieces[n - k], -comb(n - 1, k - 1))
         out.append(acc)
-    return _ungraded(a.order, a.var, out, scales)
+    return _sum(a.order, a.var, out, scales)
 
 
 def _derivative(G: dict, table: tuple, v: Partition, order: int) -> list[dict]:
@@ -483,20 +490,17 @@ def _derivative_form(F: TruncSeries, order: int, scale: int, linear: dict,
     """(sum_v a_v D G_v + sum_(u, v) b_uv G_u G_v) / (scale D^2) through
     weight ``order``, for G = D F the stored numerators of F over its one
     denominator D, G_v the derivative of G by p_v1 ... p_vk, and rows
-    v -> a_v, (u, v) -> b_uv."""
+    v -> a_v, (u, v) -> b_uv.  Every row is one :func:`_product` into one
+    dict, a linear row with the constant piece a_v D, reduced once."""
     table = _prime_keys(F.order)
     G, den = F._nums, F._den
-    out = [{} for _ in range(order + 1)]
-    for v, a in linear.items():
-        for acc, piece in zip(out, _derivative(G, table, v, order)):
-            _add_product(acc, {1: a * den}, piece)  # times the constant a_v D
+    out = {}
+    for v, a in linear.items():  # times the constant piece a_v D
+        _product(out, [{1: a * den}], _derivative(G, table, v, order), order)
     for (u, v), b in bilinear.items():
         left = _derivative(G, table, u, order)
-        right = left if u == v else _derivative(G, table, v, order)
-        for w, piece in enumerate(left):
-            for j, y in enumerate(right[:order - w + 1]):
-                _add_product(out[w + j], piece, y, b)
-    return _ungraded(order, "p", out, [scale * den * den] * (order + 1))
+        _product(out, left, left if u == v else _derivative(G, table, v, order), order, b)
+    return TruncSeries._reduced(order, "p", out, scale * den * den)
 
 
 def substitute(a: TruncSeries, factors) -> TruncSeries:

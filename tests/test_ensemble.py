@@ -4,6 +4,7 @@ constants, rescale plans, the rescaled all-graphs series against the
 reference tau, and the universality of the rescaled series."""
 
 from fractions import Fraction
+from math import factorial
 
 import pytest
 
@@ -12,8 +13,8 @@ from graphkp.ensemble import (_piece, abel_constants, c_recursion, connected_ser
                               ensemble_a, ensemble_w,
                               full_series, make_plan, rescale_constants)
 from graphkp.errors import SizeLimitError
-from graphkp.graphs import Graph
-from graphkp.invariants import extract_b
+from graphkp.graphs import Graph, all_graphs, aut_order
+from graphkp.invariants import INVARIANTS, extract_b
 from graphkp.schurkp import kp1_residual, kp2_residual, target_series
 from graphkp.series import MAX_ORDER, TruncSeries, mono
 from helpers import (NOT_EXACT, TUTTE_OMEGA, first_weight, isoclass_series, parse_poly,
@@ -191,6 +192,27 @@ class TestTauIdentity:
         constants = list(rescale_constants(which, order))
         constants[2] += 1
         assert gap(series._exp(_blocks(which, order, bump=1), 2), make_plan(constants)) is None
+
+    @pytest.mark.parametrize("which", ["W", "A"])
+    def test_isoclass_sums_rescale_to_target(self, which):
+        # graph-level evidence through weight 7: tau summed over the
+        # isomorphism classes, rescaled by the constants i_n = n! [q_n] read
+        # off the same sums, is the reference tau
+        order = 7
+        pieces = [isoclass_series(which, k, order) for k in range(1, order + 1)]
+
+        def gap(extra=None):
+            summed = list(pieces)
+            if extra is not None:  # one class counted twice: weight 2 / |Aut|
+                weight = Fraction(1, aut_order(extra))
+                summed[extra.n - 1] += INVARIANTS[which](extra, order) * weight
+            constants = [factorial(n) * p.coefficient(((n, 1),)) for n, p in enumerate(summed, 1)]
+            tau = sum(summed, TruncSeries.one(order))
+            return first_weight(series.substitute(tau, make_plan(constants)) - target_series(order))
+
+        assert gap() is None
+        for n, index in [(3, 0), (3, 3), (5, 10), (7, 500)]:
+            assert gap(all_graphs(n)[index]) == n, (n, index)
 
 
 class TestUniversality:

@@ -12,9 +12,10 @@ from hypothesis import strategies as st
 from graphkp.errors import SizeLimitError
 from graphkp.graphs import (MAX_VERTICES, Graph, all_graphs, canonical_form,
                             connected_graphs, disjoint_union, induced_forms, is_connected)
+from graphkp.hopf import primitive_projection
 from graphkp.invariants import (INVARIANTS, _b_abel, _b_chromatic, abel, extract_b,
                                 umbral_from_b, weighted_chromatic)
-from graphkp.series import mono
+from graphkp.series import TruncSeries, mono
 from helpers import (NOT_EXACT, WeightedGraph, chromatic_oracle, complete_graph, cycle_graph,
                      edgeless_recurrence_b, evaluate, forest_a, matrix_tree_b, parse_poly,
                      partition_umbral, path_graph, random_graph, random_rational, star_graph,
@@ -234,7 +235,43 @@ class TestChromaticOracle:
             chromatic_oracle(Graph(9), 2)
 
 
+def _primitive_image(invariant, g: Graph, order: int) -> TruncSeries:
+    """The invariant extended linearly to the primitive projection of g."""
+    total = TruncSeries.zero(order)
+    for h, c in primitive_projection(g).terms.items():
+        total = total + invariant(h, order) * c
+    return total
+
+
+def _vertex_degree_product(g: Graph, order: int) -> TruncSeries:
+    """Prod_v q_(deg v + 1): multiplicative on disjoint unions, not umbral."""
+    out = TruncSeries.one(order)
+    for adj in g.adjacency_masks():
+        out = out * TruncSeries.variable(adj.bit_count() + 1, order)
+    return out
+
+
 class TestUmbral:
+    @staticmethod
+    def _certificate_failures(invariant, b):
+        # the umbrality certificate I(pi(G)) = b_G q_n for connected G and 0
+        # for disconnected G, over the 208 classes with 1 to 6 vertices
+        graphs = [g for n in range(1, 7) for g in all_graphs(n)]
+        assert len(graphs) == 208
+        return sum(_primitive_image(invariant, g, 6)
+                   != TruncSeries.variable(g.n, 6) * (b(g) if is_connected(g) else 0)
+                   for g in graphs)
+
+    @pytest.mark.parametrize("which", ["W", "A"])
+    def test_invariant_of_primitive_projection_is_b_q_n(self, which):
+        assert self._certificate_failures(INVARIANTS[which], lambda g: extract_b(which, g)) == 0
+
+    def test_non_umbral_control_fails_the_certificate(self):
+        # b_G read off as the control's own coefficient of q_n
+        def b(g):
+            return _vertex_degree_product(g, 6).coefficient(((g.n, 1),))
+        assert self._certificate_failures(_vertex_degree_product, b) == 142
+
     def test_single_vertex(self):
         assert umbral_from_b(Graph(1), {Graph(1): Fraction(1)}, 4) == parse_poly("q1", 4)
 

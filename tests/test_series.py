@@ -130,11 +130,12 @@ def test_key_format_stays_in_series():
     # re-exports the public mono.
     # The store's prime keys stay inside series.py too: _PRIMES holds the
     # primes, _key encodes a monomial, _decoded decodes a key, _prime_keys
-    # lists the keys by weight, _graded and _ungraded grade a store and
-    # _add_product multiplies; other modules go through the partition-keyed
-    # _from_parts and _parts.
+    # lists the keys by weight, _pieces reads a store by weight, _graded
+    # grades one for exp and log, _product and _add_product multiply and
+    # _sum adds; other modules go through the partition-keyed _from_parts
+    # and _parts.
     hidden = {"_key", "_decoded", "_PRIMES", "_first_primes", "mono", "Monomial",
-              "_add_product", "_prime_keys", "_graded", "_ungraded"}
+              "_add_product", "_prime_keys", "_pieces", "_graded", "_product", "_sum"}
     leaks = []
     for path in sorted(Path(graphkp.__file__).parent.glob("*.py")):
         if path.name in ("series.py", "__init__.py"):
