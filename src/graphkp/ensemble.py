@@ -39,7 +39,9 @@ closed form in :func:`abel_constants`.  The graph-level evidence for both
 (the edge-subset sweep and the iso-class sums) lives in the tests.
 
 The per-variable rescaling factor derived from the constants is
-lambda_n = 2^(n(n-1)/2) * (n-1)! / i_n.
+lambda_n = 2^(n(n-1)/2) * (n-1)! / i_n, which turns each block i_n q_n / n!
+into (i_n / n!) lambda_n p_n = 2^(n(n-1)/2) p_n / n: the blocks of the
+reference tau of :func:`graphkp.schurkp.target_series`.
 """
 
 from __future__ import annotations

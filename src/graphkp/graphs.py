@@ -284,7 +284,7 @@ def induced_forms(g: Graph) -> list[Graph]:
 
 def assemble_partitions(labels: Sequence, weights: Sequence[int]) -> dict[tuple, int]:
     """Sum over the set partitions of V of the product of weights[B] over the
-    blocks B, grouped by the sorted tuple of the blocks' labels.
+    blocks B, grouped by the weakly decreasing tuple of the blocks' labels.
 
     ``labels`` and the integer ``weights`` are indexed by vertex bitmask and
     have 2**n entries each, V being the full mask.  Blocks of zero weight are skipped
@@ -317,7 +317,7 @@ def assemble_partitions(labels: Sequence, weights: Sequence[int]) -> dict[tuple,
                 for key, val in table[rest ^ sub].items():
                     new = grown.get((key, label))
                     if new is None:
-                        new = tuple(sorted(key + (label,)))
+                        new = tuple(sorted(key + (label,), reverse=True))
                         new = grown[key, label] = keys.setdefault(new, new)
                     acc[new] = acc.get(new, 0) + w * val
             if not sub:

@@ -56,13 +56,12 @@ from graphkp.series import DEFAULT_ORDER, TruncSeries, _fraction, _from_parts
 
 def _assemble(b, order: int) -> TruncSeries:
     """sum over set partitions of V of prod over blocks B of b[B] q_|B|, on
-    the integers D^|B| b[B] over D^|V|, D the lcm of the denominators.
-    Keys come sorted up; reversed, each is the partition of its monomial."""
+    the integers D^|B| b[B] over D^|V|, D the lcm of the denominators; each
+    key of the assembly is the partition of its monomial."""
     den = lcm(*[x.denominator for x in b])
     sizes = [s.bit_count() for s in range(len(b))]
     scaled = [int(x * den ** k) for x, k in zip(b, sizes)]
-    return _from_parts(order, "q", {key[::-1]: val for key, val in
-                                    assemble_partitions(sizes, scaled).items()}, den ** sizes[-1])
+    return _from_parts(order, "q", assemble_partitions(sizes, scaled), den ** sizes[-1])
 
 
 def _tutte_table(g: Graph, weight) -> list[int]:

@@ -34,7 +34,11 @@ s_n = sum_{mu |- n} p_mu / z_mu, with the weight of p_i taken to be i.
     1 + 2^0 s_1 + 2^1 s_2 + ... + 2^(n(n-1)/2) s_n + ...
 
 which every rescaled generating function in :mod:`graphkp.ensemble` must
-match.  Any series 1 + sum c_n s_n with one-part Schur polynomials only is a
+match.  Since s_n is the weight-n part of exp(sum_k p_k / k) (Macdonald
+I.2), tau is the graphical exponential of the blocks 2^(n(n-1)/2) p_n / n,
+:func:`graphkp.series._exp` at base 2, the kernel that also builds the
+all-graphs series; the rescaling turns its blocks into exactly these.  Any
+series 1 + sum c_n s_n with one-part Schur polynomials only is a
 tau-function, so its log solves the KP hierarchy; the two residual operators
 here check the first two equations:
 
@@ -67,8 +71,8 @@ from math import factorial, lcm, prod
 from operator import mul
 
 from graphkp.errors import check_limit
-from graphkp.series import (DEFAULT_ORDER, Partition, TruncSeries, _derivative_form, _fraction,
-                            _from_parts, _parts, partitions_of)
+from graphkp.series import (DEFAULT_ORDER, Partition, TruncSeries, _derivative_form, _exp,
+                            _fraction, _from_parts, _parts, partitions_of)
 
 
 def _validate_partition(lam) -> Partition:
@@ -153,12 +157,10 @@ schur_jacobi_trudi = schur_polynomial
 
 
 def target_series(order: int = DEFAULT_ORDER) -> TruncSeries:
-    """1 + sum_{n>=1} 2^(n(n-1)/2) s_n, truncated at the order, summed
-    directly as sum_n 2^(n(n-1)/2) sum_{mu |- n} p_mu / z_mu over order!,
-    which every z_mu divides."""
-    den = factorial(check_limit("order", order))
-    return _from_parts(order, "p", {mu: 2 ** (n * (n - 1) // 2) * (den // _z(mu))
-                                    for n in range(order + 1) for mu in partitions_of(n)}, den)
+    """1 + sum_{n>=1} 2^(n(n-1)/2) s_n, truncated at the order, as
+    ``_exp(sum_n 2^(n(n-1)/2) p_n / n, 2)`` (see the module doc)."""
+    return _exp(TruncSeries(check_limit("order", order), "p", {
+        ((n, 1),): Fraction(2 ** (n * (n - 1) // 2), n) for n in range(1, order + 1)}), 2)
 
 
 @lru_cache(maxsize=None)

@@ -24,11 +24,12 @@ numerators over D_1 D_2, the double loop that the KP residuals of
 grading of :func:`_graded`, weight w held as w! E^w times its part (E is 1
 for the all-graphs series), where they are binomial convolutions (Stanley,
 *EC2* 5.1); :func:`_exp` is exp's recurrence with a power of a base per
-term, the graphical exponential of :mod:`graphkp.ensemble` at base 2.  One
-lcm-sum, :func:`_sum`, ends ``+``, exp and log: one lcm over the parts'
-denominators and one gcd.  A ``Fraction`` per term is built only at the
-public edge: ``terms``, ``coefficient``, ``constant_term``, ``text`` and
-``to_json_obj``.
+term, at base 2 the graphical exponential that builds both the all-graphs
+series of :mod:`graphkp.ensemble` and the reference tau of
+:mod:`graphkp.schurkp`.  One lcm-sum, :func:`_sum`, ends ``+``, exp and
+log: one lcm over the parts' denominators and one gcd.  A ``Fraction`` per
+term is built only at the public edge: ``terms``, ``coefficient``,
+``constant_term``, ``text`` and ``to_json_obj``.
 
 The public API speaks monomials: tuples of ``(variable index, exponent)``
 pairs sorted by index, zero exponents omitted, () the constant.  The
@@ -436,7 +437,8 @@ def exp(a: TruncSeries) -> TruncSeries:
 def _exp(a: TruncSeries, base: int) -> TruncSeries:
     """:func:`exp` with each term k of e_n times base^(k(n-k)); base 2
     gives the graphical exponential, weight n scaled by 2^C(n,2) around
-    exp, since C(n,2) = C(k,2) + C(n-k,2) + k(n-k)."""
+    exp, since C(n,2) = C(k,2) + C(n-k,2) + k(n-k): the all-graphs series
+    from its blocks, and the reference tau from 2^C(n,2) p_n / n."""
     if a.constant_term:
         raise ValueError("exp requires a zero constant term")
     scales, pieces = _graded(a)

@@ -15,8 +15,9 @@ the package computes one way, kept here only to check it.
   factor of the graphical exponential.
 * Tuple-merge kernel oracles: the product, exp, log and both KP residuals
   with weight w scaled by D^w, D the lcm of every denominator, and monomial
-  products merged as sorted partitions, the oracles for the kernels in
-  exponential grading on prime keys.
+  products merged as sorted partitions, the oracles for the kernels on
+  prime keys: the plain truncated product of the stored numerators, and
+  exp and log in exponential grading.
 * Per-graph oracles for the umbral assembly: the edge-subset expansion of W,
   the spanning-forest sum of A, W's b-table by the inverse recurrence over
   edgeless blocks, A's b-table by matrix-tree determinants,

@@ -172,7 +172,7 @@ class TestSetPartitions:
         counts = assemble_partitions(sizes, [1] * (1 << n))
         assert len(counts) == INTEGER_PARTITIONS[n]
         for lam, count in counts.items():
-            assert list(lam) == sorted(lam) and sum(lam) == n
+            assert list(lam) == sorted(lam, reverse=True) and sum(lam) == n
             denom = math.prod(math.factorial(m) for m in lam + tuple(Counter(lam).values()))
             assert count * denom == math.factorial(n), lam
         assert sum(counts.values()) == BELL[n]

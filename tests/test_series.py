@@ -465,9 +465,10 @@ class TestKernelsMatchFractionOracles:
 
 
 class TestKernelsMatchTupleOracles:
-    """The kernels in exponential grading on prime keys equal the tuple-merge
-    kernels they replaced (D^w grading, keys merged as sorted tuples), term
-    for term."""
+    """The kernels on prime keys (the plain truncated product of the stored
+    numerators, and exp and log in exponential grading) equal the
+    tuple-merge kernels they replaced (D^w grading, keys merged as sorted
+    tuples), term for term."""
 
     def test_random_series(self, rng):
         for order in range(15):
