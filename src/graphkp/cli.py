@@ -25,7 +25,8 @@ from __future__ import annotations
 import argparse
 import sys
 
-from graphkp.errors import DEFAULT_ORDER, LIMITS, Graph6ParseError, SizeLimitError, check_limit
+from graphkp.errors import (DEFAULT_ORDER, FAMILY, LIMITS, Graph6ParseError, SizeLimitError,
+                            check_limit)
 
 EXIT_OK = 0
 EXIT_KP_NONZERO = 1
@@ -44,8 +45,9 @@ def _build_parser() -> argparse.ArgumentParser:
 
     def add_common(p, which=True, order=True, fmt=("text", "json")):
         if which:
-            p.add_argument("--which", choices=("W", "A"), required=True,
-                           help="invariant: weighted chromatic (W) or Abel (A)")
+            p.add_argument("--which", choices=tuple(FAMILY), required=True,
+                           help="invariant: " + " or ".join(
+                               f"{what} ({name})" for name, (_, _, what) in FAMILY.items()))
         if order:
             p.add_argument("--order", type=int, default=DEFAULT_ORDER, metavar="N",
                            help=f"truncation order, 1..{LIMITS['order'].cap} "
@@ -79,14 +81,14 @@ def _build_parser() -> argparse.ArgumentParser:
     add_common(p, which=False, fmt=None)
     p.set_defaults(order=None)  # --input takes the file's order
     src = p.add_mutually_exclusive_group(required=True)
-    src.add_argument("--series", dest="series_name", choices=("W", "A", "S"),
-                     help="built-in: rescaled W/A generating function, or the "
+    src.add_argument("--series", dest="series_name", choices=(*FAMILY, "S"),
+                     help=f"built-in: rescaled {'/'.join(FAMILY)} generating function, or the "
                           "one-part Schur reference S (checked as log of it)")
     src.add_argument("--input", metavar="FILE",
                      help="JSON series in p-variables, checked as-is")
 
     p = sub.add_parser("tables", help="per-graph polynomial + |Aut| tables")
-    p.add_argument("--which", choices=("W", "A", "both"), default="both")
+    p.add_argument("--which", choices=(*FAMILY, "both"), default="both")
     p.add_argument("--max-n", type=int, default=4, metavar="N")
     p.add_argument("--format", choices=("text", "csv"), default="text")
 
@@ -115,12 +117,11 @@ def _rescale(s, which: str, order: int):
 
 def _cmd_invariant(args) -> int:
     from graphkp.graphs import parse_graph6
-    from graphkp.invariants import INVARIANTS
+    from graphkp.invariants import invariant
 
     order = check_limit("order", args.order, low=1)
-    fn = INVARIANTS[args.which]
     if args.graph6 is not None:
-        _emit_series(fn(parse_graph6(args.graph6), order), args.format)
+        _emit_series(invariant(args.which, parse_graph6(args.graph6), order), args.format)
         return EXIT_OK
     with open(args.input, encoding="ascii") as handle:
         graphs = [(line.strip(), parse_graph6(line))
@@ -128,11 +129,12 @@ def _cmd_invariant(args) -> int:
     if args.format == "json":
         import json
 
-        print(json.dumps([{"graph6": g6, "series": fn(g, order).to_json_obj()}
+        print(json.dumps([{"graph6": g6,
+                           "series": invariant(args.which, g, order).to_json_obj()}
                           for g6, g in graphs], indent=2))
     else:
         for g6, g in graphs:
-            print(f"{g6}\t{fn(g, order).text()}")
+            print(f"{g6}\t{invariant(args.which, g, order).text()}")
     return EXIT_OK
 
 
@@ -171,10 +173,10 @@ def _cmd_rescale(args) -> int:
         args.sum, args.rescaled = "connected", True
         return _cmd_series(args)
     from graphkp.graphs import parse_graph6
-    from graphkp.invariants import INVARIANTS
+    from graphkp.invariants import invariant
 
     order = check_limit("order", args.order, low=1)
-    poly = INVARIANTS[args.which](parse_graph6(args.graph6), order)
+    poly = invariant(args.which, parse_graph6(args.graph6), order)
     _emit_series(_rescale(poly, args.which, order), args.format)
     return EXIT_OK
 
@@ -235,18 +237,17 @@ def _cmd_kp_check(args) -> int:
 
 def _cmd_tables(args) -> int:
     from graphkp.graphs import aut_order, connected_graphs, emit_graph6
-    from graphkp.invariants import INVARIANTS
+    from graphkp.invariants import invariant
 
     check_limit("tables", args.max_n, low=1)
-    names = ("W", "A") if args.which == "both" else (args.which,)
+    names = tuple(FAMILY) if args.which == "both" else (args.which,)
     sep = "," if args.format == "csv" else "\t"
     for which in names:
-        fn = INVARIANTS[which]
         print(f"# {which}")
         print(sep.join(("n", "graph6", "polynomial", "aut")))
         for n in range(1, args.max_n + 1):
             for g in sorted(connected_graphs(n), key=lambda h: (h.num_edges, h.edges)):
-                poly = fn(g, n).text()
+                poly = invariant(which, g, n).text()
                 if args.format == "csv":
                     poly = f'"{poly}"'
                 print(sep.join((str(n), emit_graph6(g), poly, str(aut_order(g)))))

@@ -33,10 +33,19 @@ and b_k = i_k q_k,
 the Euler recurrence of exp with one more factor per term
 (:func:`graphkp.series._exp` with base 2).
 
-For the weighted chromatic polynomial the i_n satisfy the recursion in
-:func:`c_recursion`; for the Abel polynomial Cayley's formula gives the
-closed form in :func:`abel_constants`.  The graph-level evidence for both
-(the edge-subset sweep and the iso-class sums) lives in the tests.
+The constants come from the b-table recursion of :mod:`graphkp.invariants`
+at the invariant's family row (x, rooted): i_n sums b([n]) =
+n^rooted T_G(1, x) over the labelled graphs G on [n].  Summed over every
+graph on U + t, |U| = m, that recursion's h_t(U) is H_m: a block B of size
+k holding min U has C(m-1, k-1) choices, t's 2^k edge sets to B sum [d]_x
+to omega(k) = sum_d C(k, d) [d]_x, s(B) and h_t(U \\ B) sum to H_(k-1) and
+H_(m-k), and each of the k(m-k) edges between B and U \\ B doubles the sum:
+
+    H_m = sum_{k=1}^{m} C(m-1, k-1) 2^(k(m-k)) omega(k) H_(k-1) H_(m-k),
+
+H_0 = 1 and i_n = n^rooted H_(n-1).  The tests hold the oracles: W's
+alternating recursion, Cayley's formula for A, the edge-subset sweep and
+the iso-class sums.
 
 The per-variable rescaling factor derived from the constants is
 lambda_n = 2^(n(n-1)/2) * (n-1)! / i_n, which turns each block i_n q_n / n!
@@ -50,46 +59,25 @@ from fractions import Fraction
 from math import comb, factorial
 
 from graphkp import series
-from graphkp.errors import check_limit
+from graphkp.errors import check_limit, family_row
 from graphkp.series import DEFAULT_ORDER, TruncSeries, _fraction, _from_parts, _parts
 
 # -- rescaling constants -------------------------------------------------------
 
 
-def c_recursion(n_max: int) -> list[int]:
-    """Constants for the weighted chromatic rescaling, by the recursion
-
-        c_n = (-1)^(n+1) * [1 + sum_{k=1}^{n-1} (-1)^k 2^(k(n-k))
-                                C(n-1, k-1) c_k],
-
-    whose empty sum gives c_1 = 1.  Gives 1, 1, 5, 79, 3377, ...
-    """
-    cs: list[int] = []
-    for n in range(1, n_max + 1):
-        total = 1 + sum((-1) ** k * 2 ** (k * (n - k)) * comb(n - 1, k - 1) * cs[k - 1]
-                        for k in range(1, n))
-        cs.append((-1) ** (n + 1) * total)
-    return cs
-
-
-def abel_constants(n_max: int) -> list[int]:
-    """Constants for the Abel rescaling: a_n = 2^((n-1)(n-2)/2) * n^(n-1).
-
-    The n^(n-1) counts rooted spanning trees of K_n (Cayley), and every tree
-    lies in 2^((n-1)(n-2)/2) connected spanning supergraphs.
-    """
-    return [2 ** ((n - 1) * (n - 2) // 2) * n ** (n - 1) for n in range(1, n_max + 1)]
-
-
-#: i_1..i_N for each invariant, i_n = n! * [q_n] piece_n.
-_CONSTANTS = {"W": c_recursion, "A": abel_constants}
-
-
-def _constants(which: str, n_max: int) -> list[int]:
-    """i_1..i_n_max of the invariant named ``which``."""
-    if which not in _CONSTANTS:
-        raise ValueError(f"unknown invariant {which!r}, expected one of {sorted(_CONSTANTS)}")
-    return _CONSTANTS[which](check_limit("order", n_max))
+def rescale_constants(which: str, order: int = DEFAULT_ORDER) -> tuple[Fraction, ...]:
+    """(i_1, ..., i_order), i_n = n! * [q_n] piece_n, the automorphism-weighted
+    count of the q_n coefficients over all connected n-vertex graphs, by the
+    recurrence in the module doc at the family row (x, rooted) of ``which``."""
+    x, rooted, _ = family_row(which)
+    check_limit("order", order)
+    weight = [sum(x ** j for j in range(d)) for d in range(order)]  # [d]_x
+    h, omega = [1], [0]
+    for m in range(1, order):
+        omega.append(sum(comb(m, d) * weight[d] for d in range(m + 1)))
+        h.append(sum(comb(m - 1, k - 1) * 2 ** (k * (m - k)) * omega[k] * h[k - 1] * h[m - k]
+                     for k in range(1, m + 1)))
+    return tuple(Fraction(h[n - 1] * n ** rooted) for n in range(1, order + 1))
 
 
 # -- ensemble pieces -----------------------------------------------------------
@@ -117,7 +105,7 @@ def full_series(which: str, order: int = DEFAULT_ORDER) -> TruncSeries:
     with the block of size k split off times 2 to the k(n-k) edges of K_n
     between them."""
     return series._exp(TruncSeries(order, "q", {
-        ((n, 1),): Fraction(i, factorial(n)) for n, i in enumerate(_constants(which, order), 1)}), 2)
+        ((n, 1),): i / factorial(n) for n, i in enumerate(rescale_constants(which, order), 1)}), 2)
 
 
 def connected_series(which: str, order: int = DEFAULT_ORDER) -> TruncSeries:
@@ -126,12 +114,6 @@ def connected_series(which: str, order: int = DEFAULT_ORDER) -> TruncSeries:
 
 
 # -- rescale plans -------------------------------------------------------------
-
-
-def rescale_constants(which: str, order: int = DEFAULT_ORDER) -> tuple[Fraction, ...]:
-    """(i_1, ..., i_order), i_n = n! * [q_n] piece_n, the automorphism-weighted
-    count of the q_n coefficients over all connected n-vertex graphs."""
-    return tuple(Fraction(i) for i in _constants(which, order))
 
 
 def make_plan(constants) -> dict[int, Fraction]:

@@ -1,5 +1,6 @@
 """Shared exception types, the one table of sizes (the caps and the default
-truncation order) and the one rule for a size.  It imports only ``typing``:
+truncation order) and the one rule for a size, and the one table of the
+invariant family with its one lookup.  It imports only ``typing``:
 ``import graphkp`` and ``import graphkp.cli`` load no other graphkp module."""
 
 from typing import NamedTuple
@@ -55,3 +56,19 @@ def check_limit(name: str, value: int, low: int = 0) -> int:
         bound = f"in [{low}, {cap}]" if low <= cap else f"at least {low}, above its cap {cap}"
         raise SizeLimitError(f"{what} must be {bound}, got {value}")
     return value
+
+
+#: The umbral invariants, one row (x, rooted, what) each: b(S) = |S|^rooted T_G[S](1, x)
+#: (``invariants``) and the constants of that row (``ensemble``); the CLI's choices list
+#: the names in order, and its ``--which`` help each ``what``.
+FAMILY = {
+    "W": (0, False, "weighted chromatic"),
+    "A": (1, True, "Abel"),
+}
+
+
+def family_row(which: str) -> tuple[int, bool, str]:
+    """The row of the invariant named ``which``; any other name raises ValueError."""
+    if which not in FAMILY:
+        raise ValueError(f"unknown invariant {which!r}, expected one of {sorted(FAMILY)}")
+    return FAMILY[which]

@@ -12,22 +12,24 @@ program over vertex subsets (Bjorklund-Husfeldt-Koivisto, "Set partitioning
 via inclusion-exclusion"), with block labels |B| and weights from a table of
 b indexed by vertex bitmask S.
 
-The b-tables of W and A come from one recursion.  Let s(S) = T_G[S](1, x),
-the sum over the connected spanning subgraphs of G[S] of (x - 1)^nullity
-(0 if G[S] is disconnected).  Such a subgraph minus the top vertex t of S is
-one on each block B of a set partition of S \\ t, joined to t by a nonempty
-subset of its d = |N(t) & B| edges to t, which sum to [d]_x = 1 + x + ...
-+ x^(d-1).  So s(S) = h_t(S \\ t), h_t(empty) = 1 and
+Every b-table comes from one recursion, read at the invariant's row
+(x, rooted) of the family table :data:`graphkp.errors.FAMILY`: b(S) =
+|S|^rooted s(S), where s(S) = T_G[S](1, x) is the sum over the connected
+spanning subgraphs of G[S] of (x - 1)^nullity (0 if G[S] is disconnected).
+Such a subgraph minus the top vertex t of S is one on each block B of a set
+partition of S \\ t, joined to t by a nonempty subset of its d = |N(t) & B|
+edges to t, which sum to [d]_x = 1 + x + ... + x^(d-1).  So
+s(S) = h_t(S \\ t), h_t(empty) = 1 and
 
       h_t(U) = sum over min U in B <= U of [|N(t) & B|]_x s(B) h_t(U \\ B),
 
-about 3^n / 4 multiply-adds per table.  It gives
+about 3^n / 4 multiply-adds per table.  The rows are
 
 * the weighted chromatic polynomial W (the edge-subset expansion
   sum over E' of (-1)^(|E'| - |V| + k(E')) q_{v_1} ... q_{v_k}) at x = 0,
-  [d]_0 = [d > 0]: b(S) = T_G[S](1, 0);
+  [d]_0 = [d > 0], unrooted: b(S) = T_G[S](1, 0);
 * the Abel polynomial A (the sum over spanning forests of the product of
-  size * q_size over their trees) at x = 1, [d]_1 = d:
+  size * q_size over their trees) at x = 1, [d]_1 = d, rooted:
   b(S) = |S| T_G[S](1, 1) = |S| tau(S), tau(S) the number of spanning
   trees of G[S].
 
@@ -47,9 +49,10 @@ from __future__ import annotations
 
 from collections.abc import Mapping
 from fractions import Fraction
+from functools import partial
 from math import lcm
 
-from graphkp.errors import check_limit
+from graphkp.errors import FAMILY, check_limit, family_row
 from graphkp.graphs import Graph, assemble_partitions, induced_forms, is_connected
 from graphkp.series import DEFAULT_ORDER, TruncSeries, _fraction, _from_parts
 
@@ -64,12 +67,14 @@ def _assemble(b, order: int) -> TruncSeries:
     return _from_parts(order, "q", assemble_partitions(sizes, scaled), den ** sizes[-1])
 
 
-def _tutte_table(g: Graph, weight) -> list[int]:
-    """s[S] = T_G[S](1, x) if G[S] is connected, else 0, for every vertex
-    bitmask S, from weight[d] = [d]_x = 1 + x + ... + x^(d-1) (see module doc)."""
-    masks = g.adjacency_masks()
+def b_table(which: str, g: Graph) -> list[int]:
+    """b[S] = |S|^rooted s[S] for every vertex bitmask S, (x, rooted) the family
+    row of ``which``: s[S] = T_G[S](1, x) if G[S] is connected, else 0, from
+    weight[d] = [d]_x = 1 + x + ... + x^(d-1) (see module doc)."""
+    x, rooted, _ = family_row(which)
+    weight = [sum(x ** j for j in range(d)) for d in range(g.n + 1)]
     s = [0] * (1 << g.n)
-    for t, nbrs in enumerate(masks):
+    for t, nbrs in enumerate(g.adjacency_masks()):
         top = 1 << t
         # w[B] = [|N(t) & B|]_x s(B), h[U] = s(U + t), for the masks U, B below t
         w = [weight[(nbrs & blk).bit_count()] * s[blk] for blk in range(top)]
@@ -86,49 +91,37 @@ def _tutte_table(g: Graph, weight) -> list[int]:
                 r = (r - 1) & rest
             h[u] = total
         s[top:2 * top] = h
-    return s
+    return [mask.bit_count() ** rooted * v for mask, v in enumerate(s)]
 
 
-def _b_chromatic(g: Graph) -> list[int]:
-    """b[S] = T_G[S](1, 0) for every vertex bitmask S: weight [d]_0 = [d > 0]."""
-    return _tutte_table(g, [0] + [1] * g.n)
-
-
-def _b_abel(g: Graph) -> list[int]:
-    """b[S] = |S| T_G[S](1, 1) = |S| tau(S) for every vertex bitmask S, tau(S)
-    the number of spanning trees of G[S]: weight [d]_1 = d."""
-    return [s.bit_count() * x for s, x in enumerate(_tutte_table(g, range(g.n + 1)))]
+def invariant(which: str, g: Graph, order: int = DEFAULT_ORDER) -> TruncSeries:
+    """The invariant named ``which``, assembled from its b-table."""
+    check_limit("order", order, low=g.n)
+    return _assemble(b_table(which, g), order)
 
 
 def weighted_chromatic(g: Graph, order: int = DEFAULT_ORDER) -> TruncSeries:
     """Weighted chromatic polynomial, assembled from b = T_G[S](1, 0)."""
-    check_limit("order", order, low=g.n)
-    return _assemble(_b_chromatic(g), order)
+    return invariant("W", g, order)
 
 
 def abel(g: Graph, order: int = DEFAULT_ORDER) -> TruncSeries:
     """Abel polynomial: sum over spanning forests of prod (size * q_size),
     assembled from b = |S| * tau(G[S])."""
-    check_limit("order", order, low=g.n)
-    return _assemble(_b_abel(g), order)
+    return invariant("A", g, order)
 
 
-INVARIANTS = {
-    "W": weighted_chromatic,
-    "A": abel,
-}
-
-_B_TABLES = {"W": _b_chromatic, "A": _b_abel}
+#: The invariant of each family row, by name.
+INVARIANTS = {which: partial(invariant, which) for which in FAMILY}
 
 
 def extract_b(which: str, g: Graph) -> Fraction:
     """Primitive coefficient of a connected graph: the coefficient of q_n in
     the invariant, the last entry of its b-table (b of the full vertex set)."""
-    if which not in _B_TABLES:
-        raise ValueError(f"unknown invariant {which!r}, expected one of {sorted(_B_TABLES)}")
+    b = b_table(which, g)
     if not is_connected(g):
         raise ValueError("primitive coefficients are defined for connected graphs only")
-    return Fraction(_B_TABLES[which](g)[-1])
+    return Fraction(b[-1])
 
 
 def _primitive(b: Mapping[Graph, Fraction], h: Graph) -> Fraction:

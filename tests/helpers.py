@@ -38,7 +38,8 @@ the package computes one way, kept here only to check it.
 * Graph-level oracles for the ensemble pieces: the edge-subset sweep over
   K_k and the sums over isomorphism classes; the all-graphs series summed
   piece by piece, the oracle for its one-dict assembly; and the constants
-  as the per-graph Tutte recursion summed over all labelled graphs.
+  of W by their alternating recursion and of A by Cayley's formula, the
+  oracles for the one recurrence over the family row.
 * Schur oracles for the character-based Schur functions and Schur
   expansion: the one-part sum over p_mu / z_mu, the Jacobi-Trudi
   determinant, an exact linear solve over it, and the expansion by one
@@ -62,13 +63,12 @@ from typing import Iterator
 
 from hypothesis import strategies as st
 
-from graphkp.ensemble import _CONSTANTS
 from graphkp.errors import SizeLimitError, check_limit
 from graphkp.graphs import (MAX_VERTICES, SLOT_ENDPOINTS, Graph, _bit_indices,
                             all_graphs, aut_order, canonical_form, components,
                             disjoint_union, edge_slot, emit_graph6, induced_forms)
 from graphkp.hopf import UNIT_GRAPH, coproduct, primitive_projection
-from graphkp.invariants import INVARIANTS
+from graphkp.invariants import invariant
 from graphkp.schurkp import _KP1, _KP2, _z, character, partitions_of
 from graphkp.series import (DEFAULT_ORDER, Monomial, Partition, TruncSeries, _fraction, exp,
                             mono)
@@ -1019,6 +1019,35 @@ def _key_counts(key: int, k: int) -> dict[int, int]:
             if key >> 4 * (s - 1) & 0xF}
 
 
+def c_recursion(n_max: int) -> list[int]:
+    """Constants for the weighted chromatic rescaling, by the recursion
+
+        c_n = (-1)^(n+1) * [1 + sum_{k=1}^{n-1} (-1)^k 2^(k(n-k))
+                                C(n-1, k-1) c_k],
+
+    whose empty sum gives c_1 = 1.  Gives 1, 1, 5, 79, 3377, ...
+    """
+    cs: list[int] = []
+    for n in range(1, n_max + 1):
+        total = 1 + sum((-1) ** k * 2 ** (k * (n - k)) * comb(n - 1, k - 1) * cs[k - 1]
+                        for k in range(1, n))
+        cs.append((-1) ** (n + 1) * total)
+    return cs
+
+
+def abel_constants(n_max: int) -> list[int]:
+    """Constants for the Abel rescaling: a_n = 2^((n-1)(n-2)/2) * n^(n-1).
+
+    The n^(n-1) counts rooted spanning trees of K_n (Cayley), and every tree
+    lies in 2^((n-1)(n-2)/2) connected spanning supergraphs.
+    """
+    return [2 ** ((n - 1) * (n - 2) // 2) * n ** (n - 1) for n in range(1, n_max + 1)]
+
+
+#: the constants oracle of each invariant, independent of ``ensemble``'s recurrence
+CONSTANTS = {"W": c_recursion, "A": abel_constants}
+
+
 def counter_piece(which: str, k: int, order: int) -> TruncSeries:
     """The independent closed-form oracle for ``ensemble_w``/``ensemble_a``:
     piece_k summed partition by partition, each term
@@ -1032,7 +1061,7 @@ def counter_piece(which: str, k: int, order: int) -> TruncSeries:
     check_limit("order", order)
     if k > order:
         raise ValueError(f"weight-{k} piece does not fit truncation order {order}")
-    consts = _CONSTANTS[which](k)
+    consts = CONSTANTS[which](k)
     terms = {}
     for lam in partitions_of(k):
         mult = Counter(lam)
@@ -1083,41 +1112,15 @@ def swept_constants(which: str, n_max: int) -> list[Fraction]:
             for n in range(1, n_max + 1)]
 
 
-#: omega(k) = sum over d of C(k, d) [d]_x: the factor [d]_x of a k-vertex
-#: block in ``invariants``' Tutte recursion, summed over the d-edge subsets of
-#: its k possible edges to the top vertex (x = 0 for W, x = 1 for A)
-TUTTE_OMEGA = {"W": lambda k: 2 ** k - 1, "A": lambda k: k * 2 ** (k - 1)}
-
-
-def summed_tutte_constants(which: str, n_max: int, omega=None) -> list[int]:
-    """i_n for n = 1..n_max as the Tutte recursion summed over all labelled
-    graphs on [n], with no graph enumeration.  Summed over every graph on
-    U + t, |U| = m, the recursion's h_t(U) is e_m, a graphical exponential of
-    the blocks: the k(m-k) edges between a k-block and the rest of U are read
-    by no factor, so
-
-        e_m = sum over k of C(m-1, k-1) 2^(k(m-k)) omega(k) t_k e_(m-k),
-
-    with e_0 = 1 and t_n = e_(n-1) the sum of s([n]); i_n = t_n for W and
-    n t_n for A.  ``omega`` replaces ``TUTTE_OMEGA[which]``."""
-    omega = omega or TUTTE_OMEGA[which]
-    e = [1]
-    for m in range(1, n_max):
-        e.append(sum(comb(m - 1, k - 1) * 2 ** (k * (m - k)) * omega(k) * e[k - 1] * e[m - k]
-                     for k in range(1, m + 1)))
-    return [e[n - 1] * (n if which == "A" else 1) for n in range(1, n_max + 1)]
-
-
 def isoclass_series(which: str, k: int, order: int = DEFAULT_ORDER) -> TruncSeries:
     """Weight-k piece computed the definitional way: sum I_G / |Aut(G)| over
     the isomorphism classes of k-vertex graphs from :func:`all_graphs`.
     Deliberately independent of the partition formula; capped at k = 7."""
     if not 1 <= k <= 7:
         raise SizeLimitError(f"iso-class sums capped at 7 vertices, got {k}")
-    invariant = INVARIANTS[which]
     total = TruncSeries.zero(order, "q")
     for g in all_graphs(k):
-        total = total + invariant(g, order) * Fraction(1, aut_order(g))
+        total = total + invariant(which, g, order) * Fraction(1, aut_order(g))
     return total
 
 

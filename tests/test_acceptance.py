@@ -11,8 +11,7 @@ from fractions import Fraction
 import pytest
 
 from graphkp import series
-from graphkp.ensemble import (abel_constants, c_recursion, ensemble_a,
-                              ensemble_w, full_series, make_plan)
+from graphkp.ensemble import ensemble_a, ensemble_w, full_series, make_plan
 from graphkp.graphs import (Graph, all_graphs, aut_order, canonical_form,
                             connected_graphs, disjoint_union)
 from graphkp.hopf import UNIT_GRAPH, expand_in_primitives, primitive_projection
@@ -21,10 +20,11 @@ from graphkp.invariants import (INVARIANTS, abel, extract_b, umbral_from_b,
 from graphkp.schurkp import (kp1_residual, kp2_residual, schur_combination,
                              target_series)
 from graphkp.series import TruncSeries
-from helpers import (add_sums, chromatic_oracle, complete_graph, coproduct_sum, cycle_graph,
-                     evaluate, flatten_expansion, forest_a, fraction_partial, isoclass_series,
-                     parse_poly, path_graph, random_rational, star_graph, subset_w,
-                     swept_constants, swept_piece, tensor, weighted_chromatic_dc)
+from helpers import (abel_constants, add_sums, c_recursion, chromatic_oracle, complete_graph,
+                     coproduct_sum, cycle_graph, evaluate, flatten_expansion, forest_a,
+                     fraction_partial, isoclass_series, parse_poly, path_graph, random_rational,
+                     star_graph, subset_w, swept_constants, swept_piece, tensor,
+                     weighted_chromatic_dc)
 
 ORDER = 7
 

@@ -72,6 +72,16 @@ def test_constants_rows(capsys):
     assert [line.split(",")[1] for line in lines[1:]] == ["1", "2", "18", "512"]
 
 
+def test_third_row_reaches_the_cli(third_row, capsys):
+    # a row inserted only into the family table is a --which choice: its
+    # constants, and the triangle's 4 connected spanning subgraphs as b
+    assert main(["constants", "--which", third_row, "--max-n", "4"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert [line.split(",")[1] for line in lines[1:]] == ["1", "1", "7", "201"]
+    assert main(["invariant", "--which", third_row, "--graph6", "Bw"]) == 0
+    assert capsys.readouterr().out == "q1^3 + 3 q1 q2 + 4 q3\n"
+
+
 def test_corpus_file_invariant(tmp_path, capsys):
     corpus = tmp_path / "graphs.g6"
     corpus.write_text("A_\nBw\n")

@@ -9,16 +9,16 @@ from math import factorial
 import pytest
 
 from graphkp import series
-from graphkp.ensemble import (_piece, abel_constants, c_recursion, connected_series,
-                              ensemble_a, ensemble_w,
+from graphkp.ensemble import (_piece, connected_series, ensemble_a, ensemble_w,
                               full_series, make_plan, rescale_constants)
 from graphkp.errors import SizeLimitError
 from graphkp.graphs import Graph, all_graphs, aut_order
-from graphkp.invariants import INVARIANTS, extract_b
+from graphkp.invariants import INVARIANTS, b_table, extract_b, invariant
 from graphkp.schurkp import kp1_residual, kp2_residual, target_series
 from graphkp.series import MAX_ORDER, TruncSeries, mono
-from helpers import (NOT_EXACT, TUTTE_OMEGA, first_weight, isoclass_series, parse_poly,
-                     summed_full_series, summed_tutte_constants, swept_constants, swept_piece)
+from helpers import (CONSTANTS, NOT_EXACT, abel_constants, c_recursion, first_weight,
+                     isoclass_series, parse_poly, summed_full_series, swept_constants,
+                     swept_piece)
 
 
 class TestPieces:
@@ -104,17 +104,20 @@ class TestConstants:
 
     @pytest.mark.parametrize("which", ["W", "A"])
     def test_constants_are_the_summed_tutte_recursion(self, which):
-        # the b-table recursion summed over every labelled graph on [n]
-        assert tuple(summed_tutte_constants(which, MAX_ORDER)) == \
-            rescale_constants(which, MAX_ORDER)
+        # the b-table recursion summed over every labelled graph on [n], at
+        # the family row, against W's alternating recursion and Cayley's formula
+        assert tuple(CONSTANTS[which](MAX_ORDER)) == rescale_constants(which, MAX_ORDER)
 
-    @pytest.mark.parametrize("which", ["W", "A"])
-    def test_summed_tutte_perturbation_fails_at_four(self, which):
-        # omega(3) + 1 changes e_3 = t_4, so i_4 is the first wrong constant
-        wrong = summed_tutte_constants(
-            which, MAX_ORDER, lambda k: TUTTE_OMEGA[which](k) + (k == 3))
-        right = rescale_constants(which, MAX_ORDER)
-        assert wrong[:3] == list(right[:3]) and wrong[3] != right[3]
+    def test_third_row_constants_are_its_isoclass_sums(self, third_row):
+        # the recurrence at x = 2, a row inserted only into the family table:
+        # n! [q_n] of its iso-class sums, and unlike W's and A's from n = 3 on
+        constants = rescale_constants(third_row, 6)
+        assert constants == (1, 1, 7, 201, 19545, 5887659)
+        for n in range(1, 7):
+            assert factorial(n) * isoclass_series(third_row, n, 6).coefficient({n: 1}) == \
+                constants[n - 1], n
+        for which in ("W", "A"):
+            assert all(c != i for c, i in zip(constants[2:], rescale_constants(which, 6)[2:]))
 
     def test_abel_closed_form_values(self):
         assert abel_constants(7) == [1, 2, 18, 512, 40000, 7962624, 3855122432]
@@ -122,8 +125,10 @@ class TestConstants:
     @pytest.mark.parametrize("call", [
         lambda which: full_series(which, 4), lambda which: connected_series(which, 4),
         lambda which: rescale_constants(which, 4), lambda which: _piece(which, 2, 4),
-        lambda which: extract_b(which, Graph(2, 1)),
-    ], ids=["full_series", "connected_series", "rescale_constants", "_piece", "extract_b"])
+        lambda which: extract_b(which, Graph(2, 1)), lambda which: b_table(which, Graph(2, 1)),
+        lambda which: invariant(which, Graph(2, 1), 4),
+    ], ids=["full_series", "connected_series", "rescale_constants", "_piece", "extract_b",
+            "b_table", "invariant"])
     def test_unknown_invariant_is_one_error(self, call):
         with pytest.raises(ValueError, match=r"^unknown invariant 'X', expected one of \['A', 'W'\]$"):
             call("X")

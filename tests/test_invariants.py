@@ -13,7 +13,7 @@ from graphkp.errors import SizeLimitError
 from graphkp.graphs import (MAX_VERTICES, Graph, all_graphs, canonical_form,
                             connected_graphs, disjoint_union, induced_forms, is_connected)
 from graphkp.hopf import primitive_projection
-from graphkp.invariants import (INVARIANTS, _b_abel, _b_chromatic, abel, extract_b,
+from graphkp.invariants import (INVARIANTS, abel, b_table, extract_b, invariant,
                                 umbral_from_b, weighted_chromatic)
 from graphkp.series import TruncSeries, mono
 from helpers import (NOT_EXACT, WeightedGraph, chromatic_oracle, complete_graph, cycle_graph,
@@ -96,7 +96,7 @@ class TestWeightedChromatic:
                    for p in (0.2, 0.5, 0.8)]
         graphs += [complete_graph(n) for n in range(6, MAX_VERTICES + 1)]
         for g in graphs:
-            assert _b_chromatic(g) == edgeless_recurrence_b(g), g
+            assert b_table("W", g) == edgeless_recurrence_b(g), g
 
     def test_homogeneity(self):
         for g in (PAW, C4, K4):
@@ -138,13 +138,13 @@ class TestAbel:
         graphs += [random_graph(rng, n, p) for n in range(6, MAX_VERTICES + 1)
                    for p in (0.2, 0.5, 0.8)]
         for g in graphs:
-            assert _b_abel(g) == matrix_tree_b(g), g
+            assert b_table("A", g) == matrix_tree_b(g), g
 
     def test_complete_graph_tables_count_cayley_trees(self):
         # every k-subset of K_n spans k^(k-2) trees (Cayley), so b = k^(k-1)
         for n in range(1, MAX_VERTICES + 1):
             sizes = [s.bit_count() for s in range(1 << n)]
-            assert _b_abel(complete_graph(n)) == [k ** (k - 1) if k else 0 for k in sizes], n
+            assert b_table("A", complete_graph(n)) == [k ** (k - 1) if k else 0 for k in sizes], n
 
     def test_single_variable_specialization(self):
         # A_{K_n}(x, x, ...) = x (x + n)^(n-1), checked at n + 2 points
@@ -265,6 +265,12 @@ class TestUmbral:
     @pytest.mark.parametrize("which", ["W", "A"])
     def test_invariant_of_primitive_projection_is_b_q_n(self, which):
         assert self._certificate_failures(INVARIANTS[which], lambda g: extract_b(which, g)) == 0
+
+    def test_third_row_passes_the_certificate(self, third_row):
+        # a row inserted only into the family table is umbral too
+        def fn(g, order):
+            return invariant(third_row, g, order)
+        assert self._certificate_failures(fn, lambda g: extract_b(third_row, g)) == 0
 
     def test_non_umbral_control_fails_the_certificate(self):
         # b_G read off as the control's own coefficient of q_n

@@ -12,7 +12,7 @@ from networkx.algorithms.isomorphism import GraphMatcher
 
 from graphkp.graphs import (Graph, all_graphs, aut_order, canonical_form, connected_graphs,
                             emit_graph6, parse_graph6)
-from graphkp.invariants import _b_abel, _b_chromatic, extract_b, weighted_chromatic
+from graphkp.invariants import b_table, extract_b, weighted_chromatic
 from helpers import evaluate, random_graph
 
 #: all 1,253 graphs of the atlas, the empty graph on 0 vertices first
@@ -75,7 +75,7 @@ def test_b_tables_are_tutte_evaluations_on_every_subset():
     # connected, both 0 when it is not, on every vertex subset of two G(6, p)
     rng = random.Random(6)  # 91 connected and 35 disconnected subsets
     for g in (random_graph(rng, 6, 0.5), random_graph(rng, 6, 0.8)):
-        h, b_w, b_a = to_networkx(g), _b_chromatic(g), _b_abel(g)
+        h, b_w, b_a = to_networkx(g), b_table("W", g), b_table("A", g)
         for s in range(1, 1 << g.n):
             sub = h.subgraph(v for v in range(g.n) if s >> v & 1)
             if nx.is_connected(sub):
@@ -84,6 +84,19 @@ def test_b_tables_are_tutte_evaluations_on_every_subset():
                 assert b_a[s] == len(sub) * int(tutte.subs({X: 1, Y: 1})), (emit_graph6(g), s)
             else:
                 assert b_w[s] == b_a[s] == 0, (emit_graph6(g), s)
+
+
+def test_third_row_b_table_is_a_tutte_evaluation_on_every_subset(third_row):
+    # a row inserted only into the family table, x = 2 and unrooted:
+    # b[S] = T_G[S](1, 2), the connected spanning subgraphs of G[S]
+    rng = random.Random(6)  # the two graphs of the test above
+    for g in (random_graph(rng, 6, 0.5), random_graph(rng, 6, 0.8)):
+        h, b = to_networkx(g), b_table(third_row, g)
+        for s in range(1, 1 << g.n):
+            sub = h.subgraph(v for v in range(g.n) if s >> v & 1)
+            expected = int(nx.tutte_polynomial(sub).subs({X: 1, Y: 2})) \
+                if nx.is_connected(sub) else 0
+            assert b[s] == expected, (emit_graph6(g), s)
 
 
 def test_weighted_chromatic_specializes_to_the_chromatic_polynomial():
