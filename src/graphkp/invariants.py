@@ -111,8 +111,24 @@ def abel(g: Graph, order: int = DEFAULT_ORDER) -> TruncSeries:
     return invariant("A", g, order)
 
 
-#: The invariant of each family row, by name.
-INVARIANTS = {which: partial(invariant, which) for which in FAMILY}
+class _Invariants(Mapping):
+    """The invariant of each family row, by name, read from the family table
+    on every access, so a row added to it later is here too."""
+
+    def __getitem__(self, which: str):
+        if which not in FAMILY:
+            raise KeyError(which)
+        return partial(invariant, which)
+
+    def __iter__(self):
+        return iter(FAMILY)
+
+    def __len__(self) -> int:
+        return len(FAMILY)
+
+
+#: The invariant of each family row, by name: a read-only view of the family table.
+INVARIANTS = _Invariants()
 
 
 def extract_b(which: str, g: Graph) -> Fraction:

@@ -21,10 +21,11 @@ Removing a border strip of length r moves one bead b to a free position
 b - r >= 0 and is signed by (-1)^(number of beads strictly between them), and
 chi^lambda_mu sums these signs times chi^(lambda - strip)_(mu minus mu_1).
 The characters are computed on demand and cached.  :func:`schur_expand` also
-caches one column [chi^lambda_mu for lambda |- |mu|] per mu; the columns at
-the mu where tau has a term, read row by row, give each c_lambda as one dot
-product with tau's numerators of that weight, as integers over the series'
-one denominator.  Only those columns are computed, so a sparse series never
+caches one table of rows per support, the tuple of the mu |- w where tau
+has a term: each lambda |- w with its row [chi^lambda_mu for mu in the
+support].  Each c_lambda is then one dot product of a row with tau's
+numerators of that weight, as integers over the series' one denominator.
+Only the characters at the support are computed, so a sparse series never
 pays for a whole character table.  One-part Schur functions
 (complete homogeneous symmetric functions) are the case chi = 1:
 s_n = sum_{mu |- n} p_mu / z_mu, with the weight of p_i taken to be i.
@@ -52,12 +53,17 @@ returned residual carries that reduced order and never claims more.
 
 The residuals never differentiate the whole series.  On G = D F, F's stored
 numerators over its one denominator D, :func:`graphkp.series._derivative_form`
-reads each coefficient of a derivative by one lookup,
+reads each coefficient of a derivative as
 
     [p_mu] d/dp_v1 ... d/dp_vk G = [p_mu p_v] G * prod_i (m_i + 1) ... (m_i + t_i),
 
 m_i and t_i the multiplicities of i in mu and v (d^2/dp_1^2 p_1^3 p_2 =
-6 p_1 p_2), with [p_mu p_v] G read at the prime key key(mu) key(v).  So
+6 p_1 p_2), with [p_mu p_v] G read at the prime key key(mu) key(v).  One
+plan per (output order, F.order, v), cached beside the key table, lists
+key(mu), key(mu) key(v) and the factor as columns over every mu, so a call
+does only the lookups and integer products: the linear rows of an equation
+are one pass over their plans, times D once, and each square or product of
+two derivatives, read from the same plans, is one truncated product.  So
 
     12 D^2 kp1 = 12 D G_{2,2} - 12 D G_{1,3} + 6 (G_{1,1})^2 + D G_{1,1,1,1},
      6 D^2 kp2 =  6 D G_{2,3} -  6 D G_{1,4} + 6 G_{1,1} G_{1,2} + D G_{1,1,1,2}.
@@ -164,9 +170,11 @@ def target_series(order: int = DEFAULT_ORDER) -> TruncSeries:
 
 
 @lru_cache(maxsize=None)
-def _character_column(mu: Partition) -> tuple[int, ...]:
-    """chi^lambda_mu for every lambda |- |mu|, in the order of :func:`partitions_of`."""
-    return tuple([character(lam, mu) for lam in partitions_of(sum(mu))])
+def _character_rows(support: tuple[Partition, ...]) -> tuple[tuple[Partition, tuple], ...]:
+    """(lambda, [chi^lambda_mu for mu in support]) for every lambda |- w, in
+    the order of :func:`partitions_of`, for partitions ``support`` of one weight w."""
+    return tuple([(lam, tuple([character(lam, mu) for mu in support]))
+                  for lam in partitions_of(sum(support[0]))])
 
 
 def schur_expand(tau: TruncSeries) -> dict[Partition, Fraction]:
@@ -180,16 +188,12 @@ def schur_expand(tau: TruncSeries) -> dict[Partition, Fraction]:
         raise ValueError("Schur expansion expects a series in p-variables")
     pieces, den = _parts(tau)
     out: dict[Partition, Fraction] = {}
-    for w, nums in enumerate(pieces):
-        if not nums:
-            continue
-        # zip(*columns) gives each lambda's row of characters at tau's mu
-        # (the list, not a generator, keeps the tuple free lists flat; see above)
-        rows = zip(*[_character_column(mu) for mu in nums])
-        for lam, row in zip(partitions_of(w), rows):
-            c = sum(map(mul, row, nums.values()))
-            if c:
-                out[lam] = Fraction(c, den)
+    for nums in pieces:
+        if nums:
+            for lam, row in _character_rows(tuple(nums)):
+                c = sum(map(mul, row, nums.values()))
+                if c:
+                    out[lam] = Fraction(c, den)
     return out
 
 

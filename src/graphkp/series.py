@@ -20,13 +20,16 @@ scalar of ``+``, ``-``, ``*`` or ``==`` and factor passes through it, so a
 float, a numeric string, a ``Decimal`` or ``True`` raises TypeError.  The
 product is the plain truncated product :func:`_product` of the stored
 numerators over D_1 D_2, the double loop that the KP residuals of
-:func:`_derivative_form` run too.  Only exp and log use the exponential
-grading of :func:`_graded`, weight w held as w! E^w times its part (E is 1
-for the all-graphs series), where they are binomial convolutions (Stanley,
-*EC2* 5.1); :func:`_exp` is exp's recurrence with a power of a base per
-term, at base 2 the graphical exponential that builds both the all-graphs
-series of :mod:`graphkp.ensemble` and the reference tau of
-:mod:`graphkp.schurkp`.  One lcm-sum, :func:`_sum`, ends ``+``, exp and
+:func:`_derivative_form` run too; they read each derivative through one
+cached plan per order and row, :func:`_derivative_plan`: columns of key,
+source key and factor.  :func:`substitute` builds each partition's factor product
+from its prefix in the key table and reduces once.  Only exp and log use
+the exponential grading of :func:`_graded`, weight w held as w! E^w times
+its part (E is 1 for the all-graphs series), where they are binomial
+convolutions (Stanley, *EC2* 5.1); :func:`_exp` is exp's recurrence with a
+power of a base per term, at base 2 the graphical exponential that builds
+both the all-graphs series of :mod:`graphkp.ensemble` and the reference tau
+of :mod:`graphkp.schurkp`.  One lcm-sum, :func:`_sum`, ends ``+``, exp and
 log: one lcm over the parts' denominators and one gcd.  A ``Fraction`` per
 term is built only at the public edge: ``terms``, ``coefficient``,
 ``constant_term``, ``text`` and ``to_json_obj``.
@@ -50,7 +53,8 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from math import comb, factorial, gcd, lcm, perm
+from itertools import islice
+from math import comb, factorial, gcd, lcm, perm, prod
 from typing import Iterable, Mapping
 
 from graphkp.errors import DEFAULT_ORDER, LIMITS, check_limit
@@ -469,22 +473,32 @@ def log(a: TruncSeries) -> TruncSeries:
     return _sum(a.order, a.var, out, scales)
 
 
-def _derivative(G: dict, table: tuple, v: Partition, order: int) -> list[dict]:
-    """The pieces of weight 0..order of d/dp_v1 ... d/dp_vk G, keyed by prime
-    keys like G, each coefficient one lookup (see :mod:`graphkp.schurkp`)."""
-    kv = dict(table[sum(v)])[v]
-    times = [(i, v.count(i)) for i in set(v)]
-    pieces = []
-    for pairs in table[:order + 1]:
-        piece = {}
-        for mu, k in pairs:
-            x = G.get(k * kv)
-            if x:
-                for i, t in times:
-                    x *= perm(mu.count(i) + t, t)
-                piece[k] = x
-        pieces.append(piece)
-    return pieces
+@lru_cache(maxsize=None)
+def _derivative_plan(order: int, top: int, v: Partition) -> tuple[tuple, ...]:
+    """The derivative by p_v1 ... p_vk as columns over every mu of weight <= order,
+    in the order of the key table of order ``top`` >= order: key(mu), the
+    source key key(mu) key(v) and the factor prod_i (m_i + 1) ... (m_i + t_i),
+    m_i and t_i the multiplicities of i in mu and v (see :mod:`graphkp.schurkp`);
+    then the number of mu of each weight.  Columns, not a tuple per mu: a
+    plan at order 26 then makes no objects per mu for the garbage collector."""
+    table = _prime_keys(top)[:order + 1]
+    pairs = [pair for row in table for pair in row]
+    keys = tuple([k for _, k in pairs])
+    factors = [1] * len(pairs)
+    for i in set(v):
+        t = v.count(i)
+        rising = [perm(m + t, t) for m in range(order + 1)]
+        factors = [f * rising[mu.count(i)] for f, (mu, _) in zip(factors, pairs)]
+    kv = prod([_PRIMES[i - 1] for i in v])
+    return keys, tuple(map(kv.__mul__, keys)), tuple(factors), tuple(map(len, table))
+
+
+def _derivative(G: dict, plan: tuple) -> list[dict]:
+    """The pieces by weight of the derivative of G that ``plan`` lists, keyed
+    by prime keys like G, each coefficient one lookup times its factor."""
+    keys, sources, factors, sizes = plan
+    get, terms = G.get, zip(keys, sources, factors)
+    return [{k: x * f for k, src, f in islice(terms, n) if (x := get(src))} for n in sizes]
 
 
 def _derivative_form(F: TruncSeries, order: int, scale: int, linear: dict,
@@ -492,16 +506,23 @@ def _derivative_form(F: TruncSeries, order: int, scale: int, linear: dict,
     """(sum_v a_v D G_v + sum_(u, v) b_uv G_u G_v) / (scale D^2) through
     weight ``order``, for G = D F the stored numerators of F over its one
     denominator D, G_v the derivative of G by p_v1 ... p_vk, and rows
-    v -> a_v, (u, v) -> b_uv.  Every row is one :func:`_product` into one
-    dict, a linear row with the constant piece a_v D, reduced once."""
-    table = _prime_keys(F.order)
+    v -> a_v, (u, v) -> b_uv.  The linear rows are one pass over their
+    plans, times D once; each bilinear row is one :func:`_product` of two
+    derivatives read from the same plans; the sum is reduced once."""
     G, den = F._nums, F._den
-    out = {}
-    for v, a in linear.items():  # times the constant piece a_v D
-        _product(out, [{1: a * den}], _derivative(G, table, v, order), order)
+    get = G.get
+    lin: dict[int, int] = {}
+    put = lin.get
+    for v, a in linear.items():
+        keys, sources, factors, _ = _derivative_plan(order, F.order, v)
+        for k, src, f in zip(keys, sources, factors):
+            if x := get(src):
+                lin[k] = put(k, 0) + a * f * x
+    out = {k: x * den for k, x in lin.items()}
     for (u, v), b in bilinear.items():
-        left = _derivative(G, table, u, order)
-        _product(out, left, left if u == v else _derivative(G, table, v, order), order, b)
+        left = _derivative(G, _derivative_plan(order, F.order, u))
+        right = left if u == v else _derivative(G, _derivative_plan(order, F.order, v))
+        _product(out, left, right, order, b)
     return TruncSeries._reduced(order, "p", out, scale * den * den)
 
 
@@ -510,20 +531,29 @@ def substitute(a: TruncSeries, factors) -> TruncSeries:
 
     ``factors`` maps variable indices to nonzero rationals, as a rescaling
     plan does.  Every variable appearing in ``a`` must have a factor.  Each
-    term's numerator and denominator are scaled by the factor of each of its
-    parts and reduced, on integers.
+    partition's factor N/M is built once, up to the heaviest term, from its
+    prefix mu[1:], listed first by :func:`_prime_keys`; a numerator x that M
+    divides becomes (x / M) N, any other x N over M, and all are reduced once.
     """
     ratios = {i: _fraction(f).as_integer_ratio() for i, f in factors.items()}
+    fac, left = {1: (1, 1)}, len(a._nums) - (1 in a._nums)  # factors still to build
+    for pairs in _prime_keys(a.order)[1:]:
+        if not left:
+            break
+        for mu, k in pairs:
+            n, d = ratios.get(mu[0], (0, 1))
+            fn, fd = fac[k // _PRIMES[mu[0] - 1]]
+            fac[k] = fn, fd = n * fn, d * fd
+            if k in a._nums:
+                left -= 1
+                if not fn:
+                    i = next(i for i in mu if not ratios.get(i, (0, 1))[0])
+                    raise ValueError(f"no nonzero rescale factor for variable {i}")
     terms = {}
-    for mu, k in [pair for pairs in _prime_keys(a.order) for pair in pairs if pair[1] in a._nums]:
-        num, den = a._nums[k], a._den
-        for i in mu:
-            n, d = ratios.get(i, (0, 1))
-            if not n:
-                raise ValueError(f"no nonzero rescale factor for variable {i}")
-            num, den = num * n, den * d
-        g = gcd(num, den)
-        terms[k] = num // g, den // g
+    for k, x in a._nums.items():
+        n, d = fac[k]
+        q, r = divmod(x, d)
+        terms[k] = (x * n, d) if r else (q * n, 1)
     den = lcm(*[d for _, d in terms.values()])
     return TruncSeries._reduced(a.order, "p", {k: n * (den // d) for k, (n, d) in terms.items()},
-                                den)
+                                a._den * den)

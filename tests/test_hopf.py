@@ -183,7 +183,8 @@ CACHED = {
     "_prime_keys": lambda: series._prime_keys(4),
     "_decoded": lambda: series._decoded(2 * 2 * 5),
     "character": lambda: schurkp.character((2, 1), (1, 1, 1)),
-    "_character_column": lambda: schurkp._character_column((2, 1)),
+    "_character_rows": lambda: schurkp._character_rows(((2, 1), (1, 1, 1))),
+    "_derivative_plan": lambda: series._derivative_plan(4, 8, (1, 1)),
 }
 
 

@@ -272,6 +272,14 @@ class TestUmbral:
             return invariant(third_row, g, order)
         assert self._certificate_failures(fn, lambda g: extract_b(third_row, g)) == 0
 
+    def test_invariants_read_the_family_table_live(self, third_row):
+        # the table of invariants by name sees a row inserted after import
+        assert list(INVARIANTS) == ["W", "A", third_row] and len(INVARIANTS) == 3
+        for g in (complete_graph(4), cycle_graph(5), Graph(3, 1)):
+            assert INVARIANTS[third_row](g) == invariant(third_row, g)
+        with pytest.raises(KeyError):
+            INVARIANTS["X"]
+
     def test_non_umbral_control_fails_the_certificate(self):
         # b_G read off as the control's own coefficient of q_n
         def b(g):

@@ -279,16 +279,48 @@ class TestKernelsMatchOracles:
         pieces = _derivative({monomial: 1}, v, weight)
         assert [w for w, piece in enumerate(pieces) if piece] == ([weight] if value else [])
         assert pieces[weight] == ({mu: value} if value else {})
-        # the prime-key kernel reads [p_mu p_v] G at key(mu) key(v)
-        table = series._prime_keys(sum(monomial))
-        key = {m: k for pairs in table for m, k in pairs}
-        pieces = series._derivative({key[monomial]: 1}, table, v, weight)
+        # the prime-key kernel reads [p_mu p_v] G at key(mu) key(v), times the
+        # factor its plan lists
+        key = {m: k for pairs in series._prime_keys(sum(monomial)) for m, k in pairs}
+        plan = series._derivative_plan(weight, sum(monomial), v)
+        pieces = series._derivative({key[monomial]: 1}, plan)
         assert pieces == [{key[mu]: value} if value and w == weight else {}
                           for w in range(weight + 1)]
         d = TruncSeries(sum(monomial), "p", {mono(Counter(monomial)): 1})
         for i, t in Counter(v).items():
             d = fraction_partial(d, i, t)
         assert d.terms == ({mono(Counter(mu)): value} if value else {})
+
+
+class TestCachedPlans:
+    """The derivative plans, cached per order, and the character rows,
+    cached per support, serve each later call in one process exactly."""
+
+    def test_residuals_at_orders_8_12_8_26(self):
+        # a plan built at one order must not serve another; at 26 the Hirota
+        # form on tau itself is the oracle
+        candidates = gen.tau_candidates(0)[:3]  # two tau-functions, one control
+        bump = {mono({1: 1, 2: 1, 3: 1}): Fraction(1, 3)}
+        for order in (8, 12, 8):
+            for terms, _, _ in candidates:
+                logged = series.log(TruncSeries(order, "p", terms))
+                for F in (logged, logged + TruncSeries(order, "p", bump)):
+                    TestKernelsMatchOracles._same(kp1_residual(F), partial_kp1_residual(F))
+                    TestKernelsMatchOracles._same(kp2_residual(F), partial_kp2_residual(F))
+        for terms, _, is_tau in candidates:
+            tau = TruncSeries(26, "p", terms)
+            F = series.log(tau)
+            firsts = [first_weight(kp1_residual(F)), first_weight(kp2_residual(F))]
+            assert firsts == [first_weight(hirota_kp1(tau)), first_weight(hirota_kp2(tau))]
+            assert (firsts == [None, None]) == is_tau
+
+    def test_expansion_of_sparse_and_dense_series_of_one_weight(self):
+        # the same weights with all their partitions, then a few, then all again
+        dense = target_series(9)
+        sparse = TruncSeries(9, "p", {(): 1, mono({2: 1}): Fraction(-2, 3),
+                                      mono({1: 3, 2: 3}): 5, mono({9: 1}): 7})
+        for tau in (dense, sparse, dense):
+            assert list(schur_expand(tau).items()) == list(pairwise_schur_expand(tau).items())
 
 
 def _same_residuals(F):
