@@ -1,7 +1,9 @@
 """Shared exception types, the one table of sizes (the caps and the default
-truncation order) and the one rule for a size, and the one table of the
-invariant family with its one lookup.  It imports only ``typing``:
-``import graphkp`` and ``import graphkp.cli`` load no other graphkp module."""
+truncation order) and the one rule for a size, the one table of the
+invariant family with its one lookup, and the one prime generator, which
+the prime keys of :mod:`graphkp.series` and of :mod:`graphkp.hopf` read.
+It imports only ``typing``: ``import graphkp`` and ``import graphkp.cli``
+load no other graphkp module."""
 
 from typing import NamedTuple
 
@@ -27,7 +29,7 @@ class Limit(NamedTuple):
 #: size more takes over 1 s, or a representation fixes it.  Beside each: the slowest of K_n,
 #: edgeless and seeded random graphs at the cap and one above (Python 3.11, 2-core Xeon).
 LIMITS = {
-    # W 0.12-0.18 s, A 0.13-0.17 s; 13 vertices: W 0.38-0.48 s, A 0.40-0.64 s
+    # W 0.07-0.14 s, A 0.09-0.13 s; 13 vertices: W 0.32-0.48 s, A 0.34-0.50 s
     "vertices": Limit(12, "vertex count"),
     # kp-check --series W|A|S, series --rescaled, rescale: at most 0.58 s; 27: up to
     # 1.03 s (series --rescaled --format json 0.60-1.03 s, kp-check --series S 0.42-0.63 s)
@@ -36,7 +38,7 @@ LIMITS = {
     "all_graphs": Limit(7, "vertex count for all_graphs"),
     # --max-n 6: 0.23 s; 7: 2.8 s
     "tables": Limit(6, "tables --max-n"),
-    # 10 vertices: 0.34 s; 11: 1.7 s
+    # 10 vertices: 0.13-0.22 s; 11: 0.48-0.78 s
     "primitive_projection": Limit(10, "vertex count for hopf --op primitive"),
     # 10 vertices: 0.51-0.76 s (115,975 lines); 11: 3.1-4.3 s
     "expand_in_primitives": Limit(10, "vertex count for hopf --op expand"),
@@ -72,3 +74,19 @@ def family_row(which: str) -> tuple[int, bool, str]:
     if which not in FAMILY:
         raise ValueError(f"unknown invariant {which!r}, expected one of {sorted(FAMILY)}")
     return FAMILY[which]
+
+
+def first_primes(n: int) -> tuple[int, ...]:
+    """The first n primes, each candidate tried against the primes up to its square root."""
+    primes, p = [], 1
+    while len(primes) < n:
+        p += 1
+        for q in primes:
+            if not p % q:
+                break
+            if q * q > p:
+                primes.append(p)
+                break
+        else:  # p = 2, with no primes yet
+            primes.append(p)
+    return tuple(primes)

@@ -2,7 +2,8 @@
 primitives the rest of the package consumes: connected components,
 canonical forms, automorphism counts and the isomorphism classes built on
 them, the table of canonical induced subgraphs and the set-partition
-assembly over vertex subsets, and graph6 parsing/emission.
+assembly over vertex subsets, which keys each partition by the product of
+its blocks' integer labels, and graph6 parsing/emission.
 
 Edge slots.  The vertex pairs (i, j) with i < j are numbered in colex order
 
@@ -282,32 +283,34 @@ def induced_forms(g: Graph) -> list[Graph]:
     return [canonical_form(Graph(s.bit_count(), b)) for s, b in enumerate(bits)]
 
 
-def assemble_partitions(labels: Sequence, weights: Sequence[int]) -> dict[tuple, int]:
+def assemble_partitions(labels: Sequence[int], weights: Sequence[int]) -> dict[int, int]:
     """Sum over the set partitions of V of the product of weights[B] over the
-    blocks B, grouped by the weakly decreasing tuple of the blocks' labels.
+    blocks B, grouped by the product of the blocks' integer labels.
 
     ``labels`` and the integer ``weights`` are indexed by vertex bitmask and
-    have 2**n entries each, V being the full mask.  Blocks of zero weight are skipped
-    and keys whose sum is zero dropped.  Splitting off the block that holds
-    top(S), the highest vertex of S, gives the subset recursion
+    have 2**n entries each, V being the full mask.  Labels that are products
+    of primes key each partition by a multiset, as the series keys its
+    monomials: prime keys of q_|B| key it by block sizes, and a prime per
+    connected graph keys it by the components of its blocks.  Blocks of zero
+    weight are skipped and keys whose sum is zero dropped.  Splitting off the
+    block that holds top(S), the highest vertex of S, gives the subset
+    recursion
 
         F(S) = sum over B <= S with top(S) in B of weights[B] * F(S \\ B)
 
     (Bjorklund-Husfeldt-Koivisto, "Set partitioning via inclusion-exclusion").
     From V it reaches only V and the subsets of V minus its top vertex, i.e.
-    the bitmasks below 2**(n-1), so only those are stored.  Every key grown
-    by one label is built once and shared by all subsets.
+    the bitmasks below 2**(n-1), so only those are stored.
     """
     n = len(weights).bit_length() - 1
     if not n:
-        return {(): 1}
-    keys: dict[tuple, tuple] = {}
-    grown: dict[tuple, tuple] = {}
+        return {1: 1}
 
     def part(s: int) -> dict:
         top = 1 << (s.bit_length() - 1)
         rest = s ^ top
         acc: dict = {}
+        get = acc.get
         sub = rest
         while True:
             block = sub | top
@@ -315,17 +318,14 @@ def assemble_partitions(labels: Sequence, weights: Sequence[int]) -> dict[tuple,
             if w:
                 label = labels[block]
                 for key, val in table[rest ^ sub].items():
-                    new = grown.get((key, label))
-                    if new is None:
-                        new = tuple(sorted(key + (label,), reverse=True))
-                        new = grown[key, label] = keys.setdefault(new, new)
-                    acc[new] = acc.get(new, 0) + w * val
+                    key *= label
+                    acc[key] = get(key, 0) + w * val
             if not sub:
                 break
             sub = (sub - 1) & rest
         return {key: val for key, val in acc.items() if val}
 
-    table = [{(): 1}]
+    table = [{1: 1}]
     for s in range(1, 1 << (n - 1)):
         table.append(part(s))
     return part((1 << n) - 1)

@@ -15,11 +15,17 @@ with coproduct x (x) 1 + 1 (x) x) along the decomposables:
     pi(G) = sum over set partitions B of V(G) of
             (-1)^(|B|-1) (|B|-1)! * product of G(V_beta).
 
-The product depends only on the multiset of block graphs, so
+The product is the disjoint union of the blocks' components, and the Hopf
+algebra is polynomial on connected graphs (Chmutov-Kazarian-Lando), so a
+term depends only on |B| and the multiset of those components.
 :func:`graphkp.graphs.assemble_partitions`, the subset recursion that also
-assembles the umbral invariants, counts the partitions per multiset with
-every block weighted 1.  ``expand_in_primitives`` is the inverse expansion:
-G = sum over partitions B of the product of pi(G(V_beta)).
+assembles the umbral invariants, counts the partitions per such key with
+every block weighted 1 and labelled P0 = 2 times one prime per connected
+form of its components: a key is P0^|B| times the primes of the union's
+components.  So partitions with as many blocks and isomorphic unions meet
+inside the assembly, and each distinct union is factored and canonicalized
+once.  ``expand_in_primitives`` is the inverse expansion: G = sum over
+partitions B of the product of pi(G(V_beta)).
 """
 
 from __future__ import annotations
@@ -28,7 +34,7 @@ from collections import Counter
 from functools import reduce
 from math import factorial
 
-from graphkp.errors import check_limit
+from graphkp.errors import check_limit, first_primes
 from graphkp.graphs import (Graph, assemble_partitions, canonical_form,
                             disjoint_union, emit_graph6, induced_forms)
 
@@ -69,13 +75,53 @@ def coproduct(g: Graph) -> HopfTerms:
 def primitive_projection(g: Graph) -> HopfTerms:
     """Projection onto the primitive subspace along the decomposables."""
     check_limit("primitive_projection", g.n)
+    if not g.n:  # the unit is not primitive
+        return HopfTerms({}, emit_graph6)
+    forms, size = induced_forms(g), 1 << g.n
+    # around[S]: S and its neighbours; comp[S]: the component of G[S] that
+    # holds the lowest vertex of S, grown from that vertex; key[S]: the
+    # product of the primes of the components of G[S]
+    around, comp, key = [0] * size, [0] * size, [1] * size
+    for v, nbrs in enumerate(g.adjacency_masks()):
+        bit = 1 << v
+        for s in range(bit, 2 * bit):
+            around[s] = around[s ^ bit] | nbrs | bit
+    for s in range(1, size):
+        c = s & -s
+        while (grown := around[c] & s) != c:
+            c = grown
+        comp[s] = c
+    # after P0 = 2, one prime per connected form, fewest vertices first
+    connected = sorted({forms[s] for s in range(1, size) if comp[s] == s})
+    primes = first_primes(len(connected) + 1)[1:]
+    prime, form = dict(zip(connected, primes)), dict(zip(primes, connected))
+    for s in range(1, size):
+        key[s] = prime[forms[comp[s]]] * key[s ^ comp[s]]
+    unions: dict[int, Graph] = {}
     out: Counter = Counter()
-    if g.n:  # the unit is not primitive
-        for blocks, count in assemble_partitions(induced_forms(g), [1] * (1 << g.n)).items():
-            k = len(blocks)
-            key = canonical_form(reduce(disjoint_union, blocks))
-            out[key] += (-1) ** (k - 1) * factorial(k - 1) * count
-    return HopfTerms({key: c for key, c in out.items() if c}, emit_graph6)
+    for total, count in assemble_partitions([2 * x for x in key], [1] * size).items():
+        k = (total & -total).bit_length() - 1  # total = 2^k times the union's primes
+        union = total >> k
+        if union not in unions:
+            # largest component first: the canonical search is faster on that labelling
+            parts = _factors(union, primes, form)[::-1]
+            unions[union] = canonical_form(reduce(disjoint_union, parts))
+        out[unions[union]] += (-1) ** (k - 1) * factorial(k - 1) * count
+    return HopfTerms({h: c for h, c in out.items() if c}, emit_graph6)
+
+
+def _factors(key: int, primes: tuple[int, ...], form: dict[int, Graph]) -> list[Graph]:
+    """The components whose primes multiply to ``key``, by trial division in
+    increasing order until one prime is left: a union of two or more
+    components has one with at most half its vertices, whose prime is small."""
+    out = []
+    for p in primes:
+        if key == 1 or key in form:
+            break
+        while not key % p:
+            key //= p
+            out.append(form[p])
+    return out + [form[key]] if key > 1 else out
 
 
 def expand_in_primitives(g: Graph) -> tuple[tuple[Graph, ...], ...]:

@@ -9,8 +9,10 @@ partitions pi of the vertex set,
 homogeneous of weight |V(G)| when q_i has weight i.
 :func:`graphkp.graphs.assemble_partitions` evaluates this sum by a dynamic
 program over vertex subsets (Bjorklund-Husfeldt-Koivisto, "Set partitioning
-via inclusion-exclusion"), with block labels |B| and weights from a table of
-b indexed by vertex bitmask S.
+via inclusion-exclusion"), with weights from a table of b indexed by vertex
+bitmask S and block labels the series keys of q_|B|, so that it keys each
+partition by the series key of its monomial and its sums are the store of
+the result.
 
 Every b-table comes from one recursion, read at the invariant's row
 (x, rooted) of the family table :data:`graphkp.errors.FAMILY`: b(S) =
@@ -34,9 +36,9 @@ about 3^n / 4 multiply-adds per table.  The rows are
   trees of G[S].
 
 :func:`umbral_from_b` reads b(S) from a map over connected canonical graphs,
-once per distinct form in :func:`graphkp.graphs.induced_forms`.  Every
-b-table is assembled on the integers D^|B| b(B) over D^|V|, D the lcm of its
-denominators (1 for W and A).
+once per distinct form in :func:`graphkp.graphs.induced_forms`, and
+assembles the integers D^|B| b(B) over D^|V|, D the lcm of their
+denominators; the b-tables of W and A are integers already.
 
 The independent checks share no code with the assembly and live in
 ``tests/helpers.py``: W's b-table by the inverse recurrence over edgeless
@@ -49,22 +51,27 @@ from __future__ import annotations
 
 from collections.abc import Mapping
 from fractions import Fraction
-from functools import partial
+from functools import lru_cache, partial
 from math import lcm
 
 from graphkp.errors import FAMILY, check_limit, family_row
 from graphkp.graphs import Graph, assemble_partitions, induced_forms, is_connected
-from graphkp.series import DEFAULT_ORDER, TruncSeries, _fraction, _from_parts
+from graphkp.series import DEFAULT_ORDER, TruncSeries, _fraction, _variable_key
 
 
-def _assemble(b, order: int) -> TruncSeries:
-    """sum over set partitions of V of prod over blocks B of b[B] q_|B|, on
-    the integers D^|B| b[B] over D^|V|, D the lcm of the denominators; each
-    key of the assembly is the partition of its monomial."""
-    den = lcm(*[x.denominator for x in b])
-    sizes = [s.bit_count() for s in range(len(b))]
-    scaled = [int(x * den ** k) for x, k in zip(b, sizes)]
-    return _from_parts(order, "q", assemble_partitions(sizes, scaled), den ** sizes[-1])
+@lru_cache(maxsize=None)
+def _size_keys(n: int) -> tuple[int, ...]:
+    """The series key of q_|S| for every bitmask S of n vertices (1 for S empty)."""
+    keys = (1, *map(_variable_key, range(1, n + 1)))
+    return tuple([keys[s.bit_count()] for s in range(1 << n)])
+
+
+def _assemble(b: list[int], order: int, den: int = 1) -> TruncSeries:
+    """sum over set partitions of V of prod over blocks B of b[B] q_|B|,
+    over den^|V|: each key of the assembly is the prime key of its monomial,
+    so its sums are the numerators of the series."""
+    n = len(b).bit_length() - 1
+    return TruncSeries._reduced(order, "q", assemble_partitions(_size_keys(n), b), den ** n)
 
 
 def b_table(which: str, g: Graph) -> list[int]:
@@ -158,4 +165,6 @@ def umbral_from_b(g: Graph, b: Mapping[Graph, Fraction],
     check_limit("order", order, low=g.n)
     forms = induced_forms(g)
     values = {h: _primitive(b, h) for h in set(forms)}
-    return _assemble([values[h] for h in forms], order)
+    den = lcm(*[x.denominator for x in values.values()])
+    scaled = {h: int(x * den ** h.n) for h, x in values.items()}
+    return _assemble([scaled[h] for h in forms], order, den)

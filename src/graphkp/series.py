@@ -11,11 +11,12 @@ product is one integer product.  :func:`_prime_keys` lists the keys by
 weight: every kernel reads keys from it, through :func:`_pieces` (the
 numerators by weight), and so does the partition-keyed reader :func:`_parts`;
 other modules build and read series by partition through :func:`_from_parts`
-and :func:`_parts`.  One cached table, :func:`_decoded`, reads each key's
-weight, partition (x_1^2 x_3 is (3, 1, 1), the constant ()) and monomial off
-its factors; it serves only the public edge (``terms``, rendering and
-:func:`mono`).  All arithmetic is exact: one rule, :func:`_fraction`, admits
-an ``int`` that is not a ``bool``, or a ``Fraction``, and every coefficient,
+and :func:`_parts`, or multiply keys of :func:`_variable_key`.  One cached
+table, :func:`_decoded`, reads each key's weight, partition (x_1^2 x_3 is
+(3, 1, 1), the constant ()) and monomial off its factors; it serves only
+the public edge (``terms``, rendering and :func:`mono`).  All arithmetic
+is exact: one rule, :func:`_fraction`, admits an ``int`` that is not a
+``bool``, or a ``Fraction``, and every coefficient,
 scalar of ``+``, ``-``, ``*`` or ``==`` and factor passes through it, so a
 float, a numeric string, a ``Decimal`` or ``True`` raises TypeError.  The
 product is the plain truncated product :func:`_product` of the stored
@@ -30,9 +31,8 @@ convolutions (Stanley, *EC2* 5.1); :func:`_exp` is exp's recurrence with a
 power of a base per term, at base 2 the graphical exponential that builds
 both the all-graphs series of :mod:`graphkp.ensemble` and the reference tau
 of :mod:`graphkp.schurkp`.  One lcm-sum, :func:`_sum`, ends ``+``, exp and
-log: one lcm over the parts' denominators and one gcd.  A ``Fraction`` per
-term is built only at the public edge: ``terms``, ``coefficient``,
-``constant_term``, ``text`` and ``to_json_obj``.
+log: one lcm over the parts' denominators and one gcd.  Only ``terms``,
+``coefficient`` and ``constant_term`` build a ``Fraction``.
 
 The public API speaks monomials: tuples of ``(variable index, exponent)``
 pairs sorted by index, zero exponents omitted, () the constant.  The
@@ -57,7 +57,7 @@ from itertools import islice
 from math import comb, factorial, gcd, lcm, perm, prod
 from typing import Iterable, Mapping
 
-from graphkp.errors import DEFAULT_ORDER, LIMITS, check_limit
+from graphkp.errors import DEFAULT_ORDER, LIMITS, check_limit, first_primes
 
 MAX_ORDER = LIMITS["order"].cap
 
@@ -94,17 +94,12 @@ def _json_int(value, what: str) -> int:
     return value
 
 
-def _first_primes(n: int) -> tuple[int, ...]:
-    primes, p = [], 1
-    while len(primes) < n:
-        p += 1
-        if all(map(p.__mod__, primes)):
-            primes.append(p)
-    return tuple(primes)
-
-
 #: prime(i) at index i - 1: x_i^e contributes prime(i)^e to a prime key.
-_PRIMES = _first_primes(MAX_ORDER)
+_PRIMES = first_primes(MAX_ORDER)
+
+
+def _variable_key(i: int) -> int:
+    return _PRIMES[i - 1]  # the prime key of x_i
 
 
 @lru_cache(maxsize=None)
@@ -157,6 +152,10 @@ def mono(exponents: Mapping[int, int] | Iterable[tuple[int, int]]) -> Monomial:
     if key is None:
         raise ValueError(f"monomial weight exceeds the largest order {MAX_ORDER}")
     return _decoded(key)[2]
+
+
+def _ratio(n: int, den: int) -> Fraction:
+    return Fraction(n, den) if den > 1 else Fraction(n)
 
 
 def _mono_text(m: Monomial, var: str) -> str:
@@ -220,18 +219,18 @@ class TruncSeries:
     @property
     def terms(self) -> dict[Monomial, Fraction]:
         """The terms as a fresh {(variable, exponent) monomial: coefficient} dict."""
-        return {_decoded(k)[2]: Fraction(n, self._den) for k, n in self._nums.items()}
+        return {_decoded(k)[2]: _ratio(n, self._den) for k, n in self._nums.items()}
 
     @property
     def constant_term(self) -> Fraction:
-        return Fraction(self._nums.get(1, 0), self._den)
+        return _ratio(self._nums.get(1, 0), self._den)
 
     def coefficient(self, m) -> Fraction:
         """Coefficient of a monomial; querying beyond the order is an error."""
         k = _key(m, self.order)
         if k is None:
             raise ValueError(f"monomial weight exceeds truncation order {self.order}")
-        return Fraction(self._nums.get(k, 0), self._den)
+        return _ratio(self._nums.get(k, 0), self._den)
 
     def homogeneous_part(self, weight: int) -> "TruncSeries":
         """The terms of one weight; a weight above the order is an error."""
@@ -291,22 +290,23 @@ class TruncSeries:
     # -- rendering ---------------------------------------------------------
 
     def _printed(self):
-        """(monomial, coefficient) per term in rendering order (see the module doc)."""
+        """(monomial, numerator, denominator) per term, reduced, in rendering order."""
+        den = self._den
         for _, _, m, n in sorted([(w, mu[::-1], m, n) for k, n in self._nums.items()
                                   for w, mu, m in [_decoded(k)]]):
-            yield m, Fraction(n, self._den)
+            g = gcd(n, den)
+            yield m, n // g, den // g
 
     def text(self) -> str:
         """Canonical plain-text rendering, e.g. ``q1^3 + 3 q1 q2 + 2 q3``."""
         if not self._nums:
             return "0"
         out = []
-        for m, c in self._printed():
-            coeff = str(c)
-            mag = coeff.lstrip("-")
+        for m, n, d in self._printed():
+            mag = f"{abs(n)}/{d}" if d > 1 else str(abs(n))
             body = _mono_text(m, self.var)
             term = f"{mag} {body}" if body and mag != "1" else body or mag
-            out.append((" - " if coeff[0] == "-" else " + ") + term)
+            out.append((" - " if n < 0 else " + ") + term)
         # every term carries its sign as " + " or " - "; the first keeps only "-"
         text = "".join(out)
         return text[3:] if text[1] == "+" else "-" + text[3:]
@@ -314,8 +314,7 @@ class TruncSeries:
     def to_json_obj(self) -> dict:
         return {"var": self.var, "order": self.order, "terms": [
             {"exponents": {str(var): exp for var, exp in m},
-             "numerator": c.numerator, "denominator": c.denominator}
-            for m, c in self._printed()]}
+             "numerator": n, "denominator": d} for m, n, d in self._printed()]}
 
     @classmethod
     def from_json_obj(cls, obj: Mapping) -> "TruncSeries":

@@ -26,7 +26,9 @@ the package computes one way, kept here only to check it.
 * Set partitions as vertex tuples, the order oracle for the expansion in
   primitives, and the expansion over them; set-partition sums by their
   definitions: the oracles for the primitive projection and for the umbral
-  assembly of b-tables of any denominator.
+  assembly of b-tables of any denominator; and the subset recursion keyed
+  by sorted label tuples, with the projection summed over its keys, the
+  oracles for the assembly keyed by products of labels.
 * Isomorphism by brute force: a backtracker over vertex images, the oracle
   for the automorphism count; the minimum over all relabelings, the oracle
   for the canonical-form search; and the orbit sweep over all labeled
@@ -59,7 +61,7 @@ from fractions import Fraction
 from functools import cache, reduce
 from itertools import chain, combinations, permutations, product
 from math import comb, factorial, lcm, perm, prod
-from typing import Iterator
+from typing import Iterator, Sequence
 
 from hypothesis import strategies as st
 
@@ -810,6 +812,71 @@ def partition_umbral(g: Graph, values: dict[Graph, Fraction], order: int) -> Tru
             coeff *= values.get(canonical_form(h), 0) if len(components(h)) == 1 else 0
         terms[mono(Counter(len(block) for block in blocks))] += coeff
     return TruncSeries(order, "q", terms)
+
+
+def tuple_assemble_partitions(labels: Sequence, weights: Sequence[int]) -> dict[tuple, int]:
+    """Sum over the set partitions of V of the product of weights[B] over the
+    blocks B, grouped by the weakly decreasing tuple of the blocks' labels.
+
+    ``labels`` and the integer ``weights`` are indexed by vertex bitmask and
+    have 2**n entries each, V being the full mask.  Blocks of zero weight are skipped
+    and keys whose sum is zero dropped.  Splitting off the block that holds
+    top(S), the highest vertex of S, gives the subset recursion
+
+        F(S) = sum over B <= S with top(S) in B of weights[B] * F(S \\ B)
+
+    (Bjorklund-Husfeldt-Koivisto, "Set partitioning via inclusion-exclusion").
+    From V it reaches only V and the subsets of V minus its top vertex, i.e.
+    the bitmasks below 2**(n-1), so only those are stored.  Every key grown
+    by one label is built once and shared by all subsets.
+
+    The tuple-keyed form of ``graphs.assemble_partitions``, the oracle for
+    its keys by products of labels.
+    """
+    n = len(weights).bit_length() - 1
+    if not n:
+        return {(): 1}
+    keys: dict[tuple, tuple] = {}
+    grown: dict[tuple, tuple] = {}
+
+    def part(s: int) -> dict:
+        top = 1 << (s.bit_length() - 1)
+        rest = s ^ top
+        acc: dict = {}
+        sub = rest
+        while True:
+            block = sub | top
+            w = weights[block]
+            if w:
+                label = labels[block]
+                for key, val in table[rest ^ sub].items():
+                    new = grown.get((key, label))
+                    if new is None:
+                        new = tuple(sorted(key + (label,), reverse=True))
+                        new = grown[key, label] = keys.setdefault(new, new)
+                    acc[new] = acc.get(new, 0) + w * val
+            if not sub:
+                break
+            sub = (sub - 1) & rest
+        return {key: val for key, val in acc.items() if val}
+
+    table = [{(): 1}]
+    for s in range(1, 1 << (n - 1)):
+        table.append(part(s))
+    return part((1 << n) - 1)
+
+
+def assembled_primitive(g: Graph) -> dict[Graph, int]:
+    """pi(G) from :func:`tuple_assemble_partitions` keyed by the blocks'
+    canonical forms, one canonical form of the blocks' union per multiset
+    of block forms: the oracle for the assembly keyed by components."""
+    out: Counter = Counter()
+    if g.n:
+        for blocks, count in tuple_assemble_partitions(induced_forms(g), [1] * (1 << g.n)).items():
+            k = len(blocks)
+            key = canonical_form(reduce(disjoint_union, blocks))
+            out[key] += (-1) ** (k - 1) * factorial(k - 1) * count
+    return {key: c for key, c in out.items() if c}
 
 
 def brute_aut_order(g: Graph) -> int:

@@ -15,10 +15,12 @@ from graphkp.graphs import (Graph, all_graphs, assemble_partitions, aut_order,
                             canonical_form, components,
                             connected_graphs, disjoint_union, edge_slot,
                             emit_graph6, induced_forms, is_connected, parse_graph6)
+from graphkp.invariants import _size_keys, b_table
+from graphkp.series import _decoded
 from helpers import (GRAPH6_TEXT, GRAPHS, WeightedGraph, brute_all_graphs,
                      brute_aut_order, brute_canonical_form, complete_graph, contract_edge,
                      cycle_graph, induced_subset_forms, path_graph, random_graph,
-                     set_partitions, spanning_forests, star_graph)
+                     set_partitions, spanning_forests, star_graph, tuple_assemble_partitions)
 
 BELL = [1, 1, 2, 5, 15, 52, 203, 877]
 INTEGER_PARTITIONS = [1, 1, 2, 3, 5, 7, 11, 15]
@@ -167,15 +169,30 @@ class TestSetPartitions:
 
     @pytest.mark.parametrize("n", range(8))
     def test_assembly_counts_partitions_by_block_sizes(self, n):
-        # n! / (prod lambda_i! prod m_j!) set partitions have block sizes lambda
-        sizes = [s.bit_count() for s in range(1 << n)]
-        counts = assemble_partitions(sizes, [1] * (1 << n))
-        assert len(counts) == INTEGER_PARTITIONS[n]
+        # n! / (prod lambda_i! prod m_j!) set partitions have block sizes lambda;
+        # each block is labelled by the prime key of q_|B|, so a key decodes
+        # to the partition lambda
+        keyed = assemble_partitions(_size_keys(n), [1] * (1 << n))
+        counts = {_decoded(key)[1]: count for key, count in keyed.items()}
+        assert len(counts) == len(keyed) == INTEGER_PARTITIONS[n]
         for lam, count in counts.items():
             assert list(lam) == sorted(lam, reverse=True) and sum(lam) == n
             denom = math.prod(math.factorial(m) for m in lam + tuple(Counter(lam).values()))
             assert count * denom == math.factorial(n), lam
         assert sum(counts.values()) == BELL[n]
+
+    def test_prime_keys_match_tuple_oracle(self, rng):
+        # labelled by the prime keys of q_|B| and weighted by the b-tables of
+        # W and A, the assembly decodes to the tuple-keyed oracle's sums, on
+        # every graph with at most 6 vertices and on seeded graphs with 7-10
+        seeded = [random_graph(rng, n, p) for n in range(7, 11) for p in (0.3, 0.7)]
+        for g in itertools.chain(*map(all_graphs, range(7)), seeded):
+            sizes = [s.bit_count() for s in range(1 << g.n)]
+            for which in ("W", "A"):
+                b = b_table(which, g)
+                keyed = assemble_partitions(_size_keys(g.n), b)
+                decoded = {_decoded(key)[1]: total for key, total in keyed.items()}
+                assert decoded == tuple_assemble_partitions(sizes, b), (which, g)
 
 
 class TestInducedForms:

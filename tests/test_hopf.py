@@ -8,11 +8,12 @@ from pathlib import Path
 import pytest
 
 import graphkp
-from graphkp import graphs, schurkp, series
+from graphkp import graphs, invariants, schurkp, series
 from graphkp.graphs import Graph, all_graphs, canonical_form, connected_graphs
 from graphkp.hopf import UNIT_GRAPH, coproduct, expand_in_primitives, primitive_projection
-from helpers import (add_sums, coproduct_sum, cycle_graph, flatten_expansion, partition_expand,
-                     partition_primitive, path_graph, random_graph, tensor, union_product)
+from helpers import (add_sums, assembled_primitive, coproduct_sum, cycle_graph, flatten_expansion,
+                     partition_expand, partition_primitive, path_graph, random_graph, tensor,
+                     union_product)
 
 VERTEX = Graph(1)
 EDGE = Graph.from_edges(2, [(0, 1)])
@@ -77,13 +78,21 @@ class TestPrimitiveProjection:
         assert primitive_projection(UNIT_GRAPH).terms == {}
 
     def test_matches_partition_oracle(self):
-        for n in range(1, 6):
+        # every graph through 6 vertices, then seeded graphs with 6-9
+        for n in range(1, 7):
             for g in all_graphs(n):
                 assert primitive_projection(g).terms == partition_primitive(g), g
         rng = random.Random(2024)
-        for n in (6, 6, 6, 7, 7):
+        for n in (6, 6, 6, 7, 7, 8, 9):
             g = random_graph(rng, n, 0.5)
             assert primitive_projection(g).terms == partition_primitive(g), g
+
+    @pytest.mark.parametrize("density", [0.2, 0.5, 0.8])
+    def test_matches_block_form_assembly_at_the_cap(self, density):
+        # keyed by components, the projection equals the sum over the
+        # multisets of block forms of the tuple-keyed assembly, at 10 vertices
+        g = random_graph(random.Random(int(density * 100)), 10, density)
+        assert primitive_projection(g).terms == assembled_primitive(g), g
 
     def test_projection_lands_in_primitives(self):
         # coproduct(pi(g)) == pi(g) (x) 1 + 1 (x) pi(g), on every connected
@@ -185,6 +194,7 @@ CACHED = {
     "character": lambda: schurkp.character((2, 1), (1, 1, 1)),
     "_character_rows": lambda: schurkp._character_rows(((2, 1), (1, 1, 1))),
     "_derivative_plan": lambda: series._derivative_plan(4, 8, (1, 1)),
+    "_size_keys": lambda: invariants._size_keys(3),
 }
 
 

@@ -16,6 +16,7 @@ from hypothesis import strategies as st
 
 import graphkp
 from graphkp.ensemble import full_series, make_plan, rescale_constants
+from graphkp.errors import first_primes
 from graphkp.schurkp import (kp1_residual, kp2_residual, partitions_of, schur_combination,
                              target_series)
 from graphkp.series import (MAX_ORDER, TruncSeries, _decoded, _exp, _from_parts, _parts,
@@ -133,7 +134,8 @@ def test_key_format_stays_in_series():
     # lists the keys by weight, _pieces reads a store by weight, _graded
     # grades one for exp and log, _product and _add_product multiply and
     # _sum adds; other modules go through the partition-keyed _from_parts
-    # and _parts.
+    # and _parts, or through _variable_key, the key of q_k, whose products
+    # key the invariants' set-partition assembly.
     hidden = {"_key", "_decoded", "_PRIMES", "_first_primes", "mono", "Monomial",
               "_add_product", "_prime_keys", "_pieces", "_graded", "_product", "_sum"}
     leaks = []
@@ -144,6 +146,13 @@ def test_key_format_stays_in_series():
             if isinstance(node, ast.ImportFrom):
                 leaks += [(path.name, a.name) for a in node.names if a.name in hidden]
     assert leaks == []
+
+
+def test_first_primes_are_the_primes_in_order():
+    # the one prime generator, read by the series keys and by hopf's component keys
+    primes = [p for p in range(2, 1000) if all(p % d for d in range(2, p))]
+    assert first_primes(len(primes)) == tuple(primes)
+    assert first_primes(0) == ()
 
 
 class TestAdd:
