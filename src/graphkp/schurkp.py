@@ -59,7 +59,7 @@ reads each coefficient of a derivative as
 
 m_i and t_i the multiplicities of i in mu and v (d^2/dp_1^2 p_1^3 p_2 =
 6 p_1 p_2), with [p_mu p_v] G read at the prime key key(mu) key(v).  One
-plan per (output order, F.order, v), cached beside the key table, lists
+plan per (output order, v), cached beside the key table, lists
 key(mu), key(mu) key(v) and the factor as columns over every mu, so a call
 does only the lookups and integer products: the linear rows of an equation
 are one pass over their plans, times D once, and each square or product of

@@ -7,10 +7,13 @@ most ``order`` in one integer store: the prime key prod_i prime(i)^e_i of
 each monomial x_1^e_1 x_2^e_2 ... (1 for the constant) mapped to a nonzero
 integer numerator, over one denominator D >= 1 with gcd(D, *numerators) = 1.
 So the store is canonical, ``==`` compares it plainly, and a monomial
-product is one integer product.  :func:`_prime_keys` lists the keys by
-weight: every kernel reads keys from it, through :func:`_pieces` (the
-numerators by weight), and so does the partition-keyed reader :func:`_parts`;
-other modules build and read series by partition through :func:`_from_parts`
+product is one integer product.  :func:`_prime_keys`, the one partition
+enumerator, lists the keys by weight, order N's table being order N - 1's
+plus one row: :func:`partitions_of` reads a row, every kernel reads keys
+from it, through :func:`_pieces` (the numerators by weight), and so does the
+partition-keyed reader :func:`_parts`; ``homogeneous_part``,
+:func:`_from_parts` and :func:`substitute` build only the rows they read.
+Other modules build and read series by partition through :func:`_from_parts`
 and :func:`_parts`, or multiply keys of :func:`_variable_key`.  One cached
 table, :func:`_decoded`, reads each key's weight, partition (x_1^2 x_3 is
 (3, 1, 1), the constant ()) and monomial off its factors; it serves only
@@ -65,20 +68,6 @@ Monomial = tuple[tuple[int, int], ...]
 Partition = tuple[int, ...]
 
 
-@lru_cache(maxsize=None)
-def partitions_of(w: int, max_part: int | None = None) -> tuple[Partition, ...]:
-    """Weakly decreasing partitions of w, largest first part first."""
-    if w == 0:
-        return ((),)
-    if max_part is None:
-        max_part = w
-    out = []
-    for first in range(min(w, max_part), 0, -1):
-        for rest in partitions_of(w - first, first):
-            out.append((first,) + rest)
-    return tuple(out)
-
-
 def _fraction(value) -> Fraction:
     """The exactness rule: an int that is not a bool, or a Fraction, as a
     Fraction; anything else raises TypeError."""
@@ -104,17 +93,23 @@ def _variable_key(i: int) -> int:
 
 @lru_cache(maxsize=None)
 def _prime_keys(order: int) -> tuple[tuple[tuple[Partition, int], ...], ...]:
-    """Per weight w <= order, each partition mu of w paired with its prime
-    key prod_j prime(mu_j), in the order of :func:`partitions_of`."""
-    keys = {(): 1}
-    table = [(((), 1),)]
-    for w in range(1, order + 1):
-        pairs = []
-        for mu in partitions_of(w):
-            keys[mu] = k = _PRIMES[mu[0] - 1] * keys[mu[1:]]
-            pairs.append((mu, k))
-        table.append(tuple(pairs))
-    return tuple(table)
+    """Per weight w <= order, each weakly decreasing partition mu of w,
+    largest first part first, paired with its prime key prod_j prime(mu_j):
+    the one partition enumerator.  It is the table of order - 1 plus the row
+    of weight ``order``, where the partitions with first part f are (f, *nu)
+    keyed prime(f) key(nu), for each nu of weight order - f with no part
+    above f; so every order shares its rows with every lower one."""
+    if not order:
+        return ((((), 1),),)
+    table = _prime_keys(order - 1)
+    return table + (tuple([((f, *nu), _PRIMES[f - 1] * k) for f in range(order, 0, -1)
+                           for nu, k in table[order - f] if not nu or nu[0] <= f]),)
+
+
+def partitions_of(w: int) -> tuple[Partition, ...]:
+    """Weakly decreasing partitions of w, largest first part first: row w
+    of :func:`_prime_keys`."""
+    return tuple([mu for mu, _ in _prime_keys(check_limit("order", w))[w]])
 
 
 @lru_cache(maxsize=None)
@@ -237,7 +232,7 @@ class TruncSeries:
         check_limit("order", self.order, low=check_limit("order", weight))
         get = self._nums.get
         return TruncSeries._reduced(self.order, self.var, {
-            k: n for _, k in _prime_keys(self.order)[weight] if (n := get(k))}, self._den)
+            k: n for _, k in _prime_keys(weight)[weight] if (n := get(k))}, self._den)
 
     # -- ring operations ---------------------------------------------------
 
@@ -369,9 +364,9 @@ def _parts(s: TruncSeries) -> tuple[list[dict[Partition, int]], int]:
 def _from_parts(order: int, var: str, parts: Mapping[Partition, int], den: int) -> TruncSeries:
     """The partition-keyed entry point: sum_mu parts[mu] x_mu / den, den >= 1;
     a zero, or a partition heavier than the order, is dropped."""
-    get = parts.get
+    get, top = parts.get, min(order, max(map(sum, parts), default=0))
     return TruncSeries._reduced(order, var, {
-        k: n for pairs in _prime_keys(order) for mu, k in pairs if (n := get(mu))}, den)
+        k: n for pairs in _prime_keys(top) for mu, k in pairs if (n := get(mu))}, den)
 
 
 def _pieces(a: TruncSeries) -> list[dict[int, int]]:
@@ -473,14 +468,14 @@ def log(a: TruncSeries) -> TruncSeries:
 
 
 @lru_cache(maxsize=None)
-def _derivative_plan(order: int, top: int, v: Partition) -> tuple[tuple, ...]:
+def _derivative_plan(order: int, v: Partition) -> tuple[tuple, ...]:
     """The derivative by p_v1 ... p_vk as columns over every mu of weight <= order,
-    in the order of the key table of order ``top`` >= order: key(mu), the
-    source key key(mu) key(v) and the factor prod_i (m_i + 1) ... (m_i + t_i),
-    m_i and t_i the multiplicities of i in mu and v (see :mod:`graphkp.schurkp`);
-    then the number of mu of each weight.  Columns, not a tuple per mu: a
-    plan at order 26 then makes no objects per mu for the garbage collector."""
-    table = _prime_keys(top)[:order + 1]
+    in the order of the key table: key(mu), the source key key(mu) key(v) and
+    the factor prod_i (m_i + 1) ... (m_i + t_i), m_i and t_i the multiplicities
+    of i in mu and v (see :mod:`graphkp.schurkp`); then the number of mu of
+    each weight.  Columns, not a tuple per mu: a plan at order 26 then makes
+    no objects per mu for the garbage collector."""
+    table = _prime_keys(order)
     pairs = [pair for row in table for pair in row]
     keys = tuple([k for _, k in pairs])
     factors = [1] * len(pairs)
@@ -513,14 +508,14 @@ def _derivative_form(F: TruncSeries, order: int, scale: int, linear: dict,
     lin: dict[int, int] = {}
     put = lin.get
     for v, a in linear.items():
-        keys, sources, factors, _ = _derivative_plan(order, F.order, v)
+        keys, sources, factors, _ = _derivative_plan(order, v)
         for k, src, f in zip(keys, sources, factors):
             if x := get(src):
                 lin[k] = put(k, 0) + a * f * x
     out = {k: x * den for k, x in lin.items()}
     for (u, v), b in bilinear.items():
-        left = _derivative(G, _derivative_plan(order, F.order, u))
-        right = left if u == v else _derivative(G, _derivative_plan(order, F.order, v))
+        left = _derivative(G, _derivative_plan(order, u))
+        right = left if u == v else _derivative(G, _derivative_plan(order, v))
         _product(out, left, right, order, b)
     return TruncSeries._reduced(order, "p", out, scale * den * den)
 
@@ -531,15 +526,16 @@ def substitute(a: TruncSeries, factors) -> TruncSeries:
     ``factors`` maps variable indices to nonzero rationals, as a rescaling
     plan does.  Every variable appearing in ``a`` must have a factor.  Each
     partition's factor N/M is built once, up to the heaviest term, from its
-    prefix mu[1:], listed first by :func:`_prime_keys`; a numerator x that M
-    divides becomes (x / M) N, any other x N over M, and all are reduced once.
+    prefix mu[1:], listed first by :func:`_prime_keys`, whose rows it reads
+    only that far; a numerator x that M divides becomes (x / M) N, any other
+    x N over M, and all are reduced once.
     """
     ratios = {i: _fraction(f).as_integer_ratio() for i, f in factors.items()}
     fac, left = {1: (1, 1)}, len(a._nums) - (1 in a._nums)  # factors still to build
-    for pairs in _prime_keys(a.order)[1:]:
+    for w in range(1, a.order + 1):
         if not left:
             break
-        for mu, k in pairs:
+        for mu, k in _prime_keys(w)[w]:
             n, d = ratios.get(mu[0], (0, 1))
             fn, fd = fac[k // _PRIMES[mu[0] - 1]]
             fac[k] = fn, fd = n * fn, d * fd

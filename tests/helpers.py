@@ -13,6 +13,11 @@ the package computes one way, kept here only to check it.
   the coefficient-lookup derivative of the KP residuals; and exp conjugated
   by the scaling of weight w by base^C(w,2), the oracle for the extra
   factor of the graphical exponential.
+* Partition oracles: the recursion over the largest part, with a cache
+  per (weight, largest part), and the key table grown through a dict from
+  each partition's tail, the oracles for the one table of partitions and
+  prime keys that grows by one row per order.  Every oracle here lists
+  partitions through that recursion, not through the table it checks.
 * Tuple-merge kernel oracles: the product, exp, log and both KP residuals
   with weight w scaled by D^w, D the lcm of every denominator, and monomial
   products merged as sorted partitions, the oracles for the kernels on
@@ -71,9 +76,9 @@ from graphkp.graphs import (MAX_VERTICES, SLOT_ENDPOINTS, Graph, _bit_indices,
                             disjoint_union, edge_slot, emit_graph6, induced_forms)
 from graphkp.hopf import UNIT_GRAPH, coproduct, primitive_projection
 from graphkp.invariants import invariant
-from graphkp.schurkp import _KP1, _KP2, _z, character, partitions_of
-from graphkp.series import (DEFAULT_ORDER, Monomial, Partition, TruncSeries, _fraction, exp,
-                            mono)
+from graphkp.schurkp import _KP1, _KP2, _z, character
+from graphkp.series import (_PRIMES, DEFAULT_ORDER, Monomial, Partition, TruncSeries,
+                            _fraction, exp, mono)
 
 
 def complete_graph(n: int) -> Graph:
@@ -355,6 +360,37 @@ def fraction_partial(a: TruncSeries, var_index: int, times: int = 1) -> TruncSer
     return TruncSeries(max(0, a.order - times * var_index), a.var, out)
 
 
+# -- partition oracles ----------------------------------------------------------
+
+
+@cache
+def recursive_partitions_of(w: int, max_part: int | None = None) -> tuple[Partition, ...]:
+    """Weakly decreasing partitions of w, largest first part first."""
+    if w == 0:
+        return ((),)
+    if max_part is None:
+        max_part = w
+    out = []
+    for first in range(min(w, max_part), 0, -1):
+        for rest in recursive_partitions_of(w - first, first):
+            out.append((first,) + rest)
+    return tuple(out)
+
+
+def dict_prime_keys(order: int) -> tuple[tuple[tuple[Partition, int], ...], ...]:
+    """Per weight w <= order, each partition mu of w paired with its prime
+    key prod_j prime(mu_j), in the order of :func:`recursive_partitions_of`."""
+    keys = {(): 1}
+    table = [(((), 1),)]
+    for w in range(1, order + 1):
+        pairs = []
+        for mu in recursive_partitions_of(w):
+            keys[mu] = k = _PRIMES[mu[0] - 1] * keys[mu[1:]]
+            pairs.append((mu, k))
+        table.append(tuple(pairs))
+    return tuple(table)
+
+
 # -- tuple-merge kernel oracles --------------------------------------------------
 
 
@@ -465,7 +501,7 @@ def _derivative(G: dict, v: Partition, order: int) -> list[dict]:
     times = [(i, v.count(i)) for i in set(v)]
     pieces = [{} for _ in range(order + 1)]
     for w, piece in enumerate(pieces):
-        for mu in partitions_of(w):
+        for mu in recursive_partitions_of(w):
             x = G.get(tuple(sorted(mu + v, reverse=True)))
             if x:
                 for i, t in times:
@@ -1130,7 +1166,7 @@ def counter_piece(which: str, k: int, order: int) -> TruncSeries:
         raise ValueError(f"weight-{k} piece does not fit truncation order {order}")
     consts = CONSTANTS[which](k)
     terms = {}
-    for lam in partitions_of(k):
+    for lam in recursive_partitions_of(k):
         mult = Counter(lam)
         num = 2 ** (comb(k, 2) - sum(comb(part, 2) for part in lam))
         den = 1
@@ -1199,7 +1235,7 @@ def schur_one_part(n: int, order: int = DEFAULT_ORDER) -> TruncSeries:
     if n > order:
         raise ValueError(f"s_{n} does not fit truncation order {order}")
     return TruncSeries(order, "p", {mono(Counter(mu)): Fraction(1, _z(mu))
-                                    for mu in partitions_of(n)})
+                                    for mu in recursive_partitions_of(n)})
 
 
 @cache
@@ -1269,7 +1305,7 @@ def elimination_expand(tau: TruncSeries) -> dict:
     right-hand side.  Zero coefficients are omitted."""
     out = {}
     for w in range(tau.order + 1):
-        parts = partitions_of(w)
+        parts = recursive_partitions_of(w)
         index = {mono(Counter(mu)): r for r, mu in enumerate(parts)}
         matrix = [[Fraction(0)] * (len(parts) + 1) for _ in parts]
         for col, lam in enumerate(parts):
@@ -1298,7 +1334,7 @@ def pairwise_schur_expand(tau: TruncSeries) -> dict:
             continue
         den = lcm(*[a.denominator for a in coeffs.values()])
         nums = [(mu, a.numerator * (den // a.denominator)) for mu, a in coeffs.items()]
-        for lam in partitions_of(w):
+        for lam in recursive_partitions_of(w):
             c = sum(character(lam, mu) * x for mu, x in nums)
             if c:
                 out[lam] = Fraction(c, den)

@@ -3,6 +3,7 @@ against deletion-contraction and the definitional expansions, the binomial
 property, oracles, and umbral reconstruction."""
 
 from fractions import Fraction
+from functools import cache
 from math import factorial
 
 import pytest
@@ -12,10 +13,10 @@ from hypothesis import strategies as st
 from graphkp.errors import SizeLimitError
 from graphkp.graphs import (MAX_VERTICES, Graph, all_graphs, canonical_form,
                             connected_graphs, disjoint_union, induced_forms, is_connected)
-from graphkp.hopf import primitive_projection
+from graphkp.hopf import coproduct, primitive_projection
 from graphkp.invariants import (INVARIANTS, abel, b_table, extract_b, invariant,
                                 umbral_from_b, weighted_chromatic)
-from graphkp.series import TruncSeries, mono
+from graphkp.series import MAX_ORDER, TruncSeries, mono
 from helpers import (NOT_EXACT, WeightedGraph, chromatic_oracle, complete_graph, cycle_graph,
                      edgeless_recurrence_b, evaluate, forest_a, matrix_tree_b, parse_poly,
                      partition_umbral, path_graph, random_graph, random_rational, star_graph,
@@ -249,6 +250,73 @@ def _vertex_degree_product(g: Graph, order: int) -> TruncSeries:
     for adj in g.adjacency_masks():
         out = out * TruncSeries.variable(adj.bit_count() + 1, order)
     return out
+
+
+def _hopf_failures(fn, graphs, rng, order: int = MAX_ORDER) -> list[Graph]:
+    """The graphs G where I_G(a + b) != sum_(U subset V) I_G[U](a) I_G[V - U](b)
+    at one pair of random rational points a and b, I = fn truncated at
+    ``order``, read through the 2^n induced subgraphs alone.  With every q_i
+    primitive this identity says that I is a morphism of graded Hopf
+    algebras, which holds iff I is umbral."""
+    a = {i: random_rational(rng) for i in range(1, MAX_VERTICES + 1)}
+    b = {i: random_rational(rng) for i in range(1, MAX_VERTICES + 1)}
+    ab = {i: a[i] + b[i] for i in a}
+
+    @cache
+    def at(h: Graph) -> tuple[Fraction, Fraction]:
+        series = fn(h, order)
+        return evaluate(series, a), evaluate(series, b)
+
+    failures = []
+    for g in graphs:
+        full = (1 << g.n) - 1
+        parts = [at(g.induced([v for v in range(g.n) if s >> v & 1])) for s in range(full + 1)]
+        if evaluate(fn(g, order), ab) != sum(parts[s][0] * parts[full ^ s][1]
+                                           for s in range(full + 1)):
+            failures.append(g)
+    return failures
+
+
+class TestHopfMorphism:
+    """Umbrality as a Hopf morphism: a certificate that needs no canonical
+    form, so it reaches past the graphs that the projection certificate runs on."""
+
+    @pytest.mark.parametrize("which", ["W", "A"])
+    def test_every_graph_through_six_vertices(self, which, rng):
+        graphs = [g for n in range(1, 7) for g in all_graphs(n)]
+        assert _hopf_failures(INVARIANTS[which], graphs, rng) == []
+
+    @pytest.mark.parametrize("which", ["W", "A"])
+    def test_seeded_graphs_on_seven_to_ten_vertices(self, which, rng):
+        graphs = [random_graph(rng, n, 0.5) for n in range(7, 11)]
+        assert _hopf_failures(INVARIANTS[which], graphs, rng) == []
+
+    def test_third_row_is_a_hopf_morphism(self, third_row, rng):
+        # a row inserted only into the family table passes it too
+        graphs = [g for n in range(1, 6) for g in all_graphs(n)]
+        assert _hopf_failures(INVARIANTS[third_row], graphs, rng) == []
+
+    def test_non_umbral_control_fails(self, rng):
+        # the control has weight 2|E| + n, so the graphs are sparse enough
+        # that no truncation is what makes it fail
+        graphs = [P4, cycle_graph(6), random_graph(rng, 8, 0.3)]
+        order = max(2 * len(g.edge_list()) + g.n for g in graphs)
+        assert order <= MAX_ORDER
+        assert _hopf_failures(_vertex_degree_product, graphs, rng, order) == graphs
+
+    @pytest.mark.parametrize("which", ["W", "A"])
+    def test_coproduct_terms_with_their_multiplicities(self, which, rng):
+        # the right-hand side is (I (x) I) of the coproduct, summed over its
+        # canonical pairs, each as often as it occurs among the 2^n splits
+        fn = INVARIANTS[which]
+        for g in [random_graph(rng, n, 0.5) for n in (5, 7, 8)]:
+            a = {i: random_rational(rng) for i in range(1, g.n + 1)}
+            b = {i: random_rational(rng) for i in range(1, g.n + 1)}
+            terms = coproduct(g).terms
+            assert sum(terms.values()) == 2 ** g.n
+            assert evaluate(fn(g, g.n), {i: a[i] + b[i] for i in a}) == sum(
+                c * evaluate(fn(h1, h1.n), a) * evaluate(fn(h2, h2.n), b)
+                for (h1, h2), c in terms.items())
 
 
 class TestUmbral:

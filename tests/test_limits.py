@@ -21,7 +21,7 @@ from graphkp.hopf import expand_in_primitives, primitive_projection
 from graphkp.invariants import abel, umbral_from_b, weighted_chromatic
 from graphkp.schurkp import (kp1_residual, kp2_residual, schur_combination, schur_polynomial,
                              target_series)
-from graphkp.series import MAX_ORDER, TruncSeries
+from graphkp.series import MAX_ORDER, TruncSeries, partitions_of
 from helpers import complete_graph
 
 
@@ -54,6 +54,7 @@ SIZE_ENTRY_POINTS = {
     "abel": lambda v: abel(Graph(2, 1), v),
     "umbral_from_b": lambda v: umbral_from_b(Graph(1), {Graph(1): 1}, v),
     "homogeneous_part": lambda v: TruncSeries.one(4).homogeneous_part(v),
+    "partitions_of": partitions_of,
 }
 
 #: a size relation -> (its call, arguments at the boundary, one step beyond)
@@ -66,6 +67,7 @@ BOUNDARIES = {
     "kp1_residual": (lambda n: kp1_residual(TruncSeries.zero(n, "p")), (4,), (3,)),
     "kp2_residual": (lambda n: kp2_residual(TruncSeries.zero(n, "p")), (5,), (4,)),
     "homogeneous_part": (lambda w: TruncSeries.one(3).homogeneous_part(w), (3,), (4,)),
+    "partitions_of": (partitions_of, (MAX_ORDER,), (MAX_ORDER + 1,)),
 }
 
 
@@ -126,6 +128,13 @@ def test_size_relation_holds_at_its_boundary(name):
     fn(*at)
     with pytest.raises(ValueError):
         fn(*beyond)
+
+
+def test_partitions_of_has_the_order_cap():
+    # the key table has primes only through the cap, so the size rule must stop
+    # a heavier weight before the table is asked for it
+    with pytest.raises(SizeLimitError):
+        partitions_of(MAX_ORDER + 1)
 
 
 def test_a_lower_bound_above_the_cap_names_both():

@@ -282,7 +282,7 @@ class TestKernelsMatchOracles:
         # the prime-key kernel reads [p_mu p_v] G at key(mu) key(v), times the
         # factor its plan lists
         key = {m: k for pairs in series._prime_keys(sum(monomial)) for m, k in pairs}
-        plan = series._derivative_plan(weight, sum(monomial), v)
+        plan = series._derivative_plan(weight, v)
         pieces = series._derivative({key[monomial]: 1}, plan)
         assert pieces == [{key[mu]: value} if value and w == weight else {}
                           for w in range(weight + 1)]

@@ -17,14 +17,16 @@ from hypothesis import strategies as st
 import graphkp
 from graphkp.ensemble import full_series, make_plan, rescale_constants
 from graphkp.errors import first_primes
+from graphkp.invariants import weighted_chromatic
 from graphkp.schurkp import (kp1_residual, kp2_residual, partitions_of, schur_combination,
                              target_series)
 from graphkp.series import (MAX_ORDER, TruncSeries, _decoded, _exp, _from_parts, _parts,
                             _prime_keys, exp, log, mono, substitute)
-from helpers import (NOT_EXACT, evaluate, fraction_exp, fraction_log, fraction_mul,
-                     fraction_partial, fraction_substitute, mono_key_json_obj, mono_key_text,
-                     parse_poly, random_rational, random_series, scaled_fraction_exp, tuple_exp,
-                     tuple_log, tuple_mul)
+from helpers import (NOT_EXACT, dict_prime_keys, evaluate, fraction_exp, fraction_log,
+                     fraction_mul, fraction_partial, fraction_substitute, mono_key_json_obj,
+                     mono_key_text, parse_poly, random_graph, random_rational, random_series,
+                     recursive_partitions_of, scaled_fraction_exp, tuple_exp, tuple_log,
+                     tuple_mul)
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "perfbench"))
 import gen  # noqa: E402  (the benchmark's seeded tau-function candidates)
@@ -130,13 +132,14 @@ def test_key_format_stays_in_series():
     # other module reads and builds partition keys.  The package __init__
     # re-exports the public mono.
     # The store's prime keys stay inside series.py too: _PRIMES holds the
-    # primes, _key encodes a monomial, _decoded decodes a key, _prime_keys
-    # lists the keys by weight, _pieces reads a store by weight, _graded
+    # primes (read from errors.first_primes, which hopf reads too), _key
+    # encodes a monomial, _decoded decodes a key, _prime_keys lists the
+    # keys by weight, _pieces reads a store by weight, _graded
     # grades one for exp and log, _product and _add_product multiply and
     # _sum adds; other modules go through the partition-keyed _from_parts
     # and _parts, or through _variable_key, the key of q_k, whose products
     # key the invariants' set-partition assembly.
-    hidden = {"_key", "_decoded", "_PRIMES", "_first_primes", "mono", "Monomial",
+    hidden = {"_key", "_decoded", "_PRIMES", "mono", "Monomial",
               "_add_product", "_prime_keys", "_pieces", "_graded", "_product", "_sum"}
     leaks = []
     for path in sorted(Path(graphkp.__file__).parent.glob("*.py")):
@@ -544,6 +547,29 @@ class TestKernelsMatchTupleOracles:
                                  for mu in partitions_of(w)}
         assert _parts(decoded) == ([dict.fromkeys(partitions_of(w), 1)
                                     for w in range(MAX_ORDER + 1)], 1)
+
+    def test_table_grows_by_one_row(self):
+        # the one partition enumerator equals the recursion over the largest
+        # part and the dict-keyed table at every order, each order's table is
+        # the lower orders' rows plus one, and a sparse reader builds only the
+        # rows it reads: a 7-vertex invariant at order 26 rescales through
+        # the tables of orders 0..7
+        for n in range(MAX_ORDER + 1):
+            table = _prime_keys(n)
+            assert table == dict_prime_keys(n)
+            assert [[mu for mu, _ in row] for row in table] == [
+                list(recursive_partitions_of(w)) for w in range(n + 1)]
+            assert partitions_of(n) == recursive_partitions_of(n)
+        for m in range(MAX_ORDER):
+            for n in range(m + 1, MAX_ORDER + 1):
+                assert all(_prime_keys(m)[w] is _prime_keys(n)[w] for w in range(m + 1))
+        g = random_graph(random.Random(7), 7, 0.5)
+        plan = make_plan(rescale_constants("W", MAX_ORDER))
+        w = weighted_chromatic(g, MAX_ORDER)
+        _prime_keys.cache_clear()
+        rescaled = substitute(w, plan)
+        assert _prime_keys.cache_info().currsize == 8
+        assert rescaled == fraction_substitute(w, plan)
 
 
 class TestRendering:
