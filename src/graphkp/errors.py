@@ -31,8 +31,8 @@ class Limit(NamedTuple):
 LIMITS = {
     # W 0.07-0.14 s, A 0.09-0.13 s; 13 vertices: W 0.32-0.48 s, A 0.34-0.50 s
     "vertices": Limit(12, "vertex count"),
-    # kp-check --series W|A|S, series --rescaled, rescale: at most 0.58 s; 27: up to
-    # 1.03 s (series --rescaled --format json 0.60-1.03 s, kp-check --series S 0.42-0.63 s)
+    # kp-check --series W|A|S, series --rescaled, rescale: at most 0.73 s; 27: up to
+    # 1.01 s (series --rescaled --format json 0.51-1.01 s, kp-check 0.44-0.80 s)
     "order": Limit(26, "truncation order"),
     # n = 7: 0.60 s; n = 8: 10.2 s
     "all_graphs": Limit(7, "vertex count for all_graphs"),

@@ -8,16 +8,16 @@ each monomial x_1^e_1 x_2^e_2 ... (1 for the constant) mapped to a nonzero
 integer numerator, over one denominator D >= 1 with gcd(D, *numerators) = 1.
 So the store is canonical, ``==`` compares it plainly, and a monomial
 product is one integer product.  :func:`_prime_keys`, the one partition
-enumerator, lists the keys by weight, order N's table being order N - 1's
+enumerator and the one map between keys and partitions (no key is
+factored), lists the keys by weight, order N's table being order N - 1's
 plus one row: :func:`partitions_of` reads a row, every kernel reads keys
-from it, through :func:`_pieces` (the numerators by weight), and so does the
-partition-keyed reader :func:`_parts`; ``homogeneous_part``,
-:func:`_from_parts` and :func:`substitute` build only the rows they read.
-Other modules build and read series by partition through :func:`_from_parts`
-and :func:`_parts`, or multiply keys of :func:`_variable_key`.  One cached
-table, :func:`_decoded`, reads each key's weight, partition (x_1^2 x_3 is
-(3, 1, 1), the constant ()) and monomial off its factors; it serves only
-the public edge (``terms``, rendering and :func:`mono`).  All arithmetic
+from it through :func:`_pieces` (the numerators by weight), and so does the
+partition-keyed reader :func:`_parts`; both stop at the heaviest term, and
+``homogeneous_part``, :func:`_from_parts` and :func:`substitute` build only
+the rows they read.  Other modules go through :func:`_from_parts` and
+:func:`_parts`, or multiply keys of :func:`_variable_key`.  :func:`_monomial`
+spells a partition (x_1^2 x_3 is (3, 1, 1)) for ``terms``, rendering and
+:func:`mono`.  All arithmetic
 is exact: one rule, :func:`_fraction`, admits an ``int`` that is not a
 ``bool``, or a ``Fraction``, and every coefficient,
 scalar of ``+``, ``-``, ``*`` or ``==`` and factor passes through it, so a
@@ -113,15 +113,9 @@ def partitions_of(w: int) -> tuple[Partition, ...]:
 
 
 @lru_cache(maxsize=None)
-def _decoded(key: int) -> tuple[int, Partition, Monomial]:
-    """The weight, the partition and the monomial of a prime key, read off
-    its prime factors: the one table that decodes keys."""
-    up: list[int] = []
-    for i, p in enumerate(_PRIMES, start=1):
-        while not key % p:
-            key //= p
-            up.append(i)
-    return sum(up), tuple(up[::-1]), tuple([(i, up.count(i)) for i in sorted(set(up))])
+def _monomial(mu: Partition) -> Monomial:
+    """The monomial of a partition: (3, 1, 1) is x_1^2 x_3, ((1, 2), (3, 1))."""
+    return tuple([(i, mu.count(i)) for i in sorted(set(mu))])
 
 
 def _key(m, order: int) -> int | None:
@@ -143,10 +137,10 @@ def _key(m, order: int) -> int | None:
 
 def mono(exponents: Mapping[int, int] | Iterable[tuple[int, int]]) -> Monomial:
     """Build a canonical monomial from {variable index: exponent} pairs."""
-    key = _key(exponents, MAX_ORDER)
-    if key is None:
+    pairs = list(exponents.items() if isinstance(exponents, Mapping) else exponents)
+    if _key(pairs, MAX_ORDER) is None:
         raise ValueError(f"monomial weight exceeds the largest order {MAX_ORDER}")
-    return _decoded(key)[2]
+    return _monomial(tuple(sorted([i for i, e in pairs for _ in range(e)], reverse=True)))
 
 
 def _ratio(n: int, den: int) -> Fraction:
@@ -214,7 +208,8 @@ class TruncSeries:
     @property
     def terms(self) -> dict[Monomial, Fraction]:
         """The terms as a fresh {(variable, exponent) monomial: coefficient} dict."""
-        return {_decoded(k)[2]: _ratio(n, self._den) for k, n in self._nums.items()}
+        return {_monomial(mu): _ratio(n, self._den) for part in _parts(self)[0]
+                for mu, n in part.items()}
 
     @property
     def constant_term(self) -> Fraction:
@@ -286,11 +281,11 @@ class TruncSeries:
 
     def _printed(self):
         """(monomial, numerator, denominator) per term, reduced, in rendering order."""
-        den = self._den
-        for _, _, m, n in sorted([(w, mu[::-1], m, n) for k, n in self._nums.items()
-                                  for w, mu, m in [_decoded(k)]]):
-            g = gcd(n, den)
-            yield m, n // g, den // g
+        parts, den = _parts(self)
+        for part in parts:
+            for mu in sorted(part, key=lambda mu: mu[::-1]):
+                g = gcd(n := part[mu], den)
+                yield _monomial(mu), n // g, den // g
 
     def text(self) -> str:
         """Canonical plain-text rendering, e.g. ``q1^3 + 3 q1 q2 + 2 q3``."""
@@ -355,10 +350,13 @@ class TruncSeries:
 
 
 def _parts(s: TruncSeries) -> tuple[list[dict[Partition, int]], int]:
-    """The partition-keyed reader: the numerators of ``s`` as one
-    {partition: numerator} dict per weight 0..order, and their one denominator."""
-    get = s._nums.get
-    return [{mu: n for mu, k in pairs if (n := get(k))} for pairs in _prime_keys(s.order)], s._den
+    """The partition-keyed reader: :func:`_pieces` keyed by partition, and
+    the one denominator."""
+    get, left, parts = s._nums.get, len(s._nums), []
+    for w in range(s.order + 1):
+        parts.append({mu: n for mu, k in _prime_keys(w)[w] if (n := get(k))} if left else {})
+        left -= len(parts[-1])
+    return parts, s._den
 
 
 def _from_parts(order: int, var: str, parts: Mapping[Partition, int], den: int) -> TruncSeries:
@@ -370,10 +368,14 @@ def _from_parts(order: int, var: str, parts: Mapping[Partition, int], den: int) 
 
 
 def _pieces(a: TruncSeries) -> list[dict[int, int]]:
-    """The numerators of ``a`` by weight 0..order, each piece keyed by prime
-    key: the one per-weight reader of the store."""
-    get = a._nums.get
-    return [{k: n for _, k in pairs if (n := get(k))} for pairs in _prime_keys(a.order)]
+    """The numerators of ``a`` by weight 0..order, keyed by prime key: the one
+    per-weight reader of the store.  It reads rows 0, 1, ... of the key table
+    only until it has found every key, and pads the heavier weights with {}."""
+    get, left, pieces = a._nums.get, len(a._nums), []
+    for w in range(a.order + 1):
+        pieces.append({k: n for _, k in _prime_keys(w)[w] if (n := get(k))} if left else {})
+        left -= len(pieces[-1])
+    return pieces
 
 
 def _graded(a: TruncSeries) -> tuple[list[int], list[dict[int, int]]]:
@@ -531,19 +533,15 @@ def substitute(a: TruncSeries, factors) -> TruncSeries:
     x N over M, and all are reduced once.
     """
     ratios = {i: _fraction(f).as_integer_ratio() for i, f in factors.items()}
-    fac, left = {1: (1, 1)}, len(a._nums) - (1 in a._nums)  # factors still to build
-    for w in range(1, a.order + 1):
-        if not left:
-            break
+    pieces, fac = _pieces(a), {1: (1, 1)}
+    for w in range(1, max([w for w, piece in enumerate(pieces) if piece], default=0) + 1):
         for mu, k in _prime_keys(w)[w]:
             n, d = ratios.get(mu[0], (0, 1))
             fn, fd = fac[k // _PRIMES[mu[0] - 1]]
             fac[k] = fn, fd = n * fn, d * fd
-            if k in a._nums:
-                left -= 1
-                if not fn:
-                    i = next(i for i in mu if not ratios.get(i, (0, 1))[0])
-                    raise ValueError(f"no nonzero rescale factor for variable {i}")
+            if not fn and k in pieces[w]:
+                i = next(i for i in mu if not ratios.get(i, (0, 1))[0])
+                raise ValueError(f"no nonzero rescale factor for variable {i}")
     terms = {}
     for k, x in a._nums.items():
         n, d = fac[k]

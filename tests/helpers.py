@@ -16,8 +16,10 @@ the package computes one way, kept here only to check it.
 * Partition oracles: the recursion over the largest part, with a cache
   per (weight, largest part), and the key table grown through a dict from
   each partition's tail, the oracles for the one table of partitions and
-  prime keys that grows by one row per order.  Every oracle here lists
-  partitions through that recursion, not through the table it checks.
+  prime keys that grows by one row per order; and the decoding of a key
+  by trial division over the primes, the oracle for that table read
+  backwards.  Every oracle here lists partitions through that recursion,
+  not through the table it checks.
 * Tuple-merge kernel oracles: the product, exp, log and both KP residuals
   with weight w scaled by D^w, D the lcm of every denominator, and monomial
   products merged as sorted partitions, the oracles for the kernels on
@@ -389,6 +391,17 @@ def dict_prime_keys(order: int) -> tuple[tuple[tuple[Partition, int], ...], ...]
             pairs.append((mu, k))
         table.append(tuple(pairs))
     return tuple(table)
+
+
+def trial_division_decode(key: int) -> tuple[int, Partition, Monomial]:
+    """The weight, the partition and the monomial of a prime key, read off
+    its prime factors by trial division."""
+    up: list[int] = []
+    for i, p in enumerate(_PRIMES, start=1):
+        while not key % p:
+            key //= p
+            up.append(i)
+    return sum(up), tuple(up[::-1]), tuple([(i, up.count(i)) for i in sorted(set(up))])
 
 
 # -- tuple-merge kernel oracles --------------------------------------------------

@@ -16,11 +16,11 @@ from graphkp.graphs import (Graph, all_graphs, assemble_partitions, aut_order,
                             connected_graphs, disjoint_union, edge_slot,
                             emit_graph6, induced_forms, is_connected, parse_graph6)
 from graphkp.invariants import _size_keys, b_table
-from graphkp.series import _decoded
 from helpers import (GRAPH6_TEXT, GRAPHS, WeightedGraph, brute_all_graphs,
                      brute_aut_order, brute_canonical_form, complete_graph, contract_edge,
                      cycle_graph, induced_subset_forms, path_graph, random_graph,
-                     set_partitions, spanning_forests, star_graph, tuple_assemble_partitions)
+                     set_partitions, spanning_forests, star_graph, trial_division_decode,
+                     tuple_assemble_partitions)
 
 BELL = [1, 1, 2, 5, 15, 52, 203, 877]
 INTEGER_PARTITIONS = [1, 1, 2, 3, 5, 7, 11, 15]
@@ -171,9 +171,9 @@ class TestSetPartitions:
     def test_assembly_counts_partitions_by_block_sizes(self, n):
         # n! / (prod lambda_i! prod m_j!) set partitions have block sizes lambda;
         # each block is labelled by the prime key of q_|B|, so a key decodes
-        # to the partition lambda
+        # to the partition lambda (by trial division, not the key table)
         keyed = assemble_partitions(_size_keys(n), [1] * (1 << n))
-        counts = {_decoded(key)[1]: count for key, count in keyed.items()}
+        counts = {trial_division_decode(key)[1]: count for key, count in keyed.items()}
         assert len(counts) == len(keyed) == INTEGER_PARTITIONS[n]
         for lam, count in counts.items():
             assert list(lam) == sorted(lam, reverse=True) and sum(lam) == n
@@ -191,7 +191,7 @@ class TestSetPartitions:
             for which in ("W", "A"):
                 b = b_table(which, g)
                 keyed = assemble_partitions(_size_keys(g.n), b)
-                decoded = {_decoded(key)[1]: total for key, total in keyed.items()}
+                decoded = {trial_division_decode(key)[1]: total for key, total in keyed.items()}
                 assert decoded == tuple_assemble_partitions(sizes, b), (which, g)
 
 

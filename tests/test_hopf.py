@@ -189,7 +189,7 @@ CACHED = {
     "canonical_form": lambda: graphs.canonical_form(path_graph(3)),
     "all_graphs": lambda: graphs.all_graphs(3),
     "_prime_keys": lambda: series._prime_keys(4),
-    "_decoded": lambda: series._decoded(2 * 2 * 5),
+    "_monomial": lambda: series._monomial((3, 1, 1)),
     "character": lambda: schurkp.character((2, 1), (1, 1, 1)),
     "_character_rows": lambda: schurkp._character_rows(((2, 1), (1, 1, 1))),
     "_derivative_plan": lambda: series._derivative_plan(4, (1, 1)),

@@ -20,13 +20,13 @@ from graphkp.errors import first_primes
 from graphkp.invariants import weighted_chromatic
 from graphkp.schurkp import (kp1_residual, kp2_residual, partitions_of, schur_combination,
                              target_series)
-from graphkp.series import (MAX_ORDER, TruncSeries, _decoded, _exp, _from_parts, _parts,
+from graphkp.series import (MAX_ORDER, TruncSeries, _exp, _from_parts, _monomial, _parts,
                             _prime_keys, exp, log, mono, substitute)
 from helpers import (NOT_EXACT, dict_prime_keys, evaluate, fraction_exp, fraction_log,
                      fraction_mul, fraction_partial, fraction_substitute, mono_key_json_obj,
                      mono_key_text, parse_poly, random_graph, random_rational, random_series,
-                     recursive_partitions_of, scaled_fraction_exp, tuple_exp, tuple_log,
-                     tuple_mul)
+                     recursive_partitions_of, scaled_fraction_exp, trial_division_decode,
+                     tuple_exp, tuple_log, tuple_mul)
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "perfbench"))
 import gen  # noqa: E402  (the benchmark's seeded tau-function candidates)
@@ -133,13 +133,14 @@ def test_key_format_stays_in_series():
     # re-exports the public mono.
     # The store's prime keys stay inside series.py too: _PRIMES holds the
     # primes (read from errors.first_primes, which hopf reads too), _key
-    # encodes a monomial, _decoded decodes a key, _prime_keys lists the
-    # keys by weight, _pieces reads a store by weight, _graded
+    # encodes a monomial, _prime_keys lists the keys by weight with their
+    # partitions, _monomial spells a partition as a monomial, _pieces
+    # reads a store by weight, _graded
     # grades one for exp and log, _product and _add_product multiply and
     # _sum adds; other modules go through the partition-keyed _from_parts
     # and _parts, or through _variable_key, the key of q_k, whose products
     # key the invariants' set-partition assembly.
-    hidden = {"_key", "_decoded", "_PRIMES", "mono", "Monomial",
+    hidden = {"_key", "_monomial", "_PRIMES", "mono", "Monomial",
               "_add_product", "_prime_keys", "_pieces", "_graded", "_product", "_sum"}
     leaks = []
     for path in sorted(Path(graphkp.__file__).parent.glob("*.py")):
@@ -527,9 +528,9 @@ class TestKernelsMatchTupleOracles:
 
     def test_keys_decode_every_partition(self):
         # key(mu) = prod_j prime(mu_j) is one distinct integer per partition,
-        # _decoded reads its weight, parts and monomial back, and the
-        # partition-keyed entry point and reader carry every partition
-        # through the store and back
+        # trial division reads back its row's weight, its partition and
+        # _monomial(mu), and the partition-keyed entry point and reader
+        # carry every partition through the store and back
         primes = [p for p in range(2, 200) if all(p % d for d in range(2, p))]
         table = _prime_keys(MAX_ORDER)
         assert [[mu for mu, _ in pairs] for pairs in table] == [
@@ -538,9 +539,10 @@ class TestKernelsMatchTupleOracles:
         assert keys == [prod([primes[part - 1] for part in mu])
                         for pairs in table for mu, _ in pairs]
         assert len(set(keys)) == len(keys)
-        assert [_decoded(k) for k in keys] == [
-            (sum(mu), mu, tuple(sorted(Counter(mu).items())))
-            for pairs in table for mu, _ in pairs]
+        assert [trial_division_decode(k) for k in keys] == [
+            (w, mu, _monomial(mu)) for w, pairs in enumerate(table) for mu, _ in pairs]
+        assert [_monomial(mu) for pairs in table for mu, _ in pairs] == [
+            tuple(sorted(Counter(mu).items())) for pairs in table for mu, _ in pairs]
         every = {mu: 1 for pairs in table for mu, _ in pairs}
         decoded = _from_parts(MAX_ORDER, "q", every, 1)
         assert decoded.terms == {mono(Counter(mu)): 1 for w in range(MAX_ORDER + 1)
@@ -570,6 +572,16 @@ class TestKernelsMatchTupleOracles:
         rescaled = substitute(w, plan)
         assert _prime_keys.cache_info().currsize == 8
         assert rescaled == fraction_substitute(w, plan)
+
+    def test_readers_stop_at_the_heaviest_term(self):
+        # the product reads its factors, and text and terms read the
+        # product, only up to its heaviest term q1 q2 of weight 3: the
+        # tables of orders 0..3, however high the order
+        _prime_keys.cache_clear()
+        s = TruncSeries.variable(1, MAX_ORDER) * TruncSeries.variable(2, MAX_ORDER)
+        assert s.text() == "q1 q2"
+        assert s.terms == {((1, 1), (2, 1)): 1}
+        assert _prime_keys.cache_info().currsize == 4
 
 
 class TestRendering:
